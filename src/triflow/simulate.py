@@ -36,6 +36,14 @@ class Generation:
 
 @dataclass(frozen=True)
 class DeliveryOutcome:
+    """What the destination got in one scenario, and what it decoded.
+
+    `arc_sends` maps each `(label, arc)` that carried the generation to how
+    many times it did.  A single-failure `simulate_transmission` fills it;
+    outcomes from `failure_sweep` carry `{}`, which keeps a sweep's memory
+    linear in the number of edges.
+    """
+
     received_labels: frozenset
     decoded: tuple | None
     recovered_via: tuple | None
@@ -72,41 +80,49 @@ def _recovery_rule(labels) -> tuple:
     return ("B", "XOR")
 
 
-def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation,
-                          failed_edge=None) -> DeliveryOutcome:
-    """Forward one generation through every subflow.
-
-    Every node holding a copy of the packet forwards it once onto each of its
-    subflow out-arcs (duplication at branch points, first-copy selection at
-    joins, keyed by the generation number).  Arcs of `failed_edge` drop what
-    is sent into them.
-    """
+def _require_verified(plan: RecoveryPlan) -> None:
     if plan.verification is None or not plan.verification.overall:
         raise UnverifiedPlan("plan has no passing verification report")
-    payloads = encode(gen.payload_a, gen.payload_b)
 
-    received = {}
-    arc_sends = {}
-    for label in LABELS:
-        arcs = plan.subflows[label]
-        adj = {}
-        for arc in sorted_ids(arcs):
-            tail, head = cn.graph.ends(arc.edge)
-            adj.setdefault(tail, []).append((arc, head))
-        have = {cn.source}
-        queue = [cn.source]
-        while queue:
-            u = queue.pop()
-            for arc, head in adj.get(u, ()):
-                arc_sends[(label, arc)] = arc_sends.get((label, arc), 0) + 1
-                if arc.edge == failed_edge:
-                    continue  # sent into the dead link, never delivered
-                if head not in have:
-                    have.add(head)
-                    queue.append(head)
-        if cn.target in have:
-            received[label] = payloads[label]
 
+def _label_adjacency(cn: CodingNetwork, plan: RecoveryPlan, label: str) -> dict:
+    """tail -> [(arc, edge, head)] over one label's arcs, in `sorted_ids`
+    arc order."""
+    adj = {}
+    for arc in sorted_ids(plan.subflows[label]):
+        tail, head = cn.graph.ends(arc.edge)
+        adj.setdefault(tail, []).append((arc, arc.edge, head))
+    return adj
+
+
+def _flood(adj: dict, source, failed_edge=None, sends: dict | None = None,
+           label=None) -> set:
+    """Nodes that get a copy of the packet.
+
+    Every node holding a copy forwards it once onto each of its out-arcs
+    (duplication at branch points, first-copy selection at joins).  Arcs of
+    `failed_edge` drop what is sent into them.  `sends`, if given, counts
+    each `(label, arc)` sent into.  Its keys are made at send time, so they
+    lie in memory in the dict's order; keys made in arc order doubled the
+    garbage collector's time on the large `arc_sends` dicts callers keep.
+    """
+    have = {source}
+    queue = [source]
+    while queue:
+        for arc, edge, head in adj.get(queue.pop(), ()):
+            if sends is not None:
+                sends[(label, arc)] = sends.get((label, arc), 0) + 1
+            if edge == failed_edge:
+                continue  # sent into the dead link, never delivered
+            if head not in have:
+                have.add(head)
+                queue.append(head)
+    return have
+
+
+def _outcome(labels, payloads: dict, arc_sends: dict) -> DeliveryOutcome:
+    """Decode from the labels that reached the destination."""
+    received = {label: payloads[label] for label in LABELS if label in labels}
     if len(received) >= 2:
         decoded = decode(received)
         via = _recovery_rule(received)
@@ -118,7 +134,50 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
                            arc_sends=arc_sends)
 
 
+def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation,
+                          failed_edge=None) -> DeliveryOutcome:
+    """Forward one generation through every subflow.
+
+    Every node holding a copy of the packet forwards it once onto each of its
+    subflow out-arcs (duplication at branch points, first-copy selection at
+    joins, keyed by the generation number).  Arcs of `failed_edge` drop what
+    is sent into them.
+    """
+    _require_verified(plan)
+    arc_sends = {}
+    arrived = {label for label in LABELS
+               if cn.target in _flood(_label_adjacency(cn, plan, label),
+                                      cn.source, failed_edge, arc_sends, label)}
+    return _outcome(arrived, encode(gen.payload_a, gen.payload_b), arc_sends)
+
+
 def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dict:
-    """One simulation per edge of the network, that edge failed."""
-    return {edge: simulate_transmission(cn, plan, gen, failed_edge=edge)
-            for edge in cn.graph.edge_ids}
+    """{edge: outcome} for every edge of the network, that edge failed.
+
+    Each label is flooded once without a failure; a failed edge re-floods
+    only the labels whose subflow uses it, since every other label's arcs,
+    and so its flood, are unchanged.  That is one flood per label plus one
+    per (label, edge it uses).
+    """
+    _require_verified(plan)
+    payloads = encode(gen.payload_a, gen.payload_b)
+    adjacency = {label: _label_adjacency(cn, plan, label) for label in LABELS}
+    intact = frozenset(label for label, adj in adjacency.items()
+                       if cn.target in _flood(adj, cn.source))
+    users = {}  # edge -> labels whose subflow uses it
+    for label in LABELS:
+        for arc in plan.subflows[label]:
+            users.setdefault(arc.edge, set()).add(label)
+    outcomes = {}  # received labels -> outcome; at most eight distinct ones
+    sweep = {}
+    for edge in cn.graph.edge_ids:
+        arrived = intact
+        if edge in users:
+            arrived = frozenset(
+                label for label in intact
+                if label not in users[edge]
+                or cn.target in _flood(adjacency[label], cn.source, edge))
+        if arrived not in outcomes:
+            outcomes[arrived] = _outcome(arrived, payloads, {})
+        sweep[edge] = outcomes[arrived]
+    return sweep

@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triflow import (Generation, decode, decompose, encode, failure_sweep,
-                     simulate_transmission)
+from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
+                     RecoveryPlan, decode, decompose, encode, failure_sweep,
+                     generate, simulate_transmission, verify_plan)
 from triflow.errors import InsufficientLabels, LengthMismatch, UnverifiedPlan
+from triflow.netgen import GenParams, Structure
 
 from netfixtures import coding, diamond2, ladder15, tripath
 
@@ -64,6 +66,15 @@ def test_simulation_requires_verified_plan():
         simulate_transmission(coding(net), plan.with_verification(None), gen)
 
 
+def test_sweep_requires_verified_plan():
+    plan = decompose(ladder15()).with_verification(None)
+    gen = Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00")
+    edgeless = Network(graph=Digraph(["s", "t"], []), free_cap={},
+                       source="s", target="t")
+    with pytest.raises(UnverifiedPlan):
+        failure_sweep(coding(edgeless), plan, gen)
+
+
 def test_simulation_failure_on_single_label_edge():
     net = ladder15()
     cn = coding(net)
@@ -88,6 +99,54 @@ def test_sweep_matches_survivability_map():
         for edge, outcome in outcomes.items():
             assert outcome.received_labels == plan.verification.survivability[edge]
             assert outcome.decoded == (gen.payload_a, gen.payload_b)
+
+
+def _twin_arc_plan():
+    """A hand-made verified plan whose A subflow uses both copies of the
+    capacity-2 edge 0 (no decomposed plan in the corpus does)."""
+    edges = [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "c"), ("c", "t")]
+    net = Network(graph=Digraph(["s", "a", "b", "c", "t"],
+                                [(i, u, v) for i, (u, v) in enumerate(edges)]),
+                  free_cap={0: 2, 1: 2, 2: 1, 3: 1, 4: 1, 5: 1},
+                  source="s", target="t")
+    cn = coding(net)
+    plan = RecoveryPlan(
+        subflows={"A": frozenset({Arc(0, 0), Arc(0, 1), Arc(1, 0)}),
+                  "B": frozenset({Arc(2, 0), Arc(3, 0)}),
+                  "XOR": frozenset({Arc(4, 0), Arc(5, 0)})},
+        roles=(), feasibility=None)
+    return cn, plan.with_verification(verify_plan(cn, plan))
+
+
+def _sweep_corpus():
+    """(coding network, verified plan): pinned networks, seeded LADDER and
+    RANDOM_DAG networks of 8-64 nodes, and the twin-arc plan."""
+    nets = [ladder15(), diamond2(), tripath()]
+    for i, size in enumerate(range(8, 65, 8)):
+        nets.append(generate(GenParams(node_count=size, seed=100 + i)))
+        kind = (FeasibilityKind.NETWORK_CODING, FeasibilityKind.DIVERSITY_CODING)[i % 2]
+        nets.append(generate(GenParams(node_count=size, seed=200 + i,
+                                       structure=Structure.RANDOM_DAG,
+                                       target_class=kind)))
+    yield from ((coding(net), decompose(net)) for net in nets)
+    yield _twin_arc_plan()
+
+
+def test_sweep_matches_single_failure_simulation():
+    gen = Generation(seq=5, payload_a=b"\x3c\x5a", payload_b=b"\xc3\xa5")
+    shared = both_copies = 0
+    for cn, plan in _sweep_corpus():
+        assert plan.verification.overall
+        for edge, swept in failure_sweep(cn, plan, gen).items():
+            alone = simulate_transmission(cn, plan, gen, failed_edge=edge)
+            assert swept == alone, edge  # arc_sends is left out of ==
+            assert swept.received_labels == plan.verification.survivability[edge]
+            uses = plan.arcs_of(edge)
+            shared += len(uses) >= 2
+            both_copies += any(len(arcs) == 2 for arcs in uses.values())
+    # the re-flood bookkeeping is exercised where it can go wrong: an edge
+    # shared by two labels, and one label on both copies of an edge
+    assert shared and both_copies
 
 
 def test_no_arc_carries_a_generation_twice():
