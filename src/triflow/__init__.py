@@ -20,8 +20,7 @@ from .netgen import GenParams, Structure, generate
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, VerificationReport
 from .simulate import (DeliveryOutcome, Generation, decode, encode,
                        failure_sweep, simulate_transmission)
-from .verify import (brute_force_decomposition_exists, brute_force_feasible,
-                     survivability_by_removal, verify_plan)
+from .verify import survivability_by_removal, verify_plan
 from . import errors
 
 __all__ = [
@@ -35,6 +34,5 @@ __all__ = [
     "decompose", "decompose_flow_to_paths", "derive_coding_capacities",
     "edge_disjoint_paths", "encode", "errors", "failure_sweep", "generate",
     "glue_segments", "max_flow", "residual_scc_condensation", "simulate_transmission",
-    "solve_segment", "extract_segments", "brute_force_decomposition_exists",
-    "brute_force_feasible", "survivability_by_removal", "verify_plan",
+    "solve_segment", "extract_segments", "survivability_by_removal", "verify_plan",
 ]

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .cutchain import CutChain, FLOW_TARGET_DOUBLED, REDUCED_DOUBLED, build_cut_chain
-from .errors import NotNetworkCodingClass, UnknownNode
+from .cutchain import (CutChain, FLOW_TARGET_DOUBLED, build_cut_chain,
+                       reduced_capacities)
+from .errors import NotNetworkCodingClass
 from .graph import Digraph, FlowResult, cancel_cycles, max_flow
 
 # Reduced values are multiples of 0.5 (one doubled unit), so any value above
@@ -46,7 +47,7 @@ class CodingNetwork:
 
     def reduced_caps(self) -> dict:
         """Reduced capacities in doubled units: c=1 -> 2, c=2 -> 3."""
-        return {e: REDUCED_DOUBLED[self.coding_cap[e]] for e in self.graph.edge_ids}
+        return reduced_capacities(self.graph, self.coding_cap)
 
 
 class FeasibilityKind(Enum):
@@ -101,11 +102,8 @@ def derive_coding_capacities(net: Network) -> CodingNetwork:
 
 
 def classify_feasibility(cn: CodingNetwork) -> Feasibility:
-    """Classify protectability from the reduced max-flow value."""
-    if cn.source not in cn.graph:
-        raise UnknownNode(cn.source)
-    if cn.target not in cn.graph:
-        raise UnknownNode(cn.target)
+    """Classify protectability from the reduced max-flow value; max_flow
+    raises UnknownNode for a source or target outside the graph."""
     reduced = cn.reduced_caps()
     probe = max_flow(cn.graph, reduced, cn.source, cn.target, limit=_DIVERSITY_PROBE)
     if probe.value >= _DIVERSITY_PROBE:
@@ -127,7 +125,7 @@ def _settle(graph: Digraph, coding_cap: Mapping, s, t):
     makes the whole conditioning pipeline idempotent.
     """
     while True:
-        reduced = {e: REDUCED_DOUBLED[coding_cap[e]] for e in graph.edge_ids}
+        reduced = reduced_capacities(graph, coding_cap)
         flow = max_flow(graph, reduced, s, t)
         if flow.value != FLOW_TARGET_DOUBLED:
             raise NotNetworkCodingClass(
@@ -140,6 +138,13 @@ def _settle(graph: Digraph, coding_cap: Mapping, s, t):
         coding_cap = {e: coding_cap[e] for e in graph.edge_ids}
 
 
+def _buried(graph: Digraph, cap: Mapping, chain: CutChain) -> list:
+    """Capacity-2 edges with both endpoints inside one chain part."""
+    part_of = chain.part_of()
+    return [e for e in graph.edge_ids
+            if cap[e] == 2 and part_of[graph.tail(e)] == part_of[graph.head(e)]]
+
+
 def condition_network(cn: CodingNetwork) -> ConditionedNetwork:
     """Prune and demote a network-coding-class network until it satisfies the
     three structural properties above.  Idempotent on its own output."""
@@ -147,9 +152,7 @@ def condition_network(cn: CodingNetwork) -> ConditionedNetwork:
     graph, cap, flow = _settle(cn.graph, dict(cn.coding_cap), s, t)
     chain = build_cut_chain(graph, cap, flow, s, t)
 
-    part_of = chain.part_of()
-    demoted = [e for e, (tail, head) in ((e, graph.ends(e)) for e in graph.edge_ids)
-               if cap[e] == 2 and part_of[tail] == part_of[head]]
+    demoted = _buried(graph, cap, chain)
     if demoted:
         # An edge inside one part has a residual path between its endpoints,
         # so it lies on no minimum cut and losing half a unit keeps the flow.
@@ -157,11 +160,8 @@ def condition_network(cn: CodingNetwork) -> ConditionedNetwork:
             cap[e] = 1
         graph, cap, flow = _settle(graph, cap, s, t)
         chain = build_cut_chain(graph, cap, flow, s, t)
-        part_of = chain.part_of()
-        for e in graph.edge_ids:
-            tail, head = graph.ends(e)
-            if cap[e] == 2 and part_of[tail] == part_of[head]:
-                raise AssertionError("capacity-2 edge inside a part survived demotion")
+        if _buried(graph, cap, chain):
+            raise AssertionError("capacity-2 edge inside a part survived demotion")
 
     network = CodingNetwork(graph=graph, coding_cap=cap, source=s, target=t)
     return ConditionedNetwork(network=network, flow=flow, chain=chain)

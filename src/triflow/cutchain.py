@@ -32,7 +32,7 @@ class CutChain:
 
     `parts[0]` is C_1, `parts[i]` is C_{i+1} \\ C_i, and `parts[k]` is the
     remainder behind the last cut, so C_i is the union of the first i parts.
-    Cuts are materialized on demand to keep the representation linear-size.
+    Storing parts rather than cuts keeps the representation linear-size.
     """
 
     parts: tuple
@@ -42,40 +42,31 @@ class CutChain:
     def k(self) -> int:
         return len(self.kinds)
 
-    def cut(self, i: int) -> frozenset:
-        """C_i for 1 <= i <= k."""
-        if not 1 <= i <= self.k:
-            raise IndexError(i)
-        acc = set()
-        for part in self.parts[:i]:
-            acc |= part
-        return frozenset(acc)
-
-    def cuts(self) -> list:
-        """All cuts, materialized (quadratic size; fine at test scale)."""
-        out = []
-        acc = set()
-        for part in self.parts[:-1]:
-            acc |= part
-            out.append(frozenset(acc))
-        return out
-
     def part_of(self) -> dict:
         return {v: i for i, part in enumerate(self.parts) for v in part}
 
 
-def classify_cut(g: Digraph, coding_cap: Mapping, cut) -> CutKind:
-    """TWO_EDGE or THREE_ARC, from the crossing-edge multiset."""
-    caps = []
-    for eid, tail, head in g.edges():
-        if tail in cut and head not in cut:
-            caps.append(coding_cap[eid])
-    caps.sort()
-    if caps == [2, 2]:
+def reduced_capacities(g: Digraph, coding_cap: Mapping) -> dict:
+    """Reduced capacities in doubled units: c=1 -> 2, c=2 -> 3."""
+    return {e: REDUCED_DOUBLED[coding_cap[e]] for e in g.edge_ids}
+
+
+def _kind(ones: int, twos: int, where: str) -> CutKind:
+    # Coding capacities are 1 or 2; `twos` counts the crossing edges that are
+    # not capacity 1.
+    if ones == 0 and twos == 2:
         return CutKind.TWO_EDGE
-    if caps == [1, 1, 1]:
+    if ones == 3 and twos == 0:
         return CutKind.THREE_ARC
-    raise MalformedCut(f"crossing capacities {caps} are neither [2,2] nor [1,1,1]")
+    raise MalformedCut(f"{where} crosses {twos} capacity-2 and {ones} capacity-1 edges")
+
+
+def classify_cut(g: Digraph, coding_cap: Mapping, cut) -> CutKind:
+    """TWO_EDGE or THREE_ARC, from the crossing-edge capacities."""
+    caps = [coding_cap[eid] for eid, tail, head in g.edges()
+            if tail in cut and head not in cut]
+    ones = caps.count(1)
+    return _kind(ones, len(caps) - ones, "cut")
 
 
 def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> CutChain:
@@ -85,7 +76,7 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     step of the chain adds exactly one residual SCC, successors first; ties are
     broken by the smallest node id inside the component.
     """
-    reduced = {e: REDUCED_DOUBLED[coding_cap[e]] for e in g.edge_ids}
+    reduced = reduced_capacities(g, coding_cap)
     cond = residual_scc_condensation(g, reduced, flow, s, t)
     comps = cond.components
     comp_of = cond.component_of
@@ -95,19 +86,11 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     if s_comp == t_comp:
         raise BrokenChain("source and target share a residual component")
 
-    succs = [set() for _ in range(n)]
+    succs = cond.successors
     preds = [set() for _ in range(n)]
-    per_edge = flow.per_edge
-    for eid, tail, head in g.edges():
-        pairs = []
-        if per_edge[eid] < reduced[eid]:
-            pairs.append((comp_of[tail], comp_of[head]))
-        if per_edge[eid] > 0:
-            pairs.append((comp_of[head], comp_of[tail]))
-        for a, b in pairs:
-            if a != b:
-                succs[a].add(b)
-                preds[b].add(a)
+    for a, bs in enumerate(succs):
+        for b in bs:
+            preds[b].add(a)
 
     if preds[t_comp]:
         raise BrokenChain("residual arcs enter the target component; support "
@@ -132,68 +115,41 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
         raise BrokenChain("first chain component does not contain the source")
 
     parts = tuple(comps[i] for i in order) + (comps[t_comp],)
-    _check_saturation(g, reduced, per_edge, parts)
-    kinds = tuple(_kind_sweep(g, coding_cap, parts))
-    return CutChain(parts=parts, kinds=kinds)
+    return CutChain(parts=parts, kinds=_sweep(g, coding_cap, reduced, flow.per_edge, parts))
 
 
-def _check_saturation(g, reduced, per_edge, parts):
-    # Every prefix must be saturated forward with zero backward flow; verified
-    # incrementally so the whole sweep stays linear.
+def _sweep(g, coding_cap, reduced, per_edge, parts) -> tuple:
+    """Kind of every chain cut, after checking that the cut is saturated
+    forward and carries no backward flow.
+
+    Cut i+1 is crossed forward by the edges from parts <= i to parts > i and
+    backward by the reverse, so per-part deltas summed in one prefix sweep
+    give every cut's crossing counts in linear time.
+    """
     part_of = {v: i for i, part in enumerate(parts) for v in part}
-    k = len(parts) - 1
-    fwd_slack = 0
-    bwd_flow = 0
-    slack_at = {}
-    bwd_at = {}
+    delta = [[0, 0, 0, 0] for _ in parts]  # ones, twos, forward slack, backward flow
     for eid, tail, head in g.edges():
         a, b = part_of[tail], part_of[head]
         if a < b:
+            col = 0 if coding_cap[eid] == 1 else 1
+            delta[a][col] += 1
+            delta[b][col] -= 1
             slack = reduced[eid] - per_edge[eid]
-            if slack:
-                slack_at[(a, b)] = slack_at.get((a, b), 0) + slack
+            delta[a][2] += slack
+            delta[b][2] -= slack
         elif a > b:
-            if per_edge[eid]:
-                bwd_at[(b, a)] = bwd_at.get((b, a), 0) + per_edge[eid]
-    opens_slack = {}
-    closes_slack = {}
-    for (a, b), val in slack_at.items():
-        opens_slack[a] = opens_slack.get(a, 0) + val
-        closes_slack[b] = closes_slack.get(b, 0) + val
-    opens_bwd = {}
-    closes_bwd = {}
-    for (b, a), val in bwd_at.items():
-        opens_bwd[b] = opens_bwd.get(b, 0) + val
-        closes_bwd[a] = closes_bwd.get(a, 0) + val
-    for i in range(k):
-        fwd_slack += opens_slack.get(i, 0) - closes_slack.get(i, 0)
-        bwd_flow += opens_bwd.get(i, 0) - closes_bwd.get(i, 0)
-        if fwd_slack or bwd_flow:
-            raise BrokenChain(f"cut {i + 1} is not saturated "
-                              f"(slack={fwd_slack}, backward flow={bwd_flow})")
-
-
-def _kind_sweep(g, coding_cap, parts):
-    # Crossing-edge capacity counts per cut, updated incrementally.
-    part_of = {v: i for i, part in enumerate(parts) for v in part}
-    k = len(parts) - 1
-    delta = [{} for _ in range(k + 1)]
-    for eid, tail, head in g.edges():
-        a, b = part_of[tail], part_of[head]
-        if a < b:
-            c = coding_cap[eid]
-            delta[a][c] = delta[a].get(c, 0) + 1
-            delta[b][c] = delta[b].get(c, 0) - 1
-    ones = twos = 0
+            delta[b][3] += per_edge[eid]
+            delta[a][3] -= per_edge[eid]
+    ones = twos = slack = backward = 0
     kinds = []
-    for i in range(k):
-        ones += delta[i].get(1, 0)
-        twos += delta[i].get(2, 0)
-        if twos == 2 and ones == 0:
-            kinds.append(CutKind.TWO_EDGE)
-        elif twos == 0 and ones == 3:
-            kinds.append(CutKind.THREE_ARC)
-        else:
-            raise MalformedCut(
-                f"cut {i + 1} crosses {twos} capacity-2 and {ones} capacity-1 edges")
-    return kinds
+    for i in range(len(parts) - 1):
+        d_ones, d_twos, d_slack, d_backward = delta[i]
+        ones += d_ones
+        twos += d_twos
+        slack += d_slack
+        backward += d_backward
+        if slack or backward:
+            raise BrokenChain(f"cut {i + 1} is not saturated "
+                              f"(slack={slack}, backward flow={backward})")
+        kinds.append(_kind(ones, twos, f"cut {i + 1}"))
+    return tuple(kinds)

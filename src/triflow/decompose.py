@@ -36,7 +36,7 @@ from .cutchain import CutKind
 from .errors import (GlueMismatch, InsufficientPaths, SegmentInfeasible,
                      Unprotectable, VerificationFailed)
 from .graph import (Digraph, decompose_flow_to_paths, edge_disjoint_paths,
-                    max_flow, order_key, sorted_ids)
+                    max_flow, order_key, reach, sorted_ids)
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role
 
 
@@ -77,7 +77,6 @@ class AuxiliaryGraph:
     arcs: tuple
     tails: Mapping
     heads: Mapping
-    by_edge: Mapping
 
     def __len__(self):
         return len(self.arcs)
@@ -87,17 +86,14 @@ def build_auxiliary(cn: CodingNetwork) -> AuxiliaryGraph:
     arcs = []
     tails = {}
     heads = {}
-    by_edge = {}
     for eid, tail, head in cn.graph.edges():
         if isinstance(eid, str) and eid.startswith(_VIRTUAL_PREFIX):
             raise ValueError(f"edge id {eid!r} collides with virtual arc namespace")
-        copies = tuple(Arc(eid, i) for i in range(cn.coding_cap[eid]))
-        by_edge[eid] = copies
-        for arc in copies:
+        for arc in (Arc(eid, i) for i in range(cn.coding_cap[eid])):
             arcs.append(arc)
             tails[arc] = tail
             heads[arc] = head
-    return AuxiliaryGraph(arcs=tuple(arcs), tails=tails, heads=heads, by_edge=by_edge)
+    return AuxiliaryGraph(arcs=tuple(arcs), tails=tails, heads=heads)
 
 
 class SegmentType(Enum):
@@ -245,21 +241,10 @@ def _path_nodes(path, tails, heads):
 
 def _find_path(arc_set, tails, heads, src, dst):
     """BFS path from src to dst using only arcs in `arc_set`."""
-    adj = {}
+    out = {}
     for arc in sorted_ids(arc_set):
-        adj.setdefault(tails[arc], []).append(arc)
-    parent = {src: None}
-    queue = [src]
-    while queue:
-        nxt = []
-        for u in queue:
-            for arc in adj.get(u, ()):
-                v = heads[arc]
-                if v in parent:
-                    continue
-                parent[v] = arc
-                nxt.append(v)
-        queue = nxt
+        out.setdefault(tails[arc], []).append((arc, heads[arc]))
+    parent = reach(out, src)
     if dst not in parent:
         return None
     path = []
@@ -387,20 +372,16 @@ def _reverse_maps(seg: Segment):
 
 def solve_segment(seg: Segment) -> SegmentSolution:
     """Three arc-disjoint terminal-connecting sets for one segment."""
-    if seg.seg_type is SegmentType.I:
+    if seg.seg_type in (SegmentType.I, SegmentType.II):
+        want = 3 if seg.seg_type is SegmentType.I else 4
         local = _local_digraph(seg.tails, seg.heads)
         try:
-            paths = edge_disjoint_paths(local, SRC, SNK, 3)
+            paths = edge_disjoint_paths(local, SRC, SNK, want)
         except InsufficientPaths as exc:
-            raise SegmentInfeasible(f"type I segment has only {exc.found} paths") from exc
-        return SegmentSolution(sets=tuple(frozenset(p) for p in paths), dominant=None)
-
-    if seg.seg_type is SegmentType.II:
-        local = _local_digraph(seg.tails, seg.heads)
-        try:
-            paths = edge_disjoint_paths(local, SRC, SNK, 4)
-        except InsufficientPaths as exc:
-            raise SegmentInfeasible(f"type II segment has only {exc.found} paths") from exc
+            raise SegmentInfeasible(f"type {seg.seg_type.value} segment has only "
+                                    f"{exc.found} paths") from exc
+        if want == 3:
+            return SegmentSolution(sets=tuple(frozenset(p) for p in paths), dominant=None)
         for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
             union = paths[a] + paths[b]
             edges = [arc.edge for arc in union]
@@ -419,10 +400,6 @@ def solve_segment(seg: Segment) -> SegmentSolution:
     tails, heads = _reverse_maps(seg)
     sets, m = _solve_merge(seg.arcs, tails, heads)
     return SegmentSolution(sets=sets, dominant=0, splitter=m)
-
-
-def _entry_usage(arcs, boundary):
-    return frozenset(arc for arc in arcs if arc in boundary)
 
 
 def _swap_copies(local_sets, edge):
@@ -458,7 +435,7 @@ def glue_segments(segments: list, solutions: list):
                 if sol.dominant is None:
                     raise GlueMismatch("2-edge boundary without a dominant set")
                 prev_dom_arcs = {a for a, o in prev_owner.items() if o == dom_owner}
-                next_dom_arcs = _entry_usage(local[sol.dominant], boundary)
+                next_dom_arcs = local[sol.dominant] & boundary
                 for edge in {a.edge for a in boundary}:
                     pc = next(a.copy for a in prev_dom_arcs if a.edge == edge)
                     nc = next(a.copy for a in next_dom_arcs if a.edge == edge)
@@ -466,7 +443,7 @@ def glue_segments(segments: list, solutions: list):
                         local = _swap_copies(local, edge)
             mapping = [None, None, None]
             for li, arcs in enumerate(local):
-                owners = {prev_owner[a] for a in _entry_usage(arcs, boundary)}
+                owners = {prev_owner[a] for a in arcs & boundary}
                 if len(owners) != 1:
                     raise GlueMismatch(
                         f"set {li} of segment {seg.index} enters on arcs owned "

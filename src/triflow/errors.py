@@ -78,7 +78,3 @@ class PlanReferenceError(TriflowError):
 
 class GenerationFailed(TriflowError):
     """The generator could not hit the requested feasibility class."""
-
-
-class TooLarge(TriflowError):
-    """Instance exceeds the size bound of an exhaustive oracle."""

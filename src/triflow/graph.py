@@ -91,9 +91,6 @@ class Digraph:
     def __contains__(self, node) -> bool:
         return node in self._nodes
 
-    def has_edge(self, eid) -> bool:
-        return eid in self._ends
-
     def ends(self, eid) -> tuple:
         return self._ends[eid]
 
@@ -127,9 +124,6 @@ class Digraph:
             edges.append((eid, tail, head))
         return Digraph(nodes, edges)
 
-    def reverse(self) -> "Digraph":
-        return Digraph(self._nodes, [(e, h, t) for e, (t, h) in self._ends.items()])
-
     def __repr__(self):
         return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._ends)})"
 
@@ -150,10 +144,12 @@ class FlowResult:
 @dataclass(frozen=True)
 class CondensationDag:
     """SCCs of a residual graph in topological order: every residual arc goes
-    within one component or from an earlier to a later one."""
+    within one component or from an earlier to a later one.  `successors[i]`
+    holds the other components that residual arcs out of component i enter."""
 
     components: tuple
     component_of: Mapping
+    successors: tuple
 
 
 def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowResult:
@@ -212,31 +208,18 @@ def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowRe
     return FlowResult(value=value, per_edge=flow, augmentations=augmentations)
 
 
-def residual_neighbors(g: Digraph, cap: Mapping, flow: Mapping, u):
-    """Residual successors of `u`: forward arcs with slack, reversed arcs with
-    positive flow."""
-    seen = []
-    for e in g.out_arcs(u):
-        if flow[e] < cap[e]:
-            seen.append(g.head(e))
-    for e in g.in_arcs(u):
-        if flow[e] > 0:
-            seen.append(g.tail(e))
-    return seen
-
-
-def _residual_reaches(g, cap, flow, src, dst) -> bool:
-    seen = {src}
-    queue = deque([src])
+def reach(out: Mapping, start) -> dict:
+    """Breadth-first search from `start` over `out`, a map node -> [(via,
+    node)].  Returns every reached node mapped to the `via` it was first
+    reached by, `start` mapped to None, in FIFO visiting order."""
+    parent = {start: None}
+    queue = deque([start])
     while queue:
-        u = queue.popleft()
-        for v in residual_neighbors(g, cap, flow, u):
-            if v == dst:
-                return True
-            if v not in seen:
-                seen.add(v)
+        for via, v in out.get(queue.popleft(), ()):
+            if v not in parent:
+                parent[v] = via
                 queue.append(v)
-    return src == dst
+    return parent
 
 
 def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) -> CondensationDag:
@@ -248,14 +231,21 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
     """
     if s not in g or t not in g:
         raise UnknownNode(s if s not in g else t)
+    # Residual successors of each node, lowest node id first; a move's `via`
+    # is the node it leaves from.
     per_edge = flow.per_edge
-    if _residual_reaches(g, cap, per_edge, s, t):
-        raise NotMaximum("flow admits a residual source-target path")
-
-    adj = {}
+    moves = {}
     for u in g.nodes_sorted:
-        succ = sorted_ids(set(residual_neighbors(g, cap, per_edge, u)))
-        adj[u] = succ
+        succ = []
+        for e in g.out_arcs(u):
+            if per_edge[e] < cap[e]:
+                succ.append(g.head(e))
+        for e in g.in_arcs(u):
+            if per_edge[e] > 0:
+                succ.append(g.tail(e))
+        moves[u] = [(u, v) for v in sorted_ids(set(succ))]
+    if t in reach(moves, s):
+        raise NotMaximum("flow admits a residual source-target path")
 
     # Iterative Tarjan; emission order is reverse topological.
     index = {}
@@ -267,7 +257,7 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
     for root in g.nodes_sorted:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
+        work = [(root, iter(moves[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -275,13 +265,13 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
         while work:
             u, it = work[-1]
             advanced = False
-            for v in it:
+            for _, v in it:
                 if v not in index:
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
                     on_stack.add(v)
-                    work.append((v, iter(adj[v])))
+                    work.append((v, iter(moves[v])))
                     advanced = True
                     break
                 if v in on_stack:
@@ -307,7 +297,10 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
     for i, comp in enumerate(components):
         for v in comp:
             component_of[v] = i
-    return CondensationDag(components=components, component_of=component_of)
+    successors = tuple(frozenset(component_of[v] for u in comp for _, v in moves[u]) - {i}
+                       for i, comp in enumerate(components))
+    return CondensationDag(components=components, component_of=component_of,
+                           successors=successors)
 
 
 def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:

@@ -73,12 +73,3 @@ class RecoveryPlan:
 
     def with_verification(self, report: VerificationReport) -> "RecoveryPlan":
         return replace(self, verification=report)
-
-    def arcs_of(self, edge) -> dict:
-        """Which labels use which copies of `edge`."""
-        used = {}
-        for label, arcs in self.subflows.items():
-            for arc in arcs:
-                if arc.edge == edge:
-                    used.setdefault(label, []).append(arc)
-        return used

@@ -1,35 +1,25 @@
-"""Independent checks: structural plan verification, exhaustive single-failure
-survivability, and brute-force oracles for small instances."""
+"""Independent checks: structural plan verification and exhaustive
+single-failure survivability."""
 
 from __future__ import annotations
 
-from itertools import product
-
 from .conditioning import CodingNetwork
-from .errors import PlanReferenceError, TooLarge
-from .graph import max_flow, order_key
-from .plan import LABELS, Arc, RecoveryPlan, VerificationReport, Violation
+from .errors import PlanReferenceError
+from .graph import order_key, reach
+from .plan import LABELS, RecoveryPlan, VerificationReport, Violation
 
 
-def _reaches(arcs, tails, heads, s, t) -> bool:
-    adj = {}
+def _adjacency(arcs, src_of, dst_of) -> dict:
+    """node -> [(arc, node)] moves along `arcs` from `src_of` to `dst_of`."""
+    out = {}
     for arc in arcs:
-        adj.setdefault(tails[arc], []).append(heads[arc])
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        if u == t:
-            return True
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return t == s
+        out.setdefault(src_of[arc], []).append((arc, dst_of[arc]))
+    return out
 
 
-def _st_bridge_arcs(arcs, tails, heads, s, t):
-    """Arcs every s-t path must use, exact and linear-ish.
+def _st_bridge_arcs(arcs, tails, heads, from_s, t):
+    """Arcs every s-t path must use, exact and linear-ish; `from_s` holds the
+    nodes that `arcs` reach from s.
 
     Restricted to arcs on some s-t path, a topological sweep counts how many
     arcs span each gap between consecutive positions; a gap covered by exactly
@@ -37,37 +27,16 @@ def _st_bridge_arcs(arcs, tails, heads, s, t):
     Returns None when the arc set is not a DAG (caller falls back to removal
     checks).
     """
-    fwd = {}
-    bwd = {}
-    for arc in arcs:
-        fwd.setdefault(tails[arc], []).append(arc)
-        bwd.setdefault(heads[arc], []).append(arc)
-
-    def closure(start, adj, end_of):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for arc in adj.get(u, ()):
-                v = end_of[arc]
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    from_s = closure(s, fwd, heads)
-    to_t = closure(t, bwd, tails)
+    to_t = reach(_adjacency(arcs, heads, tails), t)
     relevant = [arc for arc in arcs if tails[arc] in from_s and heads[arc] in to_t]
     if not relevant:
         return set()
 
+    out = _adjacency(relevant, tails, heads)
     indeg = {}
-    out = {}
     nodes = set()
     for arc in relevant:
-        nodes.add(tails[arc])
-        nodes.add(heads[arc])
-        out.setdefault(tails[arc], []).append(arc)
+        nodes.update((tails[arc], heads[arc]))
         indeg[heads[arc]] = indeg.get(heads[arc], 0) + 1
     order = [v for v in nodes if indeg.get(v, 0) == 0]
     pos = {}
@@ -76,8 +45,7 @@ def _st_bridge_arcs(arcs, tails, heads, s, t):
         u = order[i]
         pos[u] = i
         i += 1
-        for arc in out.get(u, ()):
-            v = heads[arc]
+        for _, v in out.get(u, ()):
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
@@ -146,8 +114,10 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
                 "capacity", f"edge {edge!r} uses {used} arcs, capacity {cap[edge]}"))
 
     connectivity = {}
+    from_s = {}
     for label in LABELS:
-        ok = _reaches(plan.subflows[label], tails, heads, s, t)
+        from_s[label] = reach(_adjacency(plan.subflows[label], tails, heads), s)
+        ok = t in from_s[label]
         connectivity[label] = ok
         if not ok:
             violations.append(Violation(
@@ -165,7 +135,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             continue
         multi = any(len(v) > 1 for v in by_label_edge[label].values())
         bridges[label] = None if multi else _st_bridge_arcs(
-            plan.subflows[label], tails, heads, s, t)
+            plan.subflows[label], tails, heads, from_s[label], t)
 
     survivability = {}
     for edge in g.edge_ids:
@@ -181,7 +151,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
                     survivors.append(label)
             else:
                 rest = [a for a in plan.subflows[label] if a.edge != edge]
-                if _reaches(rest, tails, heads, s, t):
+                if t in reach(_adjacency(rest, tails, heads), s):
                     survivors.append(label)
         survivors = frozenset(survivors)
         survivability[edge] = survivors
@@ -216,64 +186,7 @@ def survivability_by_removal(cn: CodingNetwork, plan: RecoveryPlan) -> dict:
         survivors = []
         for label in LABELS:
             rest = [a for a in plan.subflows[label] if a.edge != edge]
-            if _reaches(rest, tails, heads, cn.source, cn.target):
+            if cn.target in reach(_adjacency(rest, tails, heads), cn.source):
                 survivors.append(label)
         out[edge] = frozenset(survivors)
     return out
-
-
-def brute_force_feasible(cn: CodingNetwork) -> bool:
-    """Definitional feasibility: 2 units still route after any single edge
-    deletion (capacities c, not reduced)."""
-    g = cn.graph
-    cap = dict(cn.coding_cap)
-    base = max_flow(g, cap, cn.source, cn.target, limit=2)
-    if base.value < 2:
-        return False
-    for edge in g.edge_ids:
-        rest = g.subgraph([e for e in g.edge_ids if e != edge],
-                          extra_nodes=(cn.source, cn.target))
-        if max_flow(rest, cap, cn.source, cn.target, limit=2).value < 2:
-            return False
-    return True
-
-
-def brute_force_decomposition_exists(cn: CodingNetwork) -> bool:
-    """Exhaustively search arc labelings of the auxiliary graph for a valid
-    three-subflow plan.  Only for tiny instances (<= 12 arcs)."""
-    g = cn.graph
-    arcs = []
-    tails = {}
-    heads = {}
-    for eid, tail, head in g.edges():
-        for i in range(cn.coding_cap[eid]):
-            arc = Arc(eid, i)
-            arcs.append(arc)
-            tails[arc] = tail
-            heads[arc] = head
-    if len(arcs) > 12:
-        raise TooLarge(f"{len(arcs)} arcs exceed the exhaustive bound of 12")
-    s, t = cn.source, cn.target
-    edges = g.edge_ids
-
-    # Dropping arcs never helps: every requirement is monotone in the sets,
-    # so searching full labelings (no "unused" bucket) is enough.
-    for assign in product(range(3), repeat=len(arcs)):
-        sets = ([], [], [])
-        for arc, lab in zip(arcs, assign):
-            sets[lab].append(arc)
-        if not all(_reaches(sets[i], tails, heads, s, t) for i in range(3)):
-            continue
-        ok = True
-        for edge in edges:
-            alive = 0
-            for i in range(3):
-                rest = [a for a in sets[i] if a.edge != edge]
-                if _reaches(rest, tails, heads, s, t):
-                    alive += 1
-            if alive < 2:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

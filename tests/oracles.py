@@ -1,8 +1,13 @@
 """Brute-force reference computations for small instances."""
 
-from itertools import combinations
+from itertools import combinations, product
 
-from triflow import Digraph
+from triflow import Arc, CodingNetwork, CutChain, Digraph, max_flow
+from triflow.graph import reach
+
+
+class TooLarge(Exception):
+    """Instance exceeds the size bound of an exhaustive oracle."""
 
 
 def cut_value(g: Digraph, cap, cut) -> int:
@@ -94,3 +99,77 @@ def support_is_acyclic(g: Digraph, flow) -> bool:
                 seen[node] = "done"
                 stack.pop()
     return True
+
+
+def chain_cuts(chain: CutChain) -> list:
+    """All cuts C_1 .. C_k of a chain, materialized (quadratic size)."""
+    out = []
+    acc = set()
+    for part in chain.parts[:-1]:
+        acc |= part
+        out.append(frozenset(acc))
+    return out
+
+
+def _reaches(arcs, tails, heads, s, t) -> bool:
+    out = {}
+    for arc in arcs:
+        out.setdefault(tails[arc], []).append((arc, heads[arc]))
+    return t in reach(out, s)
+
+
+def brute_force_feasible(cn: CodingNetwork) -> bool:
+    """Definitional feasibility: 2 units still route after any single edge
+    deletion (capacities c, not reduced)."""
+    g = cn.graph
+    cap = dict(cn.coding_cap)
+    base = max_flow(g, cap, cn.source, cn.target, limit=2)
+    if base.value < 2:
+        return False
+    for edge in g.edge_ids:
+        rest = g.subgraph([e for e in g.edge_ids if e != edge],
+                          extra_nodes=(cn.source, cn.target))
+        if max_flow(rest, cap, cn.source, cn.target, limit=2).value < 2:
+            return False
+    return True
+
+
+def brute_force_decomposition_exists(cn: CodingNetwork) -> bool:
+    """Exhaustively search arc labelings of the auxiliary graph for a valid
+    three-subflow plan.  Only for tiny instances (<= 12 arcs)."""
+    g = cn.graph
+    arcs = []
+    tails = {}
+    heads = {}
+    for eid, tail, head in g.edges():
+        for i in range(cn.coding_cap[eid]):
+            arc = Arc(eid, i)
+            arcs.append(arc)
+            tails[arc] = tail
+            heads[arc] = head
+    if len(arcs) > 12:
+        raise TooLarge(f"{len(arcs)} arcs exceed the exhaustive bound of 12")
+    s, t = cn.source, cn.target
+    edges = g.edge_ids
+
+    # Dropping arcs never helps: every requirement is monotone in the sets,
+    # so searching full labelings (no "unused" bucket) is enough.
+    for assign in product(range(3), repeat=len(arcs)):
+        sets = ([], [], [])
+        for arc, lab in zip(arcs, assign):
+            sets[lab].append(arc)
+        if not all(_reaches(sets[i], tails, heads, s, t) for i in range(3)):
+            continue
+        ok = True
+        for edge in edges:
+            alive = 0
+            for i in range(3):
+                rest = [a for a in sets[i] if a.edge != edge]
+                if _reaches(rest, tails, heads, s, t):
+                    alive += 1
+            if alive < 2:
+                ok = False
+                break
+        if ok:
+            return True
+    return False

@@ -141,9 +141,9 @@ def test_sweep_matches_single_failure_simulation():
             alone = simulate_transmission(cn, plan, gen, failed_edge=edge)
             assert swept == alone, edge  # arc_sends is left out of ==
             assert swept.received_labels == plan.verification.survivability[edge]
-            uses = plan.arcs_of(edge)
-            shared += len(uses) >= 2
-            both_copies += any(len(arcs) == 2 for arcs in uses.values())
+            uses = [sum(arc.edge == edge for arc in arcs) for arcs in plan.subflows.values()]
+            shared += sum(n > 0 for n in uses) >= 2
+            both_copies += 2 in uses
     # the re-flood bookkeeping is exercised where it can go wrong: an edge
     # shared by two labels, and one label on both copies of an edge
     assert shared and both_copies

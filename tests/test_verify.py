@@ -1,12 +1,12 @@
 import pytest
 
 from triflow import (Arc, Feasibility, FeasibilityKind, RecoveryPlan,
-                     brute_force_decomposition_exists, brute_force_feasible,
                      decompose, survivability_by_removal, verify_plan)
-from triflow.errors import PlanReferenceError, TooLarge
+from triflow.errors import PlanReferenceError
 
 from netfixtures import (chain2, coding, diamond2, ladder15, quadpath,
                          tripath, unit_chain, widefan)
+from oracles import TooLarge, brute_force_decomposition_exists, brute_force_feasible
 
 
 def _edge(net, tail, head):
