@@ -17,9 +17,9 @@ from triflow import (CutKind, FeasibilityKind, GenParams, SegmentType,
 from triflow.errors import GenerationFailed
 from triflow.plan import LABELS
 from triflow.simulate import Generation, failure_sweep
-from triflow.verify import brute_force_feasible
 
 from netfixtures import coding, ladder15
+from oracles import brute_force_feasible
 
 
 def _pass(name):
@@ -115,6 +115,36 @@ def test_c8_linear_time_proxy():
           f"(medians {[round(medians[n] * 1000) for n in sizes]} ms, "
           f"total {total:.1f}s)")
 
+
+def test_c8_work_counts_grow_linearly(monkeypatch):
+    # the deterministic companion of C8: count max_flow calls and their
+    # augmenting paths instead of timing, so the ratios cannot flake
+    import importlib
+
+    # `triflow.decompose` is the function, so the modules go by full name
+    modules = [importlib.import_module(f"triflow.{name}")
+               for name in ("graph", "conditioning", "decompose")]
+    original = modules[0].max_flow
+    work = {"calls": 0, "augmentations": 0}
+
+    def counted(*args, **kwargs):
+        flow = original(*args, **kwargs)
+        work["calls"] += 1
+        work["augmentations"] += flow.augmentations
+        return flow
+
+    for module in modules:
+        monkeypatch.setattr(module, "max_flow", counted)
+    sizes = (1000, 2000, 4000, 8000)
+    counts = []
+    for n in sizes:
+        work.update(calls=0, augmentations=0)
+        decompose(generate(GenParams(node_count=n, seed=1)))
+        counts.append((work["calls"], work["augmentations"]))
+    ratios = [(b[0] / a[0], b[1] / a[1]) for a, b in zip(counts, counts[1:])]
+    assert all(1.8 <= r <= 2.2 for pair in ratios for r in pair), \
+        f"doubling ratios (calls, augmentations) {ratios} from counts {counts}"
+    _pass(f"C8 work counts (max_flow calls, augmentations) {counts}")
 
 
 def _network_coding_batch():
