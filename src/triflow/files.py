@@ -20,6 +20,7 @@ explicit so parallel-arc identity survives serialization.
 from __future__ import annotations
 
 import json
+import math
 
 from .conditioning import Feasibility, FeasibilityKind, Network
 from .errors import PlanReferenceError, TriflowError
@@ -55,8 +56,7 @@ def network_from_json(data) -> Network:
         for key in ("id", "tail", "head", "capacity"):
             _require(key in e, f"{where} missing {key!r}")
         eid = e["id"]
-        _require(isinstance(eid, (str, int)) and not isinstance(eid, bool),
-                 f"{where}: id must be a string or integer")
+        _require(_is_id(eid), f"{where}: id must be a string or integer")
         if isinstance(eid, str):
             _require(not eid.startswith("~"), f"{where}: ids starting with '~' are reserved")
         _require(eid not in seen, f"{where}: duplicate edge id {eid!r}")
@@ -65,7 +65,7 @@ def network_from_json(data) -> Network:
         _require(e["head"] in node_set, f"{where}: unknown head {e['head']!r}")
         _require(e["tail"] != e["head"], f"{where}: self-loop")
         k = e["capacity"]
-        _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
+        _require(_is_int(k) and k >= 1,
                  f"{where}: capacity must be a positive integer")
         edges.append((eid, e["tail"], e["head"]))
         caps[eid] = k
@@ -77,14 +77,35 @@ def network_from_json(data) -> Network:
                    source=data["source"], target=data["target"])
 
 
-def load_network(path) -> Network:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}") from exc
-    return network_from_json(data)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _entries(value, keys, where) -> list:
+    """`value`, checked to be a list of objects that each have `keys`."""
+    _require(isinstance(value, list)
+             and all(isinstance(v, dict) and all(k in v for k in keys) for v in value),
+             f"{where} must be a list of objects with {', '.join(keys)}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_id(value) -> bool:
+    return isinstance(value, str) or _is_int(value)
+
+
+def load_network(path) -> Network:
+    return network_from_json(_read_json(path))
 
 
 def network_to_json(net: Network) -> dict:
@@ -111,7 +132,19 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
+_REPORT_KEYS = ("disjointness_ok", "capacity_ok", "connectivity", "survivability",
+                "overall")
+
+
 def report_from_json(data) -> VerificationReport:
+    _require(isinstance(data, dict) and all(k in data for k in _REPORT_KEYS)
+             and isinstance(data["connectivity"], dict),
+             f"verification must be an object with {', '.join(_REPORT_KEYS)}")
+    for entry in _entries(data["survivability"], ("edge", "survivors"),
+                          "verification survivability"):
+        _require(_is_id(entry["edge"]) and isinstance(entry["survivors"], list)
+                 and all(label in LABELS for label in entry["survivors"]),
+                 f"verification survivability entry {entry!r} is malformed")
     return VerificationReport(
         disjointness_ok=bool(data["disjointness_ok"]),
         capacity_ok=bool(data["capacity_ok"]),
@@ -119,8 +152,8 @@ def report_from_json(data) -> VerificationReport:
         survivability={entry["edge"]: frozenset(entry["survivors"])
                        for entry in data["survivability"]},
         overall=bool(data["overall"]),
-        violations=tuple(Violation(v["kind"], v["detail"])
-                         for v in data.get("violations", ())),
+        violations=tuple(Violation(v["kind"], v["detail"]) for v in _entries(
+            data.get("violations", []), ("kind", "detail"), "verification violations")),
     )
 
 
@@ -149,23 +182,32 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
         kind = FeasibilityKind(data["class"])
     except ValueError as exc:
         raise FormatError(f"unknown class {data['class']!r}") from exc
+    _require(isinstance(data["subflows"], dict), "subflows must be an object")
     known = set(net.graph.edge_ids)
     subflows = {}
     for label in LABELS:
         _require(label in data["subflows"], f"subflows missing label {label}")
         arcs = set()
-        for i, a in enumerate(data["subflows"][label]):
-            _require(isinstance(a, dict) and "edge" in a and "copy" in a,
-                     f"subflows[{label}][{i}] must have edge and copy")
+        for i, a in enumerate(_entries(data["subflows"][label], ("edge", "copy"),
+                                       f"subflows[{label}]")):
+            _require(_is_id(a["edge"]) and _is_int(a["copy"]),
+                     f"subflows[{label}][{i}]: edge must be a string or integer, "
+                     f"copy an integer")
             if a["edge"] not in known:
                 raise PlanReferenceError(
                     f"subflow {label} references unknown edge {a['edge']!r}")
             arcs.add(Arc(a["edge"], a["copy"]))
         subflows[label] = frozenset(arcs)
     roles = []
-    for r in data.get("roles", ()):
+    for i, r in enumerate(_entries(data.get("roles", []), ("node", "role", "label"),
+                                   "roles")):
+        _require(r["role"] in [role.value for role in Role],
+                 f"roles[{i}]: unknown role {r['role']!r}")
         roles.append(NodeRole(r["node"], Role(r["role"]), r["label"]))
-    reduced = int(round(2 * data.get("reduced_max_flow", 3)))
+    reduced = data.get("reduced_max_flow", 3)
+    _require(_is_int(reduced) or isinstance(reduced, float) and math.isfinite(reduced),
+             "reduced_max_flow must be a finite number")
+    reduced = int(round(2 * reduced))
     verification = None
     if "verification" in data:
         verification = report_from_json(data["verification"])
@@ -175,13 +217,7 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
 
 
 def load_plan(path, net: Network) -> RecoveryPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}") from exc
-    return plan_from_json(data, net)
+    return plan_from_json(_read_json(path), net)
 
 
 def dumps(data) -> str:

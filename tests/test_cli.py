@@ -177,3 +177,43 @@ def test_network_roundtrip_through_files(tmp_path):
     assert sorted(loaded.graph.edges()) == sorted(net.graph.edges())
     assert loaded.free_cap == net.free_cap
     assert (loaded.source, loaded.target) == (net.source, net.target)
+
+
+def _set_role(data):
+    data["roles"] = [{"node": "s", "role": "relay", "label": "A"}]
+
+
+def _set_copy(data):
+    data["subflows"]["A"][0]["copy"] = "0"
+
+
+def _drop_survivability(data):
+    del data["verification"]["survivability"]
+
+
+def _set_edge_list(data):
+    data["subflows"]["A"][0]["edge"] = [0]
+
+
+def _set_reduced_text(data):
+    data["reduced_max_flow"] = "3"
+
+
+@pytest.mark.parametrize("corrupt", [_set_role, _set_copy, _drop_survivability,
+                                     _set_edge_list, _set_reduced_text])
+def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
+    plan_path = str(tmp_path / "plan.json")
+    main(["decompose", ladder_file, "-o", plan_path])
+    data = json.loads(open(plan_path).read())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", ladder_file, str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["analyze", str(bad)]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
