@@ -56,7 +56,8 @@ def network_from_json(data) -> Network:
         for key in ("id", "tail", "head", "capacity"):
             _require(key in e, f"{where} missing {key!r}")
         eid = e["id"]
-        _require(_is_id(eid), f"{where}: id must be a string or integer")
+        _require(isinstance(eid, (str, int)) and not isinstance(eid, bool),
+                 f"{where}: id must be a string or integer")
         if isinstance(eid, str):
             _require(not eid.startswith("~"), f"{where}: ids starting with '~' are reserved")
         _require(eid not in seen, f"{where}: duplicate edge id {eid!r}")
@@ -65,7 +66,7 @@ def network_from_json(data) -> Network:
         _require(e["head"] in node_set, f"{where}: unknown head {e['head']!r}")
         _require(e["tail"] != e["head"], f"{where}: self-loop")
         k = e["capacity"]
-        _require(_is_int(k) and k >= 1,
+        _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
                  f"{where}: capacity must be a positive integer")
         edges.append((eid, e["tail"], e["head"]))
         caps[eid] = k
@@ -86,22 +87,6 @@ def _read_json(path):
                               f"column {exc.colno}") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _entries(value, keys, where) -> list:
-    """`value`, checked to be a list of objects that each have `keys`."""
-    _require(isinstance(value, list)
-             and all(isinstance(v, dict) and all(k in v for k in keys) for v in value),
-             f"{where} must be a list of objects with {', '.join(keys)}")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_id(value) -> bool:
-    return isinstance(value, str) or _is_int(value)
 
 
 def load_network(path) -> Network:
@@ -137,24 +122,22 @@ _REPORT_KEYS = ("disjointness_ok", "capacity_ok", "connectivity", "survivability
 
 
 def report_from_json(data) -> VerificationReport:
-    _require(isinstance(data, dict) and all(k in data for k in _REPORT_KEYS)
-             and isinstance(data["connectivity"], dict),
+    _require(isinstance(data, dict) and all(k in data for k in _REPORT_KEYS),
              f"verification must be an object with {', '.join(_REPORT_KEYS)}")
-    for entry in _entries(data["survivability"], ("edge", "survivors"),
-                          "verification survivability"):
-        _require(_is_id(entry["edge"]) and isinstance(entry["survivors"], list)
-                 and all(label in LABELS for label in entry["survivors"]),
-                 f"verification survivability entry {entry!r} is malformed")
-    return VerificationReport(
-        disjointness_ok=bool(data["disjointness_ok"]),
-        capacity_ok=bool(data["capacity_ok"]),
-        connectivity={k: bool(v) for k, v in data["connectivity"].items()},
-        survivability={entry["edge"]: frozenset(entry["survivors"])
-                       for entry in data["survivability"]},
-        overall=bool(data["overall"]),
-        violations=tuple(Violation(v["kind"], v["detail"]) for v in _entries(
-            data.get("violations", []), ("kind", "detail"), "verification violations")),
-    )
+    # Entries are checked by parsing them: malformed ones raise below.
+    try:
+        return VerificationReport(
+            disjointness_ok=bool(data["disjointness_ok"]),
+            capacity_ok=bool(data["capacity_ok"]),
+            connectivity={k: bool(v) for k, v in data["connectivity"].items()},
+            survivability={entry["edge"]: frozenset(entry["survivors"])
+                           for entry in data["survivability"]},
+            overall=bool(data["overall"]),
+            violations=tuple(Violation(v["kind"], v["detail"])
+                             for v in data.get("violations", ())),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed verification entry: {exc!r}") from exc
 
 
 def plan_to_json(plan: RecoveryPlan) -> dict:
@@ -174,6 +157,9 @@ def plan_to_json(plan: RecoveryPlan) -> dict:
     return data
 
 
+_ROLE_VALUES = tuple(role.value for role in Role)
+
+
 def plan_from_json(data, net: Network) -> RecoveryPlan:
     _require(isinstance(data, dict), "plan must be an object")
     for key in ("class", "subflows"):
@@ -187,25 +173,29 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
     subflows = {}
     for label in LABELS:
         _require(label in data["subflows"], f"subflows missing label {label}")
+        entries = data["subflows"][label]
+        _require(isinstance(entries, list), f"subflows[{label}] must be a list")
         arcs = set()
-        for i, a in enumerate(_entries(data["subflows"][label], ("edge", "copy"),
-                                       f"subflows[{label}]")):
-            _require(_is_id(a["edge"]) and _is_int(a["copy"]),
-                     f"subflows[{label}][{i}]: edge must be a string or integer, "
-                     f"copy an integer")
+        for i, a in enumerate(entries):
+            # one check per arc, and the message is built only on failure
+            if not (isinstance(a, dict) and "edge" in a and "copy" in a
+                    and isinstance(a["edge"], (str, int)) and type(a["copy"]) is int):
+                raise FormatError(f"subflows[{label}][{i}] must have an integer or "
+                                  f"string edge and an integer copy")
             if a["edge"] not in known:
                 raise PlanReferenceError(
                     f"subflow {label} references unknown edge {a['edge']!r}")
             arcs.add(Arc(a["edge"], a["copy"]))
         subflows[label] = frozenset(arcs)
+    _require(isinstance(data.get("roles", []), list), "roles must be a list")
     roles = []
-    for i, r in enumerate(_entries(data.get("roles", []), ("node", "role", "label"),
-                                   "roles")):
-        _require(r["role"] in [role.value for role in Role],
-                 f"roles[{i}]: unknown role {r['role']!r}")
+    for i, r in enumerate(data.get("roles", ())):
+        _require(isinstance(r, dict) and r.keys() >= {"node", "role", "label"}
+                 and r["role"] in _ROLE_VALUES,
+                 f"roles[{i}] must have node, label and a role in {_ROLE_VALUES}")
         roles.append(NodeRole(r["node"], Role(r["role"]), r["label"]))
     reduced = data.get("reduced_max_flow", 3)
-    _require(_is_int(reduced) or isinstance(reduced, float) and math.isfinite(reduced),
+    _require(type(reduced) is int or type(reduced) is float and math.isfinite(reduced),
              "reduced_max_flow must be a finite number")
     reduced = int(round(2 * reduced))
     verification = None
