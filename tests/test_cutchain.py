@@ -18,7 +18,7 @@ def test_diamond_chain():
     cond = conditioned(diamond2())
     chain = cond.chain
     assert chain_cuts(chain) == [frozenset("s"), frozenset(("s", "a")),
-                            frozenset(("s", "a", "b"))]
+                                 frozenset(("s", "a", "b"))]
     assert all(k is CutKind.TWO_EDGE for k in chain.kinds)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from triflow import Digraph, cancel_cycles, decompose_flow_to_paths, edge_disjoint_paths, max_flow
 from triflow.errors import InsufficientPaths, NotMaximum, UnknownNode
 from triflow import residual_scc_condensation
-from triflow.graph import FlowResult
+from triflow.graph import FlowResult, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
 from oracles import is_conserved, min_cut_value, support_is_acyclic
@@ -191,11 +191,15 @@ def test_max_flow_properties(instance):
     assert all(0 <= flow.per_edge[e] <= caps[e] for e in g.edge_ids)
     assert flow.value == min_cut_value(g, caps, s, t)
     cond = residual_scc_condensation(g, caps, flow, s, t)
+    entered = [set() for _ in cond.components]
     for e, tail, head in g.edges():
         if flow.per_edge[e] < caps[e]:
             assert cond.component_of[tail] <= cond.component_of[head]
+            entered[cond.component_of[tail]].add(cond.component_of[head])
         if flow.per_edge[e] > 0:
             assert cond.component_of[head] <= cond.component_of[tail]
+            entered[cond.component_of[head]].add(cond.component_of[tail])
+    assert list(cond.successors) == [frozenset(c - {i}) for i, c in enumerate(entered)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,3 +224,14 @@ def test_augmentation_bound_for_doubled_capacities():
         assert set(caps.values()) <= {2, 3}
         flow = max_flow(g, caps, s, t, limit=6)
         assert flow.augmentations <= 6
+
+
+def test_reach_is_fifo_breadth_first():
+    out = {"s": [("e0", "a"), ("e1", "b")],
+           "a": [("e2", "c"), ("e3", "b")],
+           "b": [("e4", "c"), ("e5", "d")],
+           "c": [("e6", "s")]}
+    parent = reach(out, "s")
+    assert parent == {"s": None, "a": "e0", "b": "e1", "c": "e2", "d": "e5"}
+    assert list(parent) == ["s", "a", "b", "c", "d"]
+    assert reach(out, "x") == {"x": None}
