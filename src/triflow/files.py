@@ -50,6 +50,7 @@ def network_from_json(data) -> Network:
     edges = []
     caps = {}
     seen = set()
+    _require(isinstance(data["edges"], list), "edges must be a list")
     for i, e in enumerate(data["edges"]):
         where = f"edges[{i}]"
         _require(isinstance(e, dict), f"{where} must be an object")
@@ -62,16 +63,19 @@ def network_from_json(data) -> Network:
             _require(not eid.startswith("~"), f"{where}: ids starting with '~' are reserved")
         _require(eid not in seen, f"{where}: duplicate edge id {eid!r}")
         seen.add(eid)
-        _require(e["tail"] in node_set, f"{where}: unknown tail {e['tail']!r}")
-        _require(e["head"] in node_set, f"{where}: unknown head {e['head']!r}")
+        _require(isinstance(e["tail"], str) and e["tail"] in node_set,
+                 f"{where}: unknown tail {e['tail']!r}")
+        _require(isinstance(e["head"], str) and e["head"] in node_set,
+                 f"{where}: unknown head {e['head']!r}")
         _require(e["tail"] != e["head"], f"{where}: self-loop")
         k = e["capacity"]
         _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
                  f"{where}: capacity must be a positive integer")
         edges.append((eid, e["tail"], e["head"]))
         caps[eid] = k
-    _require(data["source"] in node_set, f"unknown source {data['source']!r}")
-    _require(data["target"] in node_set, f"unknown target {data['target']!r}")
+    for key in ("source", "target"):
+        _require(isinstance(data[key], str) and data[key] in node_set,
+                 f"unknown {key} {data[key]!r}")
     _require(data["source"] != data["target"], "source equals target")
     graph = Digraph(nodes, edges)
     return Network(graph=graph, free_cap=caps,

@@ -212,6 +212,20 @@ def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data.update(edges=5),
+    lambda data: data["edges"][0].update(tail=["s"]),
+    lambda data: data.update(source=["s"]),
+])
+def test_malformed_network_is_input_error(tmp_path, capsys, corrupt):
+    data = files.network_to_json(ladder15())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
