@@ -216,7 +216,7 @@ def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
     lambda data: data.update(edges=5),
     lambda data: data["edges"][0].update(tail=["s"]),
     lambda data: data.update(source=["s"]),
-])
+], ids=["edges-not-a-list", "tail-not-a-string", "source-not-a-string"])
 def test_malformed_network_is_input_error(tmp_path, capsys, corrupt):
     data = files.network_to_json(ladder15())
     corrupt(data)
