@@ -1,8 +1,8 @@
-"""Golden plans: the bytes of every plan (or refusal) on a fixed corpus.
+"""Golden plans: the bytes of every plan (or refusal) on fixed corpora.
 
-A change that should leave behaviour alone must leave GOLDEN_DIGEST alone.
-If the digest moves, the code changed what it computes: fix the code, never
-the pin.  Run `python tests/test_golden.py` to print the corpus digest.
+A change that should leave behaviour alone must leave both digests alone.
+If a digest moves, the code changed what it computes: fix the code, never
+the pin.  Run `python tests/test_golden.py` to print both corpus digests.
 """
 
 import hashlib
@@ -13,7 +13,8 @@ import sys
 import pytest
 
 import triflow
-from triflow import GenParams, Structure, decompose, files, generate
+from triflow import (Digraph, GenParams, Network, Structure, decompose, files,
+                     generate)
 from triflow.errors import GenerationFailed, Unprotectable
 
 # sha256 over the newline-joined per-input sha256 hex digests of CORPUS.
@@ -28,14 +29,37 @@ CORPUS = (
        for n in (5, 8, 12) for seed in range(10)]
 )
 
+# The same digest over MIXED_CORPUS, each network passed through `mixed_ids`
+# (21 plans and 7 refusals).  Mixed id types make every id sort fall back to
+# `order_key`, which CORPUS (int edges, str nodes) never reaches.
+MIXED_DIGEST = "fc6d8be8d0ccc73099ed5f1a5f5fa91e5e3f68796ac16b44e49bef277397999d"
 
-def corpus_digest() -> str:
+MIXED_CORPUS = (
+    [GenParams(n, seed, Structure.LADDER) for n in (8, 16, 64, 200) for seed in range(4)]
+    + [GenParams(n, seed, Structure.RANDOM_DAG) for n in (7, 10, 16, 32) for seed in range(3)]
+)
+
+
+def mixed_ids(net: Network) -> Network:
+    """Relabel so node ids mix int and str (even positions become ints) and
+    edge ids mix str and int (even positions become "e<i>")."""
+    node = {v: i if i % 2 == 0 else v for i, v in enumerate(net.graph.nodes_sorted)}
+    edge = {e: i if i % 2 else f"e{i}" for i, e in enumerate(net.graph.edge_ids)}
+    graph = Digraph(node.values(),
+                    [(edge[e], node[tail], node[head]) for e, tail, head in net.graph.edges()])
+    return Network(graph=graph, free_cap={edge[e]: k for e, k in net.free_cap.items()},
+                   source=node[net.source], target=node[net.target])
+
+
+def corpus_digest(corpus=CORPUS, relabel=None) -> str:
     digests = []
-    for params in CORPUS:
+    for params in corpus:
         try:
             net = generate(params)
         except GenerationFailed:
             continue
+        if relabel is not None:
+            net = relabel(net)
         try:
             text = files.dumps(files.plan_to_json(decompose(net)))
         except Unprotectable as exc:
@@ -48,6 +72,10 @@ def test_golden_plans_unchanged():
     assert corpus_digest() == GOLDEN_DIGEST
 
 
+def test_golden_mixed_id_plans_unchanged():
+    assert corpus_digest(MIXED_CORPUS, mixed_ids) == MIXED_DIGEST
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
 def test_golden_plans_independent_of_hash_seed(hash_seed):
     src = os.path.dirname(os.path.dirname(os.path.abspath(triflow.__file__)))
@@ -55,8 +83,9 @@ def test_golden_plans_independent_of_hash_seed(hash_seed):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == GOLDEN_DIGEST
+    assert proc.stdout.split() == [GOLDEN_DIGEST, MIXED_DIGEST]
 
 
 if __name__ == "__main__":
     print(corpus_digest())
+    print(corpus_digest(MIXED_CORPUS, mixed_ids))
