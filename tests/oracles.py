@@ -1,13 +1,77 @@
-"""Brute-force reference computations for small instances."""
+"""Brute-force and reference computations for small instances."""
 
+from collections import deque
 from itertools import combinations, product
 
 from triflow import Arc, CodingNetwork, CutChain, Digraph, max_flow
-from triflow.graph import reach
+from triflow.errors import UnknownNode
+from triflow.graph import FlowResult, order_key, reach
 
 
 class TooLarge(Exception):
     """Instance exceeds the size bound of an exhaustive oracle."""
+
+
+def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:
+    """The dict-keyed max flow that the interned `max_flow` replaced: the
+    same BFS augmenting paths, over residual moves sorted node by node
+    (lowest edge id first, forward before backward)."""
+    if s not in g:
+        raise UnknownNode(s)
+    if t not in g:
+        raise UnknownNode(t)
+    if s == t:
+        raise ValueError("source equals target")
+    moves = {u: [] for u in g.nodes}
+    for e, tail, head in g.edges():
+        moves[tail].append((e, 0))
+        moves[head].append((e, 1))
+    for cand in moves.values():
+        try:
+            cand.sort()
+        except TypeError:
+            cand.sort(key=lambda m: (order_key(m[0]), m[1]))
+
+    flow = {e: 0 for e in g.edge_ids}
+    value = 0
+    augmentations = 0
+    while limit is None or value < limit:
+        parent = {s: None}
+        queue = deque([s])
+        reached = False
+        while queue and not reached:
+            u = queue.popleft()
+            for e, bw in moves[u]:
+                if bw:
+                    v = g.tail(e)
+                    if v in parent or flow[e] <= 0:
+                        continue
+                else:
+                    v = g.head(e)
+                    if v in parent or flow[e] >= cap[e]:
+                        continue
+                parent[v] = (u, e, bw)
+                if v == t:
+                    reached = True
+                    break
+                queue.append(v)
+        if not reached:
+            break
+        bottleneck = None
+        v = t
+        while v != s:
+            u, e, bw = parent[v]
+            room = flow[e] if bw else cap[e] - flow[e]
+            bottleneck = room if bottleneck is None or room < bottleneck else bottleneck
+            v = u
+        v = t
+        while v != s:
+            u, e, bw = parent[v]
+            flow[e] += -bottleneck if bw else bottleneck
+            v = u
+        value += bottleneck
+        augmentations += 1
+    return FlowResult(value=value, per_edge=flow, augmentations=augmentations)
 
 
 def cut_value(g: Digraph, cap, cut) -> int:

@@ -7,7 +7,8 @@ from triflow import residual_scc_condensation
 from triflow.graph import FlowResult, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
-from oracles import is_conserved, min_cut_value, support_is_acyclic
+from oracles import (is_conserved, min_cut_value, reference_max_flow,
+                     support_is_acyclic)
 
 
 def reduced(net):
@@ -216,6 +217,39 @@ def test_flow_decomposition_properties(instance):
     rebuilt = cancel_cycles(g, flow, s, t)
     assert support_is_acyclic(g, rebuilt.per_edge)
     assert is_conserved(g, rebuilt.per_edge, s, t)
+
+
+# Ids of three types that never compare with each other, so every sort of a
+# mixed set falls back to `order_key`.
+MIXED_IDS = st.one_of(st.integers(-3, 30), st.sampled_from("abcdefgh"),
+                      st.tuples(st.integers(0, 3), st.sampled_from("xy")))
+
+
+@st.composite
+def mixed_multigraphs(draw):
+    nodes = draw(st.lists(MIXED_IDS, min_size=2, max_size=7, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=12))
+    # repeated pairs are parallel edges, reversed ones antiparallel
+    extra = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=6))
+    pairs += [(head, tail) if flip else (tail, head) for (tail, head), flip in extra]
+    ids = draw(st.lists(MIXED_IDS, min_size=len(pairs), max_size=len(pairs), unique=True))
+    caps = {e: draw(st.integers(0, 5)) for e in ids}
+    s, t = draw(st.permutations(nodes))[:2]
+    limit = draw(st.one_of(st.none(), st.integers(1, 8)))
+    graph = Digraph(nodes, [(e, tail, head) for e, (tail, head) in zip(ids, pairs)])
+    return graph, caps, s, t, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_multigraphs())
+def test_max_flow_matches_reference(instance):
+    g, caps, s, t, limit = instance
+    for lim in (None, limit):
+        flow = max_flow(g, caps, s, t, limit=lim)
+        ref = reference_max_flow(g, caps, s, t, limit=lim)
+        assert (flow.value, flow.per_edge, flow.augmentations) == \
+            (ref.value, ref.per_edge, ref.augmentations)
 
 
 def test_augmentation_bound_for_doubled_capacities():
