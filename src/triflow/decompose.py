@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
 from typing import Mapping
 
 from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
@@ -40,10 +39,8 @@ from .graph import (Digraph, decompose_flow_to_paths, edge_disjoint_paths,
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role
 
 
-@total_ordering
-class _Terminal:
-    """Synthetic segment endpoint; sorts against strings by its name so node
-    orderings stay deterministic."""
+class _SegmentEnd:
+    """Synthetic segment terminal, compared by identity only."""
 
     __slots__ = ("name",)
 
@@ -53,15 +50,9 @@ class _Terminal:
     def __repr__(self):
         return self.name
 
-    def __lt__(self, other):
-        other_name = other.name if isinstance(other, _Terminal) else other
-        if isinstance(other_name, str):
-            return self.name < other_name
-        return NotImplemented
 
-
-SRC = _Terminal("<seg-src>")
-SNK = _Terminal("<seg-snk>")
+SRC = _SegmentEnd("<seg-src>")
+SNK = _SegmentEnd("<seg-snk>")
 
 _VIRTUAL_PREFIX = "~"
 
@@ -222,12 +213,20 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
     return segments
 
 
-def _local_digraph(tails, heads):
-    nodes = {SRC, SNK}
-    for arc in tails:
-        nodes.add(tails[arc])
-        nodes.add(heads[arc])
-    return Digraph(nodes, [(arc, tails[arc], heads[arc]) for arc in tails])
+def _local_digraph(arcs, tails, heads):
+    """The segment as a graph on ints: edge i is `arcs[i]`, node 0 is SRC,
+    node 1 is SNK, and interior nodes follow in order of first appearance.
+    Edge order is `arcs` order, so flows tie-break as on the arcs."""
+    node = {SRC: 0, SNK: 1}
+    edges = [(i, node.setdefault(tails[arc], len(node)), node.setdefault(heads[arc], len(node)))
+             for i, arc in enumerate(arcs)]
+    return Digraph(range(len(node)), edges)
+
+
+def _segment_paths(arcs, tails, heads, want):
+    """`want` arc-disjoint SRC-SNK paths of a segment, as lists of arcs."""
+    local = _local_digraph(arcs, tails, heads)
+    return [[arcs[i] for i in path] for path in edge_disjoint_paths(local, 0, 1, want)]
 
 
 def _path_nodes(path, tails, heads):
@@ -263,12 +262,11 @@ def _solve_merge(seg_arcs, tails, heads):
 
     Returns (sets, merger_node).
     """
-    local = _local_digraph(tails, heads)
-    unit = {arc: 1 for arc in seg_arcs}
-    flow = max_flow(local, unit, SRC, SNK)
+    local = _local_digraph(seg_arcs, tails, heads)
+    flow = max_flow(local, dict.fromkeys(local.edge_ids, 1), 0, 1)
     if flow.value != 3:
         raise SegmentInfeasible(f"segment flow is {flow.value}, expected 3")
-    paths = [p for p, _ in decompose_flow_to_paths(local, flow, SRC, SNK)]
+    paths = [[seg_arcs[i] for i in p] for p, _ in decompose_flow_to_paths(local, flow, 0, 1)]
 
     by_edge = {}
     for p in paths:
@@ -374,9 +372,8 @@ def solve_segment(seg: Segment) -> SegmentSolution:
     """Three arc-disjoint terminal-connecting sets for one segment."""
     if seg.seg_type in (SegmentType.I, SegmentType.II):
         want = 3 if seg.seg_type is SegmentType.I else 4
-        local = _local_digraph(seg.tails, seg.heads)
         try:
-            paths = edge_disjoint_paths(local, SRC, SNK, want)
+            paths = _segment_paths(seg.arcs, seg.tails, seg.heads, want)
         except InsufficientPaths as exc:
             raise SegmentInfeasible(f"type {seg.seg_type.value} segment has only "
                                     f"{exc.found} paths") from exc

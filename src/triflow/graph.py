@@ -7,7 +7,6 @@ floats ever enter cut or flow comparisons.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -35,46 +34,45 @@ def sorted_ids(values):
 
 class Digraph:
     """Immutable directed multigraph. Edges carry unique ids; parallel edges
-    between the same node pair are allowed, self-loops are not."""
+    between the same node pair are allowed, self-loops are not.
 
-    __slots__ = ("_nodes", "_nodes_sorted", "_ends", "_out", "_in", "_moves")
+    Ids are interned once, here: node i is `nodes_sorted[i]`, edge e is
+    `edge_ids[e]`, `_tail[e]` and `_head[e]` are node indices, and `_moves[i]`
+    lists the residual moves out of node i as 2*e (forward along e) and
+    2*e + 1 (backward along e).  Ascending ints are ascending edge ids,
+    forward before backward.  The algorithms below run on these lists and
+    translate to ids only at their boundaries."""
+
+    __slots__ = ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_ends",
+                 "_tail", "_head", "_moves")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]):
-        node_set = set(nodes)
+        nodes_sorted = tuple(sorted_ids(set(nodes)))
+        index = {v: i for i, v in enumerate(nodes_sorted)}
         ends = {}
-        out = {v: [] for v in node_set}
-        into = {v: [] for v in node_set}
         for eid, tail, head in edges:
             if eid in ends:
                 raise ValueError(f"duplicate edge id {eid!r}")
             if tail == head:
                 raise ValueError(f"self-loop rejected on edge {eid!r}")
-            if tail not in node_set or head not in node_set:
-                raise UnknownNode(tail if tail not in node_set else head)
+            if tail not in index or head not in index:
+                raise UnknownNode(tail if tail not in index else head)
             ends[eid] = (tail, head)
-            out[tail].append(eid)
-            into[head].append(eid)
-        self._nodes = frozenset(node_set)
-        self._nodes_sorted = tuple(sorted_ids(node_set))
+        edge_ids = tuple(sorted_ids(ends))
+        tails = [index[ends[eid][0]] for eid in edge_ids]
+        heads = [index[ends[eid][1]] for eid in edge_ids]
+        moves = [[] for _ in nodes_sorted]
+        for e, (u, v) in enumerate(zip(tails, heads)):
+            moves[u].append(2 * e)
+            moves[v].append(2 * e + 1)
+        self._nodes = frozenset(nodes_sorted)
+        self._nodes_sorted = nodes_sorted
+        self._index = index
+        self._edge_ids = edge_ids
         self._ends = ends
-        self._out = {v: tuple(sorted_ids(es)) for v, es in out.items()}
-        self._in = {v: tuple(sorted_ids(es)) for v, es in into.items()}
-        self._moves = None
-
-    def residual_moves(self, node) -> tuple:
-        """(edge, backward) moves out of `node`, lowest edge id first with
-        forward before backward; cached since the graph is immutable."""
-        if self._moves is None:
-            moves = {}
-            for u in self._nodes_sorted:
-                cand = [(e, 0) for e in self._out[u]] + [(e, 1) for e in self._in[u]]
-                try:
-                    cand.sort()
-                except TypeError:
-                    cand.sort(key=lambda m: (order_key(m[0]), m[1]))
-                moves[u] = tuple(cand)
-            self._moves = moves
-        return self._moves[node]
+        self._tail = tails
+        self._head = heads
+        self._moves = moves
 
     @property
     def nodes(self) -> frozenset:
@@ -86,10 +84,10 @@ class Digraph:
 
     @property
     def edge_ids(self) -> tuple:
-        return tuple(sorted_ids(self._ends))
+        return self._edge_ids
 
     def __contains__(self, node) -> bool:
-        return node in self._nodes
+        return node in self._index
 
     def ends(self, eid) -> tuple:
         return self._ends[eid]
@@ -101,14 +99,16 @@ class Digraph:
         return self._ends[eid][1]
 
     def out_arcs(self, node) -> tuple:
-        return self._out[node]
+        ids = self._edge_ids
+        return tuple(ids[m >> 1] for m in self._moves[self._index[node]] if not m & 1)
 
     def in_arcs(self, node) -> tuple:
-        return self._in[node]
+        ids = self._edge_ids
+        return tuple(ids[m >> 1] for m in self._moves[self._index[node]] if m & 1)
 
     def edges(self):
         """Iterate (eid, tail, head) in edge-id order."""
-        for eid in self.edge_ids:
+        for eid in self._edge_ids:
             tail, head = self._ends[eid]
             yield eid, tail, head
 
@@ -125,7 +125,7 @@ class Digraph:
         return Digraph(nodes, edges)
 
     def __repr__(self):
-        return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._ends)})"
+        return f"Digraph(|V|={len(self._nodes_sorted)}, |E|={len(self._edge_ids)})"
 
 
 @dataclass(frozen=True)
@@ -166,46 +166,50 @@ def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowRe
     if s == t:
         raise ValueError("source equals target")
 
-    flow = {e: 0 for e in g._ends}
+    ids, tails, heads, moves = g._edge_ids, g._tail, g._head, g._moves
+    si, ti = g._index[s], g._index[t]
+    capacity = [cap[e] for e in ids]
+    flow = [0] * len(ids)
     value = 0
     augmentations = 0
     while limit is None or value < limit:
-        parent = {s: None}
-        queue = deque([s])
-        reached = False
-        while queue and not reached:
-            u = queue.popleft()
-            for e, bw in g.residual_moves(u):
-                if bw:
-                    v = g.tail(e)
-                    if v in parent or flow[e] <= 0:
+        # parent[v]: the move that first reached v; the source is marked -1
+        parent = [None] * len(moves)
+        parent[si] = -1
+        queue = [si]
+        for u in queue:
+            for m in moves[u]:
+                e = m >> 1
+                if m & 1:
+                    v = tails[e]
+                    if parent[v] is not None or flow[e] <= 0:
                         continue
                 else:
-                    v = g.head(e)
-                    if v in parent or flow[e] >= cap[e]:
+                    v = heads[e]
+                    if parent[v] is not None or flow[e] >= capacity[e]:
                         continue
-                parent[v] = (u, e, bw)
-                if v == t:
-                    reached = True
+                parent[v] = m
+                if v == ti:
                     break
                 queue.append(v)
-        if not reached:
-            break
-        bottleneck = None
-        v = t
-        while v != s:
-            u, e, bw = parent[v]
-            room = flow[e] if bw else cap[e] - flow[e]
-            bottleneck = room if bottleneck is None or room < bottleneck else bottleneck
-            v = u
-        v = t
-        while v != s:
-            u, e, bw = parent[v]
-            flow[e] += -bottleneck if bw else bottleneck
-            v = u
+            if parent[ti] is not None:
+                break
+        if parent[ti] is None:
+            break  # no augmenting path left
+        path = []
+        v = ti
+        while v != si:
+            m = parent[v]
+            path.append(m)
+            v = heads[m >> 1] if m & 1 else tails[m >> 1]
+        bottleneck = min(flow[m >> 1] if m & 1 else capacity[m >> 1] - flow[m >> 1]
+                         for m in path)
+        for m in path:
+            flow[m >> 1] += -bottleneck if m & 1 else bottleneck
         value += bottleneck
         augmentations += 1
-    return FlowResult(value=value, per_edge=flow, augmentations=augmentations)
+    return FlowResult(value=value, per_edge=dict(zip(ids, flow)),
+                      augmentations=augmentations)
 
 
 def reach(out: Mapping, start) -> dict:
@@ -213,9 +217,9 @@ def reach(out: Mapping, start) -> dict:
     node)].  Returns every reached node mapped to the `via` it was first
     reached by, `start` mapped to None, in FIFO visiting order."""
     parent = {start: None}
-    queue = deque([start])
-    while queue:
-        for via, v in out.get(queue.popleft(), ()):
+    queue = [start]
+    for u in queue:
+        for via, v in out.get(u, ()):
             if v not in parent:
                 parent[v] = via
                 queue.append(v)
@@ -231,50 +235,63 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
     """
     if s not in g or t not in g:
         raise UnknownNode(s if s not in g else t)
-    # Residual successors of each node, lowest node id first; a move's `via`
-    # is the node it leaves from.
+    ids, tails, heads = g._edge_ids, g._tail, g._head
     per_edge = flow.per_edge
-    moves = {}
-    for u in g.nodes_sorted:
-        succ = []
-        for e in g.out_arcs(u):
-            if per_edge[e] < cap[e]:
-                succ.append(g.head(e))
-        for e in g.in_arcs(u):
-            if per_edge[e] > 0:
-                succ.append(g.tail(e))
-        moves[u] = [(u, v) for v in sorted_ids(set(succ))]
-    if t in reach(moves, s):
+    room = [cap[e] - per_edge[e] for e in ids]
+    back = [per_edge[e] for e in ids]
+    # Residual successors of each node, lowest node first.
+    succ = []
+    for ms in g._moves:
+        nxt = set()
+        for m in ms:
+            e = m >> 1
+            if m & 1:
+                if back[e] > 0:
+                    nxt.add(tails[e])
+            elif room[e] > 0:
+                nxt.add(heads[e])
+        succ.append(sorted(nxt))
+    si, ti = g._index[s], g._index[t]
+    seen = [False] * len(succ)
+    seen[si] = True
+    queue = [si]
+    for u in queue:
+        for v in succ[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    if seen[ti]:
         raise NotMaximum("flow admits a residual source-target path")
 
     # Iterative Tarjan; emission order is reverse topological.
-    index = {}
-    low = {}
-    on_stack = set()
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack = []
     emitted = []
     counter = 0
-    for root in g.nodes_sorted:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(moves[root]))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             u, it = work[-1]
             advanced = False
-            for _, v in it:
-                if v not in index:
+            for v in it:
+                if index[v] < 0:
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
-                    on_stack.add(v)
-                    work.append((v, iter(moves[v])))
+                    on_stack[v] = True
+                    work.append((v, iter(succ[v])))
                     advanced = True
                     break
-                if v in on_stack:
+                if on_stack[v]:
                     low[u] = min(low[u], index[v])
             if advanced:
                 continue
@@ -286,19 +303,22 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == u:
                         break
-                emitted.append(frozenset(comp))
+                emitted.append(comp)
 
-    components = tuple(reversed(emitted))
-    component_of = {}
-    for i, comp in enumerate(components):
+    emitted.reverse()
+    comp_of = [0] * n
+    for i, comp in enumerate(emitted):
         for v in comp:
-            component_of[v] = i
-    successors = tuple(frozenset(component_of[v] for u in comp for _, v in moves[u]) - {i}
-                       for i, comp in enumerate(components))
+            comp_of[v] = i
+    nodes = g._nodes_sorted
+    components = tuple(frozenset(nodes[v] for v in comp) for comp in emitted)
+    component_of = {nodes[v]: comp_of[v] for v in range(n)}
+    successors = tuple(frozenset(comp_of[v] for u in comp for v in succ[u]) - {i}
+                       for i, comp in enumerate(emitted))
     return CondensationDag(components=components, component_of=component_of,
                            successors=successors)
 
@@ -309,13 +329,20 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
     Any flow on directed cycles is cancelled first, so the returned path
     support is acyclic and the amounts sum to the flow value.
     """
-    remaining = {e: f for e, f in flow.per_edge.items() if f > 0}
+    ids, heads, moves = g._edge_ids, g._head, g._moves
+    per_edge = flow.per_edge
+    remaining = [per_edge.get(e, 0) for e in ids]
+    si, ti = g._index[s], g._index[t]
+    # Positive-flow out-arcs of each node, lowest edge id last.  Flow only
+    # ever decreases, so an arc popped once it runs dry never returns.
+    out = [[m >> 1 for m in reversed(ms) if not m & 1 and remaining[m >> 1] > 0]
+           for ms in moves]
 
     def next_arc(u):
-        for e in g.out_arcs(u):
-            if remaining.get(e, 0) > 0:
-                return e
-        return None
+        arcs = out[u]
+        while arcs and remaining[arcs[-1]] <= 0:
+            arcs.pop()
+        return arcs[-1] if arcs else None
 
     paths = []
 
@@ -325,21 +352,24 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
         at = {start: 0}  # node -> position in seq
         node = start
         while True:
-            if emit_paths and node == t and seq:
-                amount = min(remaining[e] for e in seq)
+            if emit_paths and node == ti and seq:
+                amount = min(map(remaining.__getitem__, seq))
                 for e in seq:
                     remaining[e] -= amount
-                paths.append(([*seq], amount))
+                paths.append((list(map(ids.__getitem__, seq)), amount))
                 return True
-            e = next_arc(node)
-            if e is None:
+            arcs = out[node]
+            while arcs and remaining[arcs[-1]] <= 0:
+                arcs.pop()
+            if not arcs:
                 if seq:
                     raise AssertionError("flow conservation violated during peel")
                 return False
-            head = g.head(e)
+            e = arcs[-1]
+            head = heads[e]
             if head in at:
                 cyc = seq[at[head]:] + [e]
-                amount = min(remaining[c] for c in cyc)
+                amount = min(map(remaining.__getitem__, cyc))
                 for c in cyc:
                     remaining[c] -= amount
                 del seq[at[head]:]
@@ -354,14 +384,18 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
             at[head] = len(seq)
             node = head
 
-    while next_arc(s) is not None:
-        if not walk_from(s, True):
+    while next_arc(si) is not None:
+        if not walk_from(si, True):
             break
-    # leftover circulations not reachable from s
-    for u in g.nodes_sorted:
-        while next_arc(u) is not None:
-            walk_from(u, False)
-    if any(v > 0 for v in remaining.values()):
+    if max(remaining, default=0) > 0:
+        # leftover circulations not reachable from s
+        for u in range(len(moves)):
+            while next_arc(u) is not None:
+                walk_from(u, False)
+        if max(remaining) > 0:
+            raise AssertionError("unpeeled flow remained")
+    if not per_edge.keys() <= g._ends.keys() and any(
+            per_edge[e] > 0 for e in per_edge.keys() - g._ends.keys()):
         raise AssertionError("unpeeled flow remained")
     return paths
 
@@ -381,7 +415,7 @@ def edge_disjoint_paths(g: Digraph, s, t, want: int) -> list:
 
     Raises InsufficientPaths with the achievable count when fewer exist.
     """
-    unit = {e: 1 for e in g.edge_ids}
+    unit = dict.fromkeys(g.edge_ids, 1)
     flow = max_flow(g, unit, s, t, limit=want)
     if flow.value < want:
         raise InsufficientPaths(flow.value, want)

@@ -121,13 +121,11 @@ def test_solve_type2_dominant_pair_valid():
 
 def test_solve_type2_exhaustive_pair_count():
     # at most 4 capacity-2 edges each rule out one of the 6 pairs
-    from triflow.graph import edge_disjoint_paths
-    from triflow.decompose import _local_digraph
+    from triflow.decompose import _segment_paths
 
     _, _, segments = pipeline(diamond2())
     for seg in segments:
-        local = _local_digraph(seg.tails, seg.heads)
-        paths = edge_disjoint_paths(local, SRC, SNK, 4)
+        paths = _segment_paths(seg.arcs, seg.tails, seg.heads, 4)
         valid = 0
         for a in range(4):
             for b in range(a + 1, 4):
