@@ -24,7 +24,7 @@ import math
 
 from .conditioning import Feasibility, FeasibilityKind, Network
 from .errors import PlanReferenceError, TriflowError
-from .graph import Digraph, order_key
+from .graph import Digraph, order_key, sorted_ids
 from .plan import (LABELS, Arc, NodeRole, RecoveryPlan, Role,
                    VerificationReport, Violation)
 
@@ -51,26 +51,30 @@ def network_from_json(data) -> Network:
     caps = {}
     seen = set()
     _require(isinstance(data["edges"], list), "edges must be a list")
+    # the per-edge messages are built only when a check fails
     for i, e in enumerate(data["edges"]):
-        where = f"edges[{i}]"
-        _require(isinstance(e, dict), f"{where} must be an object")
+        if not isinstance(e, dict):
+            raise FormatError(f"edges[{i}] must be an object")
         for key in ("id", "tail", "head", "capacity"):
-            _require(key in e, f"{where} missing {key!r}")
+            if key not in e:
+                raise FormatError(f"edges[{i}] missing {key!r}")
         eid = e["id"]
-        _require(isinstance(eid, (str, int)) and not isinstance(eid, bool),
-                 f"{where}: id must be a string or integer")
-        if isinstance(eid, str):
-            _require(not eid.startswith("~"), f"{where}: ids starting with '~' are reserved")
-        _require(eid not in seen, f"{where}: duplicate edge id {eid!r}")
+        if not isinstance(eid, (str, int)) or isinstance(eid, bool):
+            raise FormatError(f"edges[{i}]: id must be a string or integer")
+        if isinstance(eid, str) and eid.startswith("~"):
+            raise FormatError(f"edges[{i}]: ids starting with '~' are reserved")
+        if eid in seen:
+            raise FormatError(f"edges[{i}]: duplicate edge id {eid!r}")
         seen.add(eid)
-        _require(isinstance(e["tail"], str) and e["tail"] in node_set,
-                 f"{where}: unknown tail {e['tail']!r}")
-        _require(isinstance(e["head"], str) and e["head"] in node_set,
-                 f"{where}: unknown head {e['head']!r}")
-        _require(e["tail"] != e["head"], f"{where}: self-loop")
+        if not (isinstance(e["tail"], str) and e["tail"] in node_set):
+            raise FormatError(f"edges[{i}]: unknown tail {e['tail']!r}")
+        if not (isinstance(e["head"], str) and e["head"] in node_set):
+            raise FormatError(f"edges[{i}]: unknown head {e['head']!r}")
+        if e["tail"] == e["head"]:
+            raise FormatError(f"edges[{i}]: self-loop")
         k = e["capacity"]
-        _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-                 f"{where}: capacity must be a positive integer")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise FormatError(f"edges[{i}]: capacity must be a positive integer")
         edges.append((eid, e["tail"], e["head"]))
         caps[eid] = k
     for key in ("source", "target"):
@@ -114,9 +118,8 @@ def report_to_json(report: VerificationReport) -> dict:
         "disjointness_ok": report.disjointness_ok,
         "capacity_ok": report.capacity_ok,
         "connectivity": {label: report.connectivity[label] for label in LABELS},
-        "survivability": [{"edge": edge, "survivors": sorted(labels)}
-                          for edge, labels in sorted(report.survivability.items(),
-                                                     key=lambda kv: order_key(kv[0]))],
+        "survivability": [{"edge": edge, "survivors": sorted(report.survivability[edge])}
+                          for edge in sorted_ids(report.survivability)],
         "violations": [{"kind": v.kind, "detail": v.detail} for v in report.violations],
     }
 
@@ -150,7 +153,7 @@ def plan_to_json(plan: RecoveryPlan) -> dict:
         "reduced_max_flow": plan.feasibility.reduced_value / 2,
         "subflows": {
             label: [{"edge": arc.edge, "copy": arc.copy}
-                    for arc in sorted(plan.subflows[label], key=order_key)]
+                    for arc in sorted_ids(plan.subflows[label])]
             for label in LABELS
         },
         "roles": [{"node": r.node, "role": r.role.value, "label": r.label}
