@@ -125,7 +125,7 @@ class Digraph:
         return Digraph(nodes, edges)
 
     def __repr__(self):
-        return f"Digraph(|V|={len(self._nodes_sorted)}, |E|={len(self._edge_ids)})"
+        return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._ends)})"
 
 
 @dataclass(frozen=True)
