@@ -358,7 +358,7 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
                     remaining[e] -= amount
                 paths.append((list(map(ids.__getitem__, seq)), amount))
                 return True
-            arcs = out[node]
+            arcs = out[node]  # next_arc(node), inlined: this runs once per arc walked
             while arcs and remaining[arcs[-1]] <= 0:
                 arcs.pop()
             if not arcs:
