@@ -2,10 +2,12 @@
 
 from collections import deque
 from itertools import combinations, product
+from typing import NamedTuple
 
-from triflow import Arc, CodingNetwork, CutChain, Digraph, max_flow
-from triflow.errors import UnknownNode
-from triflow.graph import FlowResult, order_key, reach
+from triflow import Arc, CodingNetwork, CutChain, Digraph, decode, encode, max_flow
+from triflow.errors import UnknownNode, UnverifiedPlan
+from triflow.graph import FlowResult, order_key, reach, sorted_ids
+from triflow.plan import LABELS
 
 
 class TooLarge(Exception):
@@ -237,3 +239,60 @@ def brute_force_decomposition_exists(cn: CodingNetwork) -> bool:
         if ok:
             return True
     return False
+
+
+class ReferenceOutcome(NamedTuple):
+    received_labels: frozenset
+    decoded: tuple | None
+    recovered_via: tuple | None
+    arc_sends: dict
+
+
+def _label_adjacency(cn: CodingNetwork, plan, label: str) -> dict:
+    """tail -> [(arc, edge, head)] over one label's arcs, in `sorted_ids`
+    arc order."""
+    adj = {}
+    for arc in sorted_ids(plan.subflows[label]):
+        tail, head = cn.graph.ends(arc.edge)
+        adj.setdefault(tail, []).append((arc, arc.edge, head))
+    return adj
+
+
+def _flood(adj: dict, source, failed_edge, sends: dict, label) -> set:
+    """Nodes that get a copy of the packet; counts each `(label, arc)` sent
+    into in `sends`, also on arcs of `failed_edge`, which drop what they get."""
+    have = {source}
+    queue = [source]
+    while queue:
+        for arc, edge, head in adj.get(queue.pop(), ()):
+            sends[(label, arc)] = sends.get((label, arc), 0) + 1
+            if edge == failed_edge:
+                continue
+            if head not in have:
+                have.add(head)
+                queue.append(head)
+    return have
+
+
+def reference_simulate_transmission(cn: CodingNetwork, plan, gen,
+                                    failed_edge=None) -> ReferenceOutcome:
+    """The single-failure simulation that flooded a per-label adjacency of
+    `(arc, edge, head)` triples and counted sends into a dict as it went:
+    every node holding a copy forwards it once onto each of its label arcs."""
+    if plan.verification is None or not plan.verification.overall:
+        raise UnverifiedPlan("plan has no passing verification report")
+    arc_sends = {}
+    arrived = {label for label in LABELS
+               if cn.target in _flood(_label_adjacency(cn, plan, label),
+                                      cn.source, failed_edge, arc_sends, label)}
+    payloads = encode(gen.payload_a, gen.payload_b)
+    received = {label: payloads[label] for label in LABELS if label in arrived}
+    if len(received) < 2:
+        return ReferenceOutcome(frozenset(received), None, None, arc_sends)
+    if "A" in received and "B" in received:
+        via = ("A", "B")
+    elif "A" in received:
+        via = ("A", "XOR")
+    else:
+        via = ("B", "XOR")
+    return ReferenceOutcome(frozenset(received), decode(received), via, arc_sends)

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
                      RecoveryPlan, decode, decompose, encode, failure_sweep,
                      generate, simulate_transmission, verify_plan)
-from triflow.errors import InsufficientLabels, LengthMismatch, UnverifiedPlan
+from triflow.errors import (GenerationFailed, InsufficientLabels, LengthMismatch,
+                            Unprotectable, UnverifiedPlan)
 from triflow.netgen import GenParams, Structure
 
 from netfixtures import coding, diamond2, ladder15, tripath
+from oracles import reference_simulate_transmission
+from test_golden import MIXED_CORPUS, mixed_ids
 
 
 def test_encode_identities():
@@ -147,6 +150,50 @@ def test_sweep_matches_single_failure_simulation():
     # the re-flood bookkeeping is exercised where it can go wrong: an edge
     # shared by two labels, and one label on both copies of an edge
     assert shared and both_copies
+
+
+def _simulation_corpus():
+    """The sweep corpus plus the golden test's networks relabelled to mixed
+    int/str node and edge ids."""
+    yield from _sweep_corpus()
+    for params in MIXED_CORPUS:
+        try:
+            net = mixed_ids(generate(params))
+            plan = decompose(net)
+        except (GenerationFailed, Unprotectable):
+            continue
+        yield coding(net), plan
+
+
+def test_simulation_matches_reference():
+    gen = Generation(seq=7, payload_a=b"\x0f\xf0", payload_b=b"\x33\xcc")
+    mixed = 0
+    for cn, plan in _simulation_corpus():
+        for failed in (None, *cn.graph.edge_ids, "no-such-edge"):
+            got = simulate_transmission(cn, plan, gen, failed_edge=failed)
+            want = reference_simulate_transmission(cn, plan, gen, failed_edge=failed)
+            assert (got.received_labels, got.decoded, got.recovered_via) == (
+                want.received_labels, want.decoded, want.recovered_via), failed
+            assert got.arc_sends == want.arc_sends, failed
+        mixed += len({type(e) for e in cn.graph.edge_ids}) > 1
+    assert mixed
+
+
+def test_twin_arc_sends():
+    cn, plan = _twin_arc_plan()
+    gen = Generation(seq=1, payload_a=b"\x01", payload_b=b"\x02")
+    sends = simulate_transmission(cn, plan, gen).arc_sends
+    assert sends[("A", Arc(0, 0))] == sends[("A", Arc(0, 1))] == 1
+    assert len(sends) == 7
+    # a failed link still counts what was sent into it
+    failed1 = simulate_transmission(cn, plan, gen, failed_edge=1)
+    assert failed1.received_labels == frozenset(("B", "XOR"))
+    assert failed1.arc_sends == sends
+    # nothing reaches A's arc beyond a failed edge 0
+    failed0 = simulate_transmission(cn, plan, gen, failed_edge=0).arc_sends
+    assert failed0[("A", Arc(0, 0))] == failed0[("A", Arc(0, 1))] == 1
+    assert ("A", Arc(1, 0)) not in failed0
+    assert len(failed0) == 6
 
 
 def test_no_arc_carries_a_generation_twice():
