@@ -1,13 +1,17 @@
 """Packet-level simulation of a plan: encode two payload halves, flood each
 labeled subflow with splitter/merger semantics, optionally fail one edge, and
-decode at the destination from whichever labels arrived."""
+decode at the destination from whichever labels arrived.
+
+One failure floods the graph's interned moves, restricted to each label's
+edges; the failure sweep floods a per-label adjacency built once per sweep."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .conditioning import CodingNetwork
-from .errors import InsufficientLabels, LengthMismatch, UnverifiedPlan
+from .errors import InsufficientLabels, LengthMismatch, PlanReferenceError, UnverifiedPlan
 from .graph import sorted_ids
 from .plan import LABELS, RecoveryPlan
 
@@ -39,15 +43,28 @@ class DeliveryOutcome:
     """What the destination got in one scenario, and what it decoded.
 
     `arc_sends` maps each `(label, arc)` that carried the generation to how
-    many times it did.  A single-failure `simulate_transmission` fills it;
-    outcomes from `failure_sweep` carry `{}`, which keeps a sweep's memory
-    linear in the number of edges.
+    many times it did.  A single-failure `simulate_transmission` keeps only
+    how many times each node forwarded each label; `arc_sends` is built from
+    those counts on its first read (labels in order, then arcs in `sorted_ids`
+    order) and cached.  Outcomes from `failure_sweep` carry `{}`, which keeps
+    a sweep's memory linear in the number of edges.
     """
 
     received_labels: frozenset
     decoded: tuple | None
     recovered_via: tuple | None
-    arc_sends: dict = field(default_factory=dict, compare=False)
+    # (graph, subflows, {label: per-node send counts}), or None from a sweep
+    _forwarded: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def arc_sends(self) -> dict:
+        if self._forwarded is None:
+            return {}
+        graph, subflows, forwarded = self._forwarded
+        node = graph._index
+        return {(label, arc): sent
+                for label in LABELS for arc in sorted_ids(subflows[label])
+                if (sent := forwarded[label][node[graph.tail(arc.edge)]])}
 
 
 def encode(a: bytes, b: bytes) -> dict:
@@ -86,32 +103,26 @@ def _require_verified(plan: RecoveryPlan) -> None:
 
 
 def _label_adjacency(cn: CodingNetwork, plan: RecoveryPlan, label: str) -> dict:
-    """tail -> [(arc, edge, head)] over one label's arcs, in `sorted_ids`
+    """tail -> [(edge, head)], one entry per arc of the label, in `sorted_ids`
     arc order."""
     adj = {}
     for arc in sorted_ids(plan.subflows[label]):
         tail, head = cn.graph.ends(arc.edge)
-        adj.setdefault(tail, []).append((arc, arc.edge, head))
+        adj.setdefault(tail, []).append((arc.edge, head))
     return adj
 
 
-def _flood(adj: dict, source, failed_edge=None, sends: dict | None = None,
-           label=None) -> set:
+def _flood(adj: dict, source, failed_edge=None) -> set:
     """Nodes that get a copy of the packet.
 
     Every node holding a copy forwards it once onto each of its out-arcs
     (duplication at branch points, first-copy selection at joins).  Arcs of
-    `failed_edge` drop what is sent into them.  `sends`, if given, counts
-    each `(label, arc)` sent into.  Its keys are made at send time, so they
-    lie in memory in the dict's order; keys made in arc order doubled the
-    garbage collector's time on the large `arc_sends` dicts callers keep.
+    `failed_edge` drop what is sent into them.
     """
     have = {source}
     queue = [source]
     while queue:
-        for arc, edge, head in adj.get(queue.pop(), ()):
-            if sends is not None:
-                sends[(label, arc)] = sends.get((label, arc), 0) + 1
+        for edge, head in adj.get(queue.pop(), ()):
             if edge == failed_edge:
                 continue  # sent into the dead link, never delivered
             if head not in have:
@@ -120,7 +131,28 @@ def _flood(adj: dict, source, failed_edge=None, sends: dict | None = None,
     return have
 
 
-def _outcome(labels, payloads: dict, arc_sends: dict) -> DeliveryOutcome:
+def _forward_counts(g, used: set, source, failed_edge) -> bytearray:
+    """How many times each node (by interned index) forwarded the packet: the
+    first copy a node gets goes onto each of its out-edges in `used`."""
+    ids, heads, moves = g._edge_ids, g._head, g._moves
+    forwarded = bytearray(len(moves))
+    queue = [g._index[source]]
+    while queue:
+        u = queue.pop()
+        if forwarded[u]:
+            continue  # a later copy
+        forwarded[u] += 1
+        for m in moves[u]:
+            if m & 1:
+                continue  # a backward move
+            e = m >> 1
+            edge = ids[e]
+            if edge in used and edge != failed_edge:
+                queue.append(heads[e])
+    return forwarded
+
+
+def _outcome(labels, payloads: dict, forwarded=None) -> DeliveryOutcome:
     """Decode from the labels that reached the destination."""
     received = {label: payloads[label] for label in LABELS if label in labels}
     if len(received) >= 2:
@@ -131,7 +163,7 @@ def _outcome(labels, payloads: dict, arc_sends: dict) -> DeliveryOutcome:
         via = None
     return DeliveryOutcome(received_labels=frozenset(received),
                            decoded=decoded, recovered_via=via,
-                           arc_sends=arc_sends)
+                           _forwarded=forwarded)
 
 
 def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation,
@@ -141,14 +173,21 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     Every node holding a copy of the packet forwards it once onto each of its
     subflow out-arcs (duplication at branch points, first-copy selection at
     joins, keyed by the generation number).  Arcs of `failed_edge` drop what
-    is sent into them.
+    is sent into them.  A plan arc on an edge that is not in `cn.graph`
+    raises `PlanReferenceError`.
     """
     _require_verified(plan)
-    arc_sends = {}
-    arrived = {label for label in LABELS
-               if cn.target in _flood(_label_adjacency(cn, plan, label),
-                                      cn.source, failed_edge, arc_sends, label)}
-    return _outcome(arrived, encode(gen.payload_a, gen.payload_b), arc_sends)
+    g = cn.graph
+    used = {label: {arc.edge for arc in plan.subflows[label]} for label in LABELS}
+    unknown = [edge for edges in used.values() for edge in edges.difference(g._ends)]
+    if unknown:
+        raise PlanReferenceError(
+            f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
+    forwarded = {label: _forward_counts(g, used[label], cn.source, failed_edge)
+                 for label in LABELS}
+    arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
+    return _outcome(arrived, encode(gen.payload_a, gen.payload_b),
+                    (g, plan.subflows, forwarded))
 
 
 def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dict:
@@ -178,6 +217,6 @@ def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dic
                 if label not in users[edge]
                 or cn.target in _flood(adjacency[label], cn.source, edge))
         if arrived not in outcomes:
-            outcomes[arrived] = _outcome(arrived, payloads, {})
+            outcomes[arrived] = _outcome(arrived, payloads)
         sweep[edge] = outcomes[arrived]
     return sweep

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
                      RecoveryPlan, decode, decompose, encode, failure_sweep,
                      generate, simulate_transmission, verify_plan)
 from triflow.errors import (GenerationFailed, InsufficientLabels, LengthMismatch,
-                            Unprotectable, UnverifiedPlan)
+                            PlanReferenceError, Unprotectable, UnverifiedPlan)
 from triflow.netgen import GenParams, Structure
 
 from netfixtures import coding, diamond2, ladder15, tripath
@@ -76,6 +77,24 @@ def test_sweep_requires_verified_plan():
                        source="s", target="t")
     with pytest.raises(UnverifiedPlan):
         failure_sweep(coding(edgeless), plan, gen)
+
+
+def test_simulation_rejects_unknown_plan_edge():
+    net = ladder15()
+    plan = decompose(net)
+    ghost = {**plan.subflows, "B": plan.subflows["B"] | {Arc("ghost", 0)}}
+    gen = Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00")
+    with pytest.raises(PlanReferenceError, match="ghost"):
+        simulate_transmission(coding(net), dataclasses.replace(plan, subflows=ghost), gen)
+
+
+def test_failing_a_non_edge_is_no_failure():
+    net = ladder15()
+    gen = Generation(seq=0, payload_a=b"\x01", payload_b=b"\x02")
+    outcome = simulate_transmission(coding(net), decompose(net), gen,
+                                    failed_edge="no-such-edge")
+    assert outcome.received_labels == frozenset(("A", "B", "XOR"))
+    assert outcome.recovered_via == ("A", "B")
 
 
 def test_simulation_failure_on_single_label_edge():
@@ -194,6 +213,23 @@ def test_twin_arc_sends():
     assert failed0[("A", Arc(0, 0))] == failed0[("A", Arc(0, 1))] == 1
     assert ("A", Arc(1, 0)) not in failed0
     assert len(failed0) == 6
+
+
+def test_arc_sends_built_on_first_read():
+    net = ladder15()
+    cn = coding(net)
+    plan = decompose(net)
+    gen = Generation(seq=2, payload_a=b"\x01", payload_b=b"\x02")
+    edge = net.graph.edge_ids[0]
+    outcome = simulate_transmission(cn, plan, gen, failed_edge=edge)
+    swept = failure_sweep(cn, plan, gen)[edge]
+    assert "arc_sends" not in vars(outcome)
+    assert outcome == swept and hash(outcome) == hash(swept)
+    assert repr(outcome) == repr(swept)
+    sends = outcome.arc_sends
+    assert sends and outcome.arc_sends is sends and swept.arc_sends == {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.arc_sends = {}
 
 
 def test_no_arc_carries_a_generation_twice():
