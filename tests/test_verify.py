@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
-from triflow import (Arc, Feasibility, FeasibilityKind, RecoveryPlan,
-                     decompose, survivability_by_removal, verify_plan)
-from triflow.errors import PlanReferenceError
+from triflow import (Arc, CodingNetwork, Digraph, Feasibility, FeasibilityKind,
+                     Network, RecoveryPlan, classify_feasibility, decompose,
+                     derive_coding_capacities, survivability_by_removal, verify_plan)
+from triflow.errors import PlanReferenceError, Unprotectable
+from triflow.graph import reach
 
 from netfixtures import (chain2, coding, diamond2, ladder15, quadpath,
                          tripath, unit_chain, widefan)
@@ -171,3 +175,108 @@ def test_decompose_agrees_with_exhaustive_witness_search():
         assert produced == witness
         checked_feasible += witness
     assert checked_feasible >= 1
+
+
+def _label_reaches(g, arcs, s, t):
+    out = {}
+    for arc in arcs:
+        tail, head = g.ends(arc.edge)
+        out.setdefault(tail, []).append((arc, head))
+    return t in reach(out, s)
+
+
+def _random_plan_case(rng):
+    """A general digraph of 2-9 nodes (cycles, antiparallel and parallel
+    edges, mixed int/str ids) and three labels drawn arc by arc, so labels
+    may be empty, disconnected, overlapping or use both copies of an edge."""
+    n = rng.randint(2, 9)
+    nodes = [rng.choice((i, f"v{i}")) for i in range(n)]
+    edges, cap = [], {}
+    for i in range(rng.randint(0, 3 * n)):
+        tail, head = rng.sample(nodes, 2)
+        eid = rng.choice((i, f"e{i}"))
+        edges.append((eid, tail, head))
+        cap[eid] = rng.randint(1, 2)
+    s, t = nodes[0], nodes[-1]
+    roll = rng.random()
+    if roll < 0.05:
+        s = "outside"
+    elif roll < 0.10:
+        t = "outside"
+    elif roll < 0.12:
+        t = s
+    arcs = [Arc(eid, copy) for eid in cap for copy in range(cap[eid])]
+    subflows = {}
+    for label in ("A", "B", "XOR"):
+        p = rng.choice((0.0, 0.4, 0.7, 0.9))
+        subflows[label] = frozenset(a for a in arcs if rng.random() < p)
+    cn = CodingNetwork(graph=Digraph(nodes, edges), coding_cap=cap,
+                       source=s, target=t)
+    plan = RecoveryPlan(subflows=subflows, roles=(),
+                        feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
+    return cn, plan
+
+
+def test_survivability_matches_removal_on_general_digraphs():
+    rng = random.Random(20141)
+    connected = cut = 0
+    for _ in range(3000):
+        cn, plan = _random_plan_case(rng)
+        report = verify_plan(cn, plan)
+        assert report.survivability == survivability_by_removal(cn, plan)
+        for label in ("A", "B", "XOR"):
+            ok = _label_reaches(cn.graph, plan.subflows[label], cn.source, cn.target)
+            assert report.connectivity[label] == ok
+            connected += ok
+            cut += ok and any(label not in v for v in report.survivability.values())
+    assert connected >= 2000 and cut >= 1000
+
+
+def _one_label_plan(arcs):
+    return RecoveryPlan(subflows={"A": frozenset(arcs), "B": frozenset(),
+                                  "XOR": frozenset()},
+                        roles=(), feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
+
+
+def test_bridges_through_a_two_cycle():
+    # the only s-t route is s->a->b->t; b->a closes a 2-cycle on it
+    edges = [("sa", "s", "a"), ("ab", "a", "b"), ("ba", "b", "a"), ("bt", "b", "t")]
+    cn = CodingNetwork(graph=Digraph(["s", "a", "b", "t"], edges),
+                       coding_cap={e: 1 for e, _, _ in edges}, source="s", target="t")
+    report = verify_plan(cn, _one_label_plan(Arc(e, 0) for e, _, _ in edges))
+    assert report.connectivity["A"]
+    assert {e for e, v in report.survivability.items() if "A" not in v} == {"sa", "ab", "bt"}
+
+
+def test_both_copies_of_one_edge_fail_together():
+    edges = [("sa", "s", "a"), ("at", "a", "t"), ("st", "s", "t")]
+    cn = CodingNetwork(graph=Digraph(["s", "a", "t"], edges),
+                       coding_cap={"sa": 2, "at": 2, "st": 1}, source="s", target="t")
+    plan = _one_label_plan([Arc("sa", 0), Arc("sa", 1), Arc("at", 0)])
+    report = verify_plan(cn, plan)
+    assert report.connectivity["A"]
+    assert "A" not in report.survivability["sa"]
+    assert "A" not in report.survivability["at"]
+    assert "A" in report.survivability["st"]
+
+
+def test_decompose_on_general_digraphs_agrees_with_classifier():
+    rng = random.Random(20142)
+    protected = 0
+    for _ in range(3000):
+        n = rng.randint(3, 8)
+        nodes = list(range(n))
+        edges = [(i, *rng.sample(nodes, 2)) for i in range(rng.randint(n, 5 * n))]
+        net = Network(graph=Digraph(nodes, edges),
+                      free_cap={i: rng.randint(0, 3) for i, _, _ in edges},
+                      source=0, target=n - 1)
+        cn = derive_coding_capacities(net)
+        try:
+            plan = decompose(net)
+        except Unprotectable:
+            plan = None
+        assert (plan is not None) == classify_feasibility(cn).protectable
+        if plan is not None:
+            protected += 1
+            assert plan.verification.survivability == survivability_by_removal(cn, plan)
+    assert protected >= 500
