@@ -1,11 +1,12 @@
-"""Independent checks: structural plan verification and exhaustive
-single-failure survivability."""
+"""Independent checks: structural plan verification and exact
+single-failure survivability from each label's s-t bridges, with the
+per-edge removal search kept as its reference."""
 
 from __future__ import annotations
 
 from .conditioning import CodingNetwork
 from .errors import PlanReferenceError
-from .graph import order_key, reach
+from .graph import Digraph, order_key, reach
 from .plan import LABELS, RecoveryPlan, VerificationReport, Violation
 
 
@@ -17,85 +18,79 @@ def _adjacency(arcs, src_of, dst_of) -> dict:
     return out
 
 
-def _st_bridge_arcs(arcs, tails, heads, from_s, t):
-    """Arcs every s-t path must use, exact and linear-ish; `from_s` holds the
-    nodes that `arcs` reach from s.
+def _bridges(g: Digraph, edges, s, t) -> set | None:
+    """The edges of `edges` that every s-t path along them uses, or None when
+    they connect no s-t path (also when s or t is not a node of `g`).
 
-    Restricted to arcs on some s-t path, a topological sweep counts how many
-    arcs span each gap between consecutive positions; a gap covered by exactly
-    one arc makes that arc a bridge, and every bridge shows up that way.
-    Returns None when the arc set is not a DAG (caller falls back to removal
-    checks).
+    Exact and linear on any digraph.  Take one s-t path P = e_0..e_{k-1}
+    through v_0 = s .. v_k = t.  Without e_i, s reaches exactly what
+    v_0..v_i reach over the edges off P, so e_i is a bridge iff that set
+    holds no v_j with j > i.  The set only grows with i, so one flood, kept
+    across steps, tracks the furthest position it has reached.
     """
-    to_t = reach(_adjacency(arcs, heads, tails), t)
-    relevant = [arc for arc in arcs if tails[arc] in from_s and heads[arc] in to_t]
-    if not relevant:
-        return set()
-
-    out = _adjacency(relevant, tails, heads)
-    indeg = {}
-    nodes = set()
-    for arc in relevant:
-        nodes.update((tails[arc], heads[arc]))
-        indeg[heads[arc]] = indeg.get(heads[arc], 0) + 1
-    order = [v for v in nodes if indeg.get(v, 0) == 0]
-    pos = {}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        pos[u] = i
-        i += 1
-        for _, v in out.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-    if len(pos) != len(nodes):
-        return None  # cycle among the relevant arcs
-
-    gaps = len(pos) - 1
-    cnt = [0] * (gaps + 1)
-    idsum = [0] * (gaps + 1)
-    for idx, arc in enumerate(relevant):
-        lo, hi = pos[tails[arc]], pos[heads[arc]]
-        cnt[lo] += 1
-        cnt[hi] -= 1
-        idsum[lo] += idx
-        idsum[hi] -= idx
+    index, ends = g._index, g._ends
+    if s not in index or t not in index:
+        return None
+    out = {}
+    for edge in edges:
+        tail, head = ends[edge]
+        out.setdefault(index[tail], []).append((edge, index[head]))
+    si, ti = index[s], index[t]
+    via = reach(out, si)
+    if ti not in via:
+        return None
+    steps = []  # P as (v_i, e_i) pairs, collected from t back to s
+    v = ti
+    while v != si:
+        edge = via[v]
+        v = index[ends[edge][0]]
+        steps.append((v, edge))
+    steps.reverse()
+    pos = {v: i for i, (v, _) in enumerate(steps)}
+    pos[ti] = len(steps)
+    on_path = {edge for _, edge in steps}
     bridges = set()
-    running = 0
-    running_id = 0
-    for g in range(gaps):
-        running += cnt[g]
-        running_id += idsum[g]
-        if running == 1:
-            bridges.add(relevant[running_id])
+    seen = set()
+    furthest = 0
+    for i, (v, edge) in enumerate(steps):
+        if v not in seen:
+            seen.add(v)
+            stack = [v]
+            while stack:
+                for f, w in out.get(stack.pop(), ()):
+                    if f not in on_path and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+                        furthest = max(furthest, pos.get(w, 0))
+        if furthest <= i:
+            bridges.add(edge)
     return bridges
 
 
 def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     """Check disjointness, capacity usage, per-label connectivity and, for
-    every edge, which labels survive its failure.  Failures become report
-    entries; only dangling references raise."""
+    every edge, which labels survive its failure.  Failures, a missing label
+    among them, become report entries; only dangling references raise.
+
+    A label survives an edge's failure iff it connects source to target and
+    the edge is not one of its s-t bridges; failing an edge removes all its
+    copies, so bridges over the label's edges are exact."""
     g = cn.graph
     cap = cn.coding_cap
-    s, t = cn.source, cn.target
-
-    tails = {}
-    heads = {}
-    for label in LABELS:
-        for arc in plan.subflows.get(label, ()):
+    subflows = {label: plan.subflows.get(label, frozenset()) for label in LABELS}
+    for arcs in subflows.values():
+        for arc in arcs:
             if arc.edge not in cap:
                 raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
             if not 0 <= arc.copy < cap[arc.edge]:
                 raise PlanReferenceError(
                     f"copy {arc.copy} out of range for edge {arc.edge!r}")
-            tails[arc], heads[arc] = g.ends(arc.edge)
 
     violations = []
     disjoint = True
     for i in range(3):
         for j in range(i + 1, 3):
-            shared = plan.subflows[LABELS[i]] & plan.subflows[LABELS[j]]
+            shared = subflows[LABELS[i]] & subflows[LABELS[j]]
             if shared:
                 disjoint = False
                 violations.append(Violation(
@@ -104,8 +99,8 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
 
     capacity_ok = True
     usage = {}
-    for label in LABELS:
-        for arc in plan.subflows[label]:
+    for arcs in subflows.values():
+        for arc in arcs:
             usage[arc.edge] = usage.get(arc.edge, 0) + 1
     for edge, used in usage.items():
         if used > cap[edge]:
@@ -113,47 +108,18 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             violations.append(Violation(
                 "capacity", f"edge {edge!r} uses {used} arcs, capacity {cap[edge]}"))
 
-    connectivity = {}
-    from_s = {}
+    bridges = {label: _bridges(g, {arc.edge for arc in arcs}, cn.source, cn.target)
+               for label, arcs in subflows.items()}
+    connectivity = {label: bridges[label] is not None for label in LABELS}
     for label in LABELS:
-        from_s[label] = reach(_adjacency(plan.subflows[label], tails, heads), s)
-        ok = t in from_s[label]
-        connectivity[label] = ok
-        if not ok:
+        if not connectivity[label]:
             violations.append(Violation(
                 "connectivity", f"subflow {label} does not connect source to target"))
 
-    by_label_edge = {label: {} for label in LABELS}
-    for label in LABELS:
-        for arc in plan.subflows[label]:
-            by_label_edge[label].setdefault(arc.edge, []).append(arc)
-
-    bridges = {}
-    for label in LABELS:
-        if not connectivity[label]:
-            bridges[label] = None
-            continue
-        multi = any(len(v) > 1 for v in by_label_edge[label].values())
-        bridges[label] = None if multi else _st_bridge_arcs(
-            plan.subflows[label], tails, heads, from_s[label], t)
-
     survivability = {}
     for edge in g.edge_ids:
-        survivors = []
-        for label in LABELS:
-            if not connectivity[label]:
-                continue
-            hit = by_label_edge[label].get(edge)
-            if not hit:
-                survivors.append(label)
-            elif bridges[label] is not None and len(hit) == 1:
-                if hit[0] not in bridges[label]:
-                    survivors.append(label)
-            else:
-                rest = [a for a in plan.subflows[label] if a.edge != edge]
-                if t in reach(_adjacency(rest, tails, heads), s):
-                    survivors.append(label)
-        survivors = frozenset(survivors)
+        survivors = frozenset(label for label in LABELS
+                              if connectivity[label] and edge not in bridges[label])
         survivability[edge] = survivors
         if len(survivors) < 2:
             violations.append(Violation(

@@ -91,6 +91,20 @@ def test_verify_detects_missing_label():
     assert not report.overall
 
 
+def test_verify_reports_an_absent_label():
+    net = tripath()
+    e = lambda tl, hd: _edge(net, tl, hd)
+    plan = RecoveryPlan(
+        subflows={"A": frozenset({Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)}),
+                  "B": frozenset({Arc(e("s", "m2"), 0), Arc(e("m2", "t"), 0)})},
+        roles=(), feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
+    report = verify_plan(coding(net), plan)
+    assert report.connectivity == {"A": True, "B": True, "XOR": False}
+    assert report.disjointness_ok and report.capacity_ok and not report.overall
+    assert ("connectivity", "subflow XOR does not connect source to target") in {
+        (v.kind, v.detail) for v in report.violations}
+
+
 def test_verify_detects_capacity_overuse():
     net = tripath()
     e = lambda tl, hd: _edge(net, tl, hd)
