@@ -97,9 +97,18 @@ def _recovery_rule(labels) -> tuple:
     return ("B", "XOR")
 
 
-def _require_verified(plan: RecoveryPlan) -> None:
+def _plan_edges(cn: CodingNetwork, plan: RecoveryPlan) -> dict:
+    """label -> ids of the edges its subflow uses.  Raises `UnverifiedPlan`
+    for a plan without a passing verification report and
+    `PlanReferenceError` for a plan edge that is not in `cn.graph`."""
     if plan.verification is None or not plan.verification.overall:
         raise UnverifiedPlan("plan has no passing verification report")
+    used = {label: {arc.edge for arc in plan.subflows[label]} for label in LABELS}
+    unknown = [edge for edges in used.values() for edge in edges.difference(cn.graph._ends)]
+    if unknown:
+        raise PlanReferenceError(
+            f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
+    return used
 
 
 def _label_adjacency(cn: CodingNetwork, plan: RecoveryPlan, label: str) -> dict:
@@ -176,13 +185,8 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     is sent into them.  A plan arc on an edge that is not in `cn.graph`
     raises `PlanReferenceError`.
     """
-    _require_verified(plan)
+    used = _plan_edges(cn, plan)
     g = cn.graph
-    used = {label: {arc.edge for arc in plan.subflows[label]} for label in LABELS}
-    unknown = [edge for edges in used.values() for edge in edges.difference(g._ends)]
-    if unknown:
-        raise PlanReferenceError(
-            f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
     forwarded = {label: _forward_counts(g, used[label], cn.source, failed_edge)
                  for label in LABELS}
     arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
@@ -196,17 +200,18 @@ def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dic
     Each label is flooded once without a failure; a failed edge re-floods
     only the labels whose subflow uses it, since every other label's arcs,
     and so its flood, are unchanged.  That is one flood per label plus one
-    per (label, edge it uses).
+    per (label, edge it uses).  A plan arc on an edge that is not in
+    `cn.graph` raises `PlanReferenceError`.
     """
-    _require_verified(plan)
+    used = _plan_edges(cn, plan)
     payloads = encode(gen.payload_a, gen.payload_b)
     adjacency = {label: _label_adjacency(cn, plan, label) for label in LABELS}
     intact = frozenset(label for label, adj in adjacency.items()
                        if cn.target in _flood(adj, cn.source))
     users = {}  # edge -> labels whose subflow uses it
-    for label in LABELS:
-        for arc in plan.subflows[label]:
-            users.setdefault(arc.edge, set()).add(label)
+    for label, edges in used.items():
+        for edge in edges:
+            users.setdefault(edge, set()).add(label)
     outcomes = {}  # received labels -> outcome; at most eight distinct ones
     sweep = {}
     for edge in cn.graph.edge_ids:

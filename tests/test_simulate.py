@@ -84,8 +84,11 @@ def test_simulation_rejects_unknown_plan_edge():
     plan = decompose(net)
     ghost = {**plan.subflows, "B": plan.subflows["B"] | {Arc("ghost", 0)}}
     gen = Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00")
+    ghost_plan = dataclasses.replace(plan, subflows=ghost)
     with pytest.raises(PlanReferenceError, match="ghost"):
-        simulate_transmission(coding(net), dataclasses.replace(plan, subflows=ghost), gen)
+        simulate_transmission(coding(net), ghost_plan, gen)
+    with pytest.raises(PlanReferenceError, match="ghost"):
+        failure_sweep(coding(net), ghost_plan, gen)
 
 
 def test_failing_a_non_edge_is_no_failure():
