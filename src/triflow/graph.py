@@ -98,14 +98,6 @@ class Digraph:
     def head(self, eid):
         return self._ends[eid][1]
 
-    def out_arcs(self, node) -> tuple:
-        ids = self._edge_ids
-        return tuple(ids[m >> 1] for m in self._moves[self._index[node]] if not m & 1)
-
-    def in_arcs(self, node) -> tuple:
-        ids = self._edge_ids
-        return tuple(ids[m >> 1] for m in self._moves[self._index[node]] if m & 1)
-
     def edges(self):
         """Iterate (eid, tail, head) in edge-id order."""
         for eid in self._edge_ids:
