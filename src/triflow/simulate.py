@@ -111,13 +111,14 @@ def _plan_edges(cn: CodingNetwork, plan: RecoveryPlan) -> dict:
     return used
 
 
-def _label_adjacency(cn: CodingNetwork, plan: RecoveryPlan, label: str) -> dict:
-    """tail -> [(edge, head)], one entry per arc of the label, in `sorted_ids`
-    arc order."""
+def _label_adjacency(g, edges) -> dict:
+    """tail -> [(edge, head)], one entry per edge id in `edges`, in
+    `sorted_ids` order.  Both copies of an edge share its ends and fail
+    together, so one entry per edge gives the same floods."""
     adj = {}
-    for arc in sorted_ids(plan.subflows[label]):
-        tail, head = cn.graph.ends(arc.edge)
-        adj.setdefault(tail, []).append((arc.edge, head))
+    for edge in sorted_ids(edges):
+        tail, head = g.ends(edge)
+        adj.setdefault(tail, []).append((edge, head))
     return adj
 
 
@@ -205,7 +206,7 @@ def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dic
     """
     used = _plan_edges(cn, plan)
     payloads = encode(gen.payload_a, gen.payload_b)
-    adjacency = {label: _label_adjacency(cn, plan, label) for label in LABELS}
+    adjacency = {label: _label_adjacency(cn.graph, edges) for label, edges in used.items()}
     intact = frozenset(label for label, adj in adjacency.items()
                        if cn.target in _flood(adj, cn.source))
     users = {}  # edge -> labels whose subflow uses it
