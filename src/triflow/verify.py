@@ -116,11 +116,12 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             violations.append(Violation(
                 "connectivity", f"subflow {label} does not connect source to target"))
 
-    survivability = {}
-    for edge in g.edge_ids:
-        survivors = frozenset(label for label in LABELS
-                              if connectivity[label] and edge not in bridges[label])
-        survivability[edge] = survivors
+    connected = frozenset(label for label in LABELS if connectivity[label])
+    survivability = dict.fromkeys(g.edge_ids, connected)
+    for label in connected:
+        for edge in bridges[label]:
+            survivability[edge] = survivability[edge] - {label}
+    for edge, survivors in survivability.items():
         if len(survivors) < 2:
             violations.append(Violation(
                 "survivability",
