@@ -4,8 +4,9 @@ global subflows.
 
 Each edge of capacity c contributes c parallel arcs to an auxiliary graph;
 the subflows are arc sets there.  A segment lives between two consecutive
-chain cuts, with crossing arcs re-rooted on synthetic terminals.  Four shapes
-occur, keyed by the bounding cut kinds:
+chain cuts: every node outside its part stands for the segment's source side
+when an arc leaves it and for its sink side when an arc enters it.  Four
+shapes occur, keyed by the bounding cut kinds:
 
 * I   (3-arc / 3-arc): three arc-disjoint terminal paths.
 * II  (2-edge / 2-edge): four arc-disjoint paths; one pair whose union never
@@ -24,67 +25,78 @@ unit arcs represent it and are stripped after gluing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from itertools import count
 
 from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
                            FeasibilityKind, Network, classify_feasibility,
                            condition_network, derive_coding_capacities)
 from .cutchain import CutKind
-from .errors import (GlueMismatch, InsufficientPaths, SegmentInfeasible,
-                     Unprotectable, VerificationFailed)
-from .graph import (Digraph, decompose_flow_to_paths, edge_disjoint_paths,
-                    max_flow, order_key, reach, sorted_ids)
+from .errors import (BrokenChain, GlueMismatch, SegmentInfeasible, Unprotectable,
+                     VerificationFailed)
+# unused `max_flow` stays bound: perfbench's tracer tests look it up here
+from .graph import edge_disjoint_paths, max_flow, order_key, reach  # noqa: F401
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role
 
 
-class _SegmentEnd:
-    """Synthetic segment terminal, compared by identity only."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-SRC = _SegmentEnd("<seg-src>")
-SNK = _SegmentEnd("<seg-snk>")
-
-_VIRTUAL_PREFIX = "~"
-
-
-def _virtual_arcs(side: str) -> tuple:
-    return tuple(Arc(f"{_VIRTUAL_PREFIX}{side}{i}", 0) for i in range(3))
-
-
-@dataclass(frozen=True)
 class AuxiliaryGraph:
-    """Every edge replaced by `coding_cap` parallel arcs."""
+    """The network with every edge replaced by `coding_cap` parallel unit
+    arcs, as ints over the graph's interned edges.
 
-    arcs: tuple
-    tails: Mapping
-    heads: Mapping
+    Arc 2·e + c is copy c of edge e, so ascending arcs are ascending (edge
+    id, copy) and swapping the copies of an edge is `a ^ 1`.  Arcs 2·(E + j)
+    for j < 6 lie outside that range and are virtual: three from a
+    pseudo-source (node n) into s, then three from t into a pseudo-sink
+    (node n + 1).
+
+    `tail[a]` and `head[a]` are node indices and `arcs_at[v]` lists the arcs
+    touching node v in ascending order.  `extract_segments` sets `part[v]`,
+    v's chain part (-1 and k + 1 for the pseudo nodes).  `seen`, `via` and
+    `flow` are scratch arrays that segment solves share: an entry counts only
+    while it holds the current stamp, so no solve clears them.
+    """
+
+    __slots__ = ("graph", "arcs", "source_arcs", "sink_arcs", "tail", "head",
+                 "arcs_at", "part", "seen", "via", "flow", "stamps")
+
+    def __init__(self, cn: CodingNetwork):
+        g = self.graph = cn.graph
+        n, m = len(g.nodes_sorted), len(g.edge_ids)
+        s, t = g._index[cn.source], g._index[cn.target]
+        self.source_arcs = (2 * m, 2 * m + 2, 2 * m + 4)
+        self.sink_arcs = (2 * m + 6, 2 * m + 8, 2 * m + 10)
+        # each virtual arc has an unused odd slot after it
+        tail = self.tail = [0] * (2 * m) + [n] * 6 + [t] * 6
+        tail[:2 * m:2] = tail[1:2 * m:2] = g._tail
+        head = self.head = [0] * (2 * m) + [s] * 6 + [n + 1] * 6
+        head[:2 * m:2] = head[1:2 * m:2] = g._head
+        arcs = []
+        arcs_at = self.arcs_at = [[] for _ in range(n + 2)]
+        for e, cap in enumerate(map(cn.coding_cap.__getitem__, g.edge_ids)):
+            for a in range(2 * e, 2 * e + cap):
+                arcs.append(a)
+                arcs_at[tail[a]].append(a)
+                arcs_at[head[a]].append(a)
+        arcs_at[s] += self.source_arcs
+        arcs_at[t] += self.sink_arcs
+        self.arcs = tuple(arcs)
+        self.part = None
+        self.seen = [0] * (n + 2)
+        self.via = [0] * (n + 2)
+        self.flow = [0] * len(tail)
+        self.stamps = count(1)
 
     def __len__(self):
         return len(self.arcs)
 
+    def arc(self, a) -> Arc:
+        return Arc(self.graph.edge_ids[a >> 1], a & 1)
+
 
 def build_auxiliary(cn: CodingNetwork) -> AuxiliaryGraph:
-    arcs = []
-    tails = {}
-    heads = {}
-    for eid, tail, head in cn.graph.edges():
-        if isinstance(eid, str) and eid.startswith(_VIRTUAL_PREFIX):
-            raise ValueError(f"edge id {eid!r} collides with virtual arc namespace")
-        for arc in (Arc(eid, i) for i in range(cn.coding_cap[eid])):
-            arcs.append(arc)
-            tails[arc] = tail
-            heads[arc] = head
-    return AuxiliaryGraph(arcs=tuple(arcs), tails=tails, heads=heads)
+    return AuxiliaryGraph(cn)
 
 
 class SegmentType(Enum):
@@ -104,6 +116,8 @@ _TYPE_BY_KINDS = {
 
 @dataclass(frozen=True)
 class Segment:
+    """Chain part `index` of `aux` with its arcs, as ascending arc ints."""
+
     index: int
     entry_kind: CutKind
     exit_kind: CutKind
@@ -112,13 +126,12 @@ class Segment:
     entry_arcs: tuple
     exit_arcs: tuple
     arcs: tuple
-    tails: Mapping   # arc -> interior node or SRC
-    heads: Mapping   # arc -> interior node or SNK
+    aux: AuxiliaryGraph = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class SegmentSolution:
-    sets: tuple               # three frozensets of arcs
+    sets: tuple               # three frozensets of arc ints
     dominant: int | None      # index of the set crossing 2-edge cuts twice
     merger: object = None     # type III/IV junction node, if any
     splitter: object = None
@@ -127,179 +140,191 @@ class SegmentSolution:
 def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> list:
     """Cut the auxiliary graph along the chain.  Returns the k-1 segments
     between consecutive cuts, preceded/followed by a virtual-boundary segment
-    whenever nodes sit before the first or after the last cut."""
+    whenever nodes sit before the first or after the last cut.  Records
+    each node's chain part in `aux.part`."""
     chain = conditioned.chain
-    s = conditioned.network.source
-    t = conditioned.network.target
     parts = chain.parts
     k = chain.k
-    part_of = chain.part_of()
+    index = aux.graph._index
+    part = [0] * len(aux.arcs_at)
+    for i, nodes in enumerate(parts):
+        for v in nodes:
+            part[index[v]] = i
+    part[-2], part[-1] = -1, k + 1
+    aux.part = part
 
     pieces = []
-    if parts[0] != frozenset((s,)):
+    if parts[0] != frozenset((conditioned.network.source,)):
         pieces.append(0)
     pieces.extend(range(1, k))
-    if parts[k] != frozenset((t,)) or not pieces:
+    if parts[k] != frozenset((conditioned.network.target,)) or not pieces:
         pieces.append(k)
-    piece_set = set(pieces)
 
-    entry = {i: [] for i in pieces}
-    exit_ = {i: [] for i in pieces}
-    interior = {i: [] for i in pieces}
-    for arc in aux.arcs:
-        a = part_of[aux.tails[arc]]
-        b = part_of[aux.heads[arc]]
-        if a == b:
-            if a in piece_set:
-                interior[a].append(arc)
-            continue
-        for i in range(a, b + 1):
-            if i not in piece_set:
-                continue
-            if i == a:
-                exit_[i].append(arc)
-            elif i == b:
-                entry[i].append(arc)
-            else:
-                entry[i].append(arc)
-                exit_[i].append(arc)
+    arcs = [[] for _ in parts]
+    entry = [[] for _ in parts]
+    exit_ = [[] for _ in parts]
+    tail, head = aux.tail, aux.head
+    for a in aux.arcs:
+        i, j = part[tail[a]], part[head[a]]
+        if i > j:
+            raise BrokenChain(f"arc {aux.arc(a)} crosses the cut chain backward")
+        for x in range(i, j + 1):
+            arcs[x].append(a)
+            if x > i:
+                entry[x].append(a)
+            if x < j:
+                exit_[x].append(a)
+    entry[0] = aux.source_arcs
+    arcs[0] += aux.source_arcs
+    exit_[k] = aux.sink_arcs
+    arcs[k] += aux.sink_arcs
 
     segments = []
     for i in pieces:
-        tails = {}
-        heads = {}
-        ent = sorted_ids(set(entry[i]))
-        exit_set = set(exit_[i])
-        exi = sorted_ids(exit_set)
-        inte = interior[i]
-        for arc in ent:
-            tails[arc] = SRC
-            heads[arc] = SNK if arc in exit_set else aux.heads[arc]
-        for arc in exi:
-            heads[arc] = SNK
-            tails.setdefault(arc, aux.tails[arc])
-        for arc in inte:
-            tails[arc] = aux.tails[arc]
-            heads[arc] = aux.heads[arc]
-        if i == 0:
-            ent = list(_virtual_arcs("src"))
-            for arc in ent:
-                tails[arc] = SRC
-                heads[arc] = s
-            entry_kind = CutKind.THREE_ARC
-        else:
-            entry_kind = chain.kinds[i - 1]
-        if i == k:
-            exi = list(_virtual_arcs("snk"))
-            for arc in exi:
-                tails[arc] = t
-                heads[arc] = SNK
-            exit_kind = CutKind.THREE_ARC
-        else:
-            exit_kind = chain.kinds[i]
-        all_arcs = tuple(sorted_ids(tails))
-        segments.append(Segment(
-            index=i,
-            entry_kind=entry_kind,
-            exit_kind=exit_kind,
-            seg_type=_TYPE_BY_KINDS[(entry_kind, exit_kind)],
-            interior=parts[i],
-            entry_arcs=tuple(ent),
-            exit_arcs=tuple(exi),
-            arcs=all_arcs,
-            tails=tails,
-            heads=heads,
-        ))
+        entry_kind = chain.kinds[i - 1] if i else CutKind.THREE_ARC
+        exit_kind = chain.kinds[i] if i < k else CutKind.THREE_ARC
+        segments.append(Segment(i, entry_kind, exit_kind,
+                                _TYPE_BY_KINDS[(entry_kind, exit_kind)], parts[i],
+                                tuple(entry[i]), tuple(exit_[i]), tuple(arcs[i]), aux))
     return segments
 
 
-def _local_digraph(arcs, tails, heads):
-    """The segment as a graph on ints: edge i is `arcs[i]`, node 0 is SRC,
-    node 1 is SNK, and interior nodes follow in order of first appearance.
-    Edge order is `arcs` order, so flows tie-break as on the arcs."""
-    node = {SRC: 0, SNK: 1}
-    edges = [(i, node.setdefault(tails[arc], len(node)), node.setdefault(heads[arc], len(node)))
-             for i, arc in enumerate(arcs)]
-    return Digraph(range(len(node)), edges)
+def _paths(seg, entry, tail, head, limit=None):
+    """Up to `limit` arc-disjoint source-sink paths of a segment entered by
+    `entry` and oriented by `tail` and `head` (swapped for type IV), as
+    `edge_disjoint_paths` finds them: unit-capacity BFS augmenting paths
+    with the moves at each node tried lowest arc first, then a peel that
+    takes the lowest flow-carrying arc out of each node."""
+    aux = seg.aux
+    piece, part, arcs_at, seen, via, flow = (
+        seg.index, aux.part, aux.arcs_at, aux.seen, aux.via, aux.flow)
+    mark = next(aux.stamps)  # flow[a] == mark: arc a carries flow
+    found = 0
+    while found != limit:
+        visit = next(aux.stamps)
+        last = None  # the arc that reaches the sink
+        queue = []
+        for a in entry:
+            if flow[a] == mark:
+                continue
+            v = head[a]
+            if part[v] != piece:
+                last = a
+                break
+            if seen[v] != visit:
+                seen[v] = visit
+                via[v] = a
+                queue.append(v)
+        else:
+            for u in queue:
+                for a in arcs_at[u]:
+                    if tail[a] == u:
+                        if flow[a] == mark:
+                            continue
+                        v = head[a]
+                        if part[v] != piece:
+                            last = a
+                            break
+                    elif flow[a] != mark or part[v := tail[a]] != piece:
+                        continue
+                    if seen[v] != visit:
+                        seen[v] = visit
+                        via[v] = a
+                        queue.append(v)
+                if last is not None:
+                    break
+        if last is None:
+            break
+        flow[last] = mark
+        v = tail[last]
+        while part[v] == piece:
+            a = via[v]
+            forward = head[a] == v
+            flow[a] = mark if forward else 0
+            v = tail[a] if forward else head[a]
+        found += 1
+
+    # Conditioning leaves every edge on an acyclic flow, so the graph is a
+    # DAG and no walk meets a node twice.  Unmarking each arc as it is taken
+    # keeps a walk finite even if that ever failed.
+    paths = []
+    for first in entry:
+        if flow[first] != mark:
+            continue
+        flow[first] = 0
+        path = [first]
+        v = head[first]
+        while part[v] == piece:
+            for a in arcs_at[v]:
+                if tail[a] == v and flow[a] == mark:
+                    break
+            else:
+                raise AssertionError("flow conservation violated during peel")
+            flow[a] = 0
+            path.append(a)
+            v = head[a]
+        paths.append(path)
+    return paths
 
 
-def _segment_paths(arcs, tails, heads, want):
-    """`want` arc-disjoint SRC-SNK paths of a segment, as lists of arcs."""
-    local = _local_digraph(arcs, tails, heads)
-    return [[arcs[i] for i in path] for path in edge_disjoint_paths(local, 0, 1, want)]
+_SINK = -1  # every node behind the segment's exit, in `_find_path`
 
 
-def _path_nodes(path, tails, heads):
-    nodes = []
-    for arc in path:
-        nodes.append(tails[arc])
-    if path:
-        nodes.append(heads[path[-1]])
-    return nodes
-
-
-def _find_path(arc_set, tails, heads, src, dst):
-    """BFS path from src to dst using only arcs in `arc_set`."""
+def _find_path(seg, arcs, tail, head, src, dst):
+    """BFS path from src to dst using only `arcs`, lowest arc first."""
+    piece, part = seg.index, seg.aux.part
     out = {}
-    for arc in sorted_ids(arc_set):
-        out.setdefault(tails[arc], []).append((arc, heads[arc]))
+    for a in sorted(arcs):
+        w = head[a]
+        out.setdefault(tail[a], []).append((a, w if part[w] == piece else _SINK))
     parent = reach(out, src)
     if dst not in parent:
         return None
     path = []
-    v = dst
-    while parent[v] is not None:
-        arc = parent[v]
-        path.append(arc)
-        v = tails[arc]
+    while parent[dst] is not None:
+        path.append(parent[dst])
+        dst = tail[parent[dst]]
     path.reverse()
     return path
 
 
-def _solve_merge(seg_arcs, tails, heads):
+def _merge(seg, entry, tail, head):
     """Type III construction: entry is a 2-edge cut (four arcs over edges f
     and g), exit side is anything reachable from the merger walk.
 
-    Returns (sets, merger_node).
+    Returns (sets, merger node index).
     """
-    local = _local_digraph(seg_arcs, tails, heads)
-    flow = max_flow(local, dict.fromkeys(local.edge_ids, 1), 0, 1)
-    if flow.value != 3:
-        raise SegmentInfeasible(f"segment flow is {flow.value}, expected 3")
-    paths = [[seg_arcs[i] for i in p] for p, _ in decompose_flow_to_paths(local, flow, 0, 1)]
-
+    piece, part = seg.index, seg.aux.part
+    paths = _paths(seg, entry, tail, head)
+    if len(paths) != 3:
+        raise SegmentInfeasible(f"segment flow is {len(paths)}, expected 3")
     by_edge = {}
     for p in paths:
-        by_edge.setdefault(p[0].edge, []).append(p)
-    counts = sorted(by_edge, key=lambda e: (len(by_edge[e]), order_key(e)))
+        by_edge.setdefault(p[0] >> 1, []).append(p)
+    counts = sorted(by_edge, key=lambda e: (len(by_edge[e]), e))
     if len(counts) != 2 or len(by_edge[counts[0]]) != 1 or len(by_edge[counts[1]]) != 2:
         raise SegmentInfeasible("entry arcs are not split 2+1 over two edges")
     g_edge, f_edge = counts
     p1, p2 = by_edge[f_edge]
     p3 = by_edge[g_edge][0]
     g_used = p3[0]
-    g_other = next(arc for arc in seg_arcs
-                   if arc.edge == g_edge and arc != g_used and tails[arc] is SRC)
-    v = heads[g_used]
-    if v is SNK:
+    g_other = g_used ^ 1
+    if g_other not in entry:
+        raise SegmentInfeasible("capacity-2 entry edge enters on one copy only")
+    v = head[g_used]
+    if part[v] != piece:
         raise SegmentInfeasible("capacity-2 entry edge crosses the exit cut")
-    tail_path = p3[1:]
+    tail_arcs = set(p3[1:])
 
-    nodes1 = set(_path_nodes(p1, tails, heads)) - {SRC, SNK}
-    nodes2 = set(_path_nodes(p2, tails, heads)) - {SRC, SNK}
-    blocked = set(p1) | set(p2) | set(p3) | {g_other}
+    nodes1 = {tail[a] for a in p1[1:]}
+    nodes2 = {tail[a] for a in p2[1:]}
+    m = v
     walk = []
     if v not in nodes1 and v not in nodes2:
         # One augmenting step: forward on fresh arcs, backward along the tail
         # path, stopping at the first node touched by p1 or p2.
-        tail_arcs = set(tail_path)
-        fwd = {}
-        bwd = {}
-        for arc in seg_arcs:
-            if arc in tail_arcs:
-                bwd.setdefault(heads[arc], []).append(arc)
-            elif arc not in blocked:
-                fwd.setdefault(tails[arc], []).append(arc)
+        blocked = tail_arcs.union(p1, p2, (g_used, g_other))
+        arcs_at = seg.aux.arcs_at
         parent = {v: None}
         frontier = [v]
         hit = None
@@ -307,82 +332,63 @@ def _solve_merge(seg_arcs, tails, heads):
             nxt = []
             hits = []
             for u in frontier:
-                moves = [(arc, False) for arc in fwd.get(u, ())]
-                moves += [(arc, True) for arc in bwd.get(u, ())]
-                moves.sort(key=lambda m: (order_key(m[0]), m[1]))
-                for arc, back in moves:
-                    w = tails[arc] if back else heads[arc]
-                    if w in parent or w is SNK or w is SRC:
+                for a in arcs_at[u]:
+                    if tail[a] == u:
+                        if a in blocked:
+                            continue
+                        w = head[a]
+                    elif a in tail_arcs:
+                        w = tail[a]
+                    else:
                         continue
-                    parent[w] = (arc, back, u)
+                    if w in parent or part[w] != piece:
+                        continue
+                    parent[w] = a
                     if w in nodes1 or w in nodes2:
                         hits.append(w)
                     else:
                         nxt.append(w)
             if hits:
-                hits.sort(key=lambda w: (w not in nodes2, order_key(w)))
-                hit = hits[0]
+                hit = min(hits, key=lambda w: (w not in nodes2, w))
             frontier = nxt
         if hit is None:
             raise SegmentInfeasible("no augmenting walk reaches the first two paths")
-        w = hit
+        m = w = hit
         while parent[w] is not None:
-            arc, back, u = parent[w]
-            walk.append((arc, back))
-            w = u
-        walk.reverse()
-        m = hit
-    else:
-        m = v
+            a = parent[w]
+            walk.append(a)
+            w = head[a] if a in tail_arcs else tail[a]
     mpath, other = (p2, p1) if m in nodes2 else (p1, p2)
 
-    regrown = set(tail_path)
-    for arc, back in walk:
-        if back:
-            regrown.discard(arc)
-        else:
-            regrown.add(arc)
-    q_exit = _find_path(regrown, tails, heads, v, SNK)
+    regrown = tail_arcs.symmetric_difference(walk)
+    q_exit = _find_path(seg, regrown, tail, head, v, _SINK)
     if q_exit is None:
         raise SegmentInfeasible("regrown flow lost its exit path")
-    q_merge = _find_path(regrown - set(q_exit), tails, heads, v, m)
-    if q_merge is None and v != m:
+    q_merge = _find_path(seg, regrown.difference(q_exit), tail, head, v, m)
+    if q_merge is None:
         raise SegmentInfeasible("regrown flow lost its merger path")
-    q_merge = q_merge or []
 
-    e1 = frozenset(mpath) | {g_other} | frozenset(q_merge)
+    e1 = frozenset(mpath).union((g_other,), q_merge)
     e2 = frozenset(other)
-    e3 = frozenset({g_used}) | frozenset(q_exit)
+    e3 = frozenset(q_exit).union((g_used,))
     return (e1, e2, e3), m
-
-
-def _reverse_maps(seg: Segment):
-    tails = {}
-    heads = {}
-    swap = {SRC: SNK, SNK: SRC}
-    for arc in seg.arcs:
-        t0 = seg.tails[arc]
-        h0 = seg.heads[arc]
-        tails[arc] = swap.get(h0, h0)
-        heads[arc] = swap.get(t0, t0)
-    return tails, heads
 
 
 def solve_segment(seg: Segment) -> SegmentSolution:
     """Three arc-disjoint terminal-connecting sets for one segment."""
+    aux = seg.aux
     if seg.seg_type in (SegmentType.I, SegmentType.II):
         want = 3 if seg.seg_type is SegmentType.I else 4
-        try:
-            paths = _segment_paths(seg.arcs, seg.tails, seg.heads, want)
-        except InsufficientPaths as exc:
+        paths = _paths(seg, seg.entry_arcs, aux.tail, aux.head, want)
+        if len(paths) < want:
             raise SegmentInfeasible(f"type {seg.seg_type.value} segment has only "
-                                    f"{exc.found} paths") from exc
+                                    f"{len(paths)} paths")
         if want == 3:
-            return SegmentSolution(sets=tuple(frozenset(p) for p in paths), dominant=None)
+            return SegmentSolution(sets=tuple(map(frozenset, paths)), dominant=None)
         for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
             union = paths[a] + paths[b]
-            edges = [arc.edge for arc in union]
-            if len(set(edges)) != len(edges):
+            edges = {arc >> 1 for arc in union}
+            if len(edges) != len(union):
                 continue  # pair holds both copies of one capacity-2 edge
             rest = [paths[i] for i in range(4) if i not in (a, b)]
             sets = (frozenset(union), frozenset(rest[0]), frozenset(rest[1]))
@@ -390,18 +396,12 @@ def solve_segment(seg: Segment) -> SegmentSolution:
         raise SegmentInfeasible("no valid dominant pair among the four paths")
 
     if seg.seg_type is SegmentType.III:
-        sets, m = _solve_merge(seg.arcs, seg.tails, seg.heads)
-        return SegmentSolution(sets=sets, dominant=0, merger=m)
+        sets, m = _merge(seg, seg.entry_arcs, aux.tail, aux.head)
+        return SegmentSolution(sets=sets, dominant=0, merger=aux.graph.nodes_sorted[m])
 
     # Type IV: run the merge construction on the reversed segment.
-    tails, heads = _reverse_maps(seg)
-    sets, m = _solve_merge(seg.arcs, tails, heads)
-    return SegmentSolution(sets=sets, dominant=0, splitter=m)
-
-
-def _swap_copies(local_sets, edge):
-    flip = {Arc(edge, 0): Arc(edge, 1), Arc(edge, 1): Arc(edge, 0)}
-    return [frozenset(flip.get(arc, arc) for arc in s) for s in local_sets]
+    sets, m = _merge(seg, seg.exit_arcs, aux.head, aux.tail)
+    return SegmentSolution(sets=sets, dominant=0, splitter=aux.graph.nodes_sorted[m])
 
 
 def glue_segments(segments: list, solutions: list):
@@ -412,70 +412,68 @@ def glue_segments(segments: list, solutions: list):
     two copies of an edge are interchangeable) so that its dominant set enters
     exactly where the previous dominant exited.
 
-    Returns (three global arc sets, index of the globally dominant set or
-    None) with virtual boundary arcs already stripped.
+    Returns (three global sets of `Arc`s, index of the globally dominant set
+    or None) with virtual boundary arcs already stripped.
     """
     global_sets = [set(), set(), set()]
     dominant_global = None
-    prev_owner = None
+    prev_owner = None  # exit arc of the previous segment -> its global set
 
     for seg, sol in zip(segments, solutions):
-        local = list(sol.sets)
-        if prev_owner is None:
-            mapping = list(range(3))
-        else:
-            boundary = frozenset(seg.entry_arcs)
-            if boundary != frozenset(prev_owner):
+        local = sol.sets
+        if prev_owner is not None:
+            boundary = seg.entry_arcs
+            if boundary != prev_exit:
                 raise GlueMismatch(f"boundary arcs disagree at segment {seg.index}")
             if seg.entry_kind is CutKind.TWO_EDGE:
                 dom_owner = _two_edge_dominant_owner(prev_owner)
                 if sol.dominant is None:
                     raise GlueMismatch("2-edge boundary without a dominant set")
-                prev_dom_arcs = {a for a, o in prev_owner.items() if o == dom_owner}
-                next_dom_arcs = local[sol.dominant] & boundary
-                for edge in {a.edge for a in boundary}:
-                    pc = next(a.copy for a in prev_dom_arcs if a.edge == edge)
-                    nc = next(a.copy for a in next_dom_arcs if a.edge == edge)
-                    if pc != nc:
-                        local = _swap_copies(local, edge)
+                flip = {a >> 1 for a in local[sol.dominant].intersection(boundary)
+                        if prev_owner[a] != dom_owner}
+                if flip:
+                    local = [frozenset(a ^ 1 if a >> 1 in flip else a for a in s)
+                             for s in local]
+        where = {a: li for li, arcs in enumerate(local) for a in arcs}  # arc -> its set
+        if prev_owner is None:
+            mapping = [0, 1, 2]
+        else:
             mapping = [None, None, None]
-            for li, arcs in enumerate(local):
-                owners = {prev_owner[a] for a in arcs & boundary}
-                if len(owners) != 1:
-                    raise GlueMismatch(
-                        f"set {li} of segment {seg.index} enters on arcs owned "
-                        f"by {len(owners)} global sets")
-                mapping[li] = owners.pop()
-            if sorted(mapping) != [0, 1, 2]:
+            for a in boundary:
+                li = where.get(a)
+                if li is None:
+                    continue
+                if mapping[li] is None:
+                    mapping[li] = prev_owner[a]
+                elif mapping[li] != prev_owner[a]:
+                    raise GlueMismatch(f"set {li} of segment {seg.index} enters on arcs "
+                                       f"owned by more than one global set")
+            if None in mapping:
+                raise GlueMismatch(f"set {mapping.index(None)} of segment {seg.index} "
+                                   f"does not enter through the boundary")
+            if len(set(mapping)) != 3:
                 raise GlueMismatch(f"label matching at segment {seg.index} "
                                    f"is not a bijection")
 
-        for li, arcs in enumerate(local):
-            global_sets[mapping[li]] |= arcs
+        for arcs, owner in zip(local, mapping):
+            global_sets[owner] |= arcs
         if sol.dominant is not None and dominant_global is None:
             dominant_global = mapping[sol.dominant]
 
-        exit_set = frozenset(seg.exit_arcs)
-        prev_owner = {}
-        for li, arcs in enumerate(local):
-            for arc in arcs & exit_set:
-                prev_owner[arc] = mapping[li]
-        if len(prev_owner) != len(exit_set):
+        prev_exit = seg.exit_arcs
+        if not all(map(where.__contains__, prev_exit)):
             raise GlueMismatch(f"segment {seg.index} leaves exit arcs unused")
+        prev_owner = {a: mapping[where[a]] for a in prev_exit}
 
-    stripped = []
-    for s in global_sets:
-        stripped.append(frozenset(
-            a for a in s
-            if not (isinstance(a.edge, str) and a.edge.startswith(_VIRTUAL_PREFIX))))
+    edge_ids = segments[0].aux.graph.edge_ids if segments else ()
+    real = 2 * len(edge_ids)
+    stripped = [frozenset(Arc(edge_ids[a >> 1], a & 1) for a in s if a < real)
+                for s in global_sets]
     return stripped, dominant_global
 
 
 def _two_edge_dominant_owner(prev_owner):
-    counts = {}
-    for owner in prev_owner.values():
-        counts[owner] = counts.get(owner, 0) + 1
-    doms = [o for o, c in counts.items() if c == 2]
+    doms = [o for o, c in Counter(prev_owner.values()).items() if c == 2]
     if len(doms) != 1:
         raise GlueMismatch("previous segment does not cross the 2-edge cut 2+1+1")
     return doms[0]

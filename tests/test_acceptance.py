@@ -117,14 +117,16 @@ def test_c8_linear_time_proxy():
 
 
 def test_c8_work_counts_grow_linearly(monkeypatch):
-    # the deterministic companion of C8: count max_flow calls and their
-    # augmenting paths instead of timing, so the ratios cannot flake
+    # the deterministic companion of C8: count the calls of max_flow and of
+    # the segment solver's `_paths`, and their augmenting paths, instead of
+    # timing, so the ratios cannot flake
     import importlib
 
     # `triflow.decompose` is the function, so the modules go by full name
     modules = [importlib.import_module(f"triflow.{name}")
                for name in ("graph", "conditioning", "decompose")]
     original = modules[0].max_flow
+    original_paths = modules[2]._paths
     work = {"calls": 0, "augmentations": 0}
 
     def counted(*args, **kwargs):
@@ -133,8 +135,16 @@ def test_c8_work_counts_grow_linearly(monkeypatch):
         work["augmentations"] += flow.augmentations
         return flow
 
+    def counted_paths(*args, **kwargs):
+        # one augmenting path per path found: every arc has unit capacity
+        paths = original_paths(*args, **kwargs)
+        work["calls"] += 1
+        work["augmentations"] += len(paths)
+        return paths
+
     for module in modules:
         monkeypatch.setattr(module, "max_flow", counted)
+    monkeypatch.setattr(modules[2], "_paths", counted_paths)
     sizes = (1000, 2000, 4000, 8000)
     counts = []
     for n in sizes:
@@ -144,7 +154,7 @@ def test_c8_work_counts_grow_linearly(monkeypatch):
     ratios = [(b[0] / a[0], b[1] / a[1]) for a, b in zip(counts, counts[1:])]
     assert all(1.8 <= r <= 2.2 for pair in ratios for r in pair), \
         f"doubling ratios (calls, augmentations) {ratios} from counts {counts}"
-    _pass(f"C8 work counts (max_flow calls, augmentations) {counts}")
+    _pass(f"C8 work counts (max_flow and _paths calls, augmentations) {counts}")
 
 
 def _network_coding_batch():

@@ -1,14 +1,26 @@
+import importlib
+import random
+
 import pytest
 
-from triflow import (FeasibilityKind, Role, SegmentType, build_auxiliary,
-                     condition_network, decompose, extract_segments,
-                     glue_segments, solve_segment)
-from triflow.decompose import SNK, SRC
-from triflow.errors import Unprotectable
+from triflow import (Digraph, FeasibilityKind, GenParams, Network, Role,
+                     SegmentSolution, SegmentType, Structure, build_auxiliary,
+                     classify_feasibility, condition_network, decompose,
+                     extract_segments, generate, glue_segments, solve_segment)
+from triflow.errors import GenerationFailed, Unprotectable
 
+import netfixtures
 from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
                          parallel_capacity2, quadpath, tripath, unit_chain,
                          widefan)
+from oracles import reference_segments, reference_solve_segment, virtual_arc
+from test_golden import CORPUS, MIXED_CORPUS, mixed_ids
+
+# `triflow.decompose` is the function, so the module goes by full name
+segment_solver = importlib.import_module("triflow.decompose")
+
+SRC = "segment source side"
+SNK = "segment sink side"
 
 
 def pipeline(net):
@@ -18,6 +30,15 @@ def pipeline(net):
     return cond, aux, segments
 
 
+def local_ends(seg, a):
+    """Tail and head of arc `a` inside `seg`, with every node outside the
+    segment's part replaced by the terminal it stands for."""
+    aux = seg.aux
+    tail, head = aux.tail[a], aux.head[a]
+    return (tail if aux.part[tail] == seg.index else SRC,
+            head if aux.part[head] == seg.index else SNK)
+
+
 def edge_by_ends(net, tail, head):
     return next(e for e, tl, hd in net.graph.edges() if (tl, hd) == (tail, head))
 
@@ -25,7 +46,7 @@ def edge_by_ends(net, tail, head):
 def test_auxiliary_counts():
     aux = build_auxiliary(coding(tripath()))
     assert len(aux) == 6
-    assert all(arc.copy == 0 for arc in aux.arcs)
+    assert all(aux.arc(a).copy == 0 for a in aux.arcs)
     aux = build_auxiliary(coding(diamond2()))
     assert len(aux) == 8
     aux = build_auxiliary(coding(ladder15()))
@@ -53,21 +74,27 @@ def test_segments_ladder15_cover_all_types():
 
 
 def test_segments_widefan_virtual_boundaries():
-    _, _, segments = pipeline(widefan())
+    _, aux, segments = pipeline(widefan())
     # everything up to the only cut is one piece entered via virtual arcs;
     # the exit arcs of that piece already end at the target
     assert [s.seg_type.name for s in segments] == ["IV"]
     lead = segments[0]
-    assert all(str(a.edge).startswith("~") for a in lead.entry_arcs)
+    real = 2 * len(aux.graph.edge_ids)
+    assert lead.entry_arcs == aux.source_arcs
+    assert all(a >= real for a in lead.entry_arcs)
+    assert {local_ends(lead, a) for a in lead.entry_arcs} == {(SRC, aux.graph._index["s"])}
     assert lead.interior == frozenset(widefan().graph.nodes) - {"t"}
-    assert {lead.heads[a] for a in lead.exit_arcs} == {SNK}
+    assert all(a < real for a in lead.exit_arcs)
+    assert {local_ends(lead, a)[1] for a in lead.exit_arcs} == {SNK}
+    assert {aux.graph.nodes_sorted[aux.head[a]] for a in lead.exit_arcs} == {"t"}
 
 
 def local_connects(seg, arcs, drop=frozenset()):
     live = [a for a in arcs if a not in drop]
     adj = {}
     for a in live:
-        adj.setdefault(seg.tails[a], []).append(seg.heads[a])
+        tail, head = local_ends(seg, a)
+        adj.setdefault(tail, []).append(head)
     seen = {SRC}
     stack = [SRC]
     while stack:
@@ -90,7 +117,7 @@ def assert_locally_feasible(seg, sol):
         assert local_connects(seg, s)
     by_edge = {}
     for a in seg.arcs:
-        by_edge.setdefault(a.edge, []).append(a)
+        by_edge.setdefault(a >> 1, []).append(a)
     for edge, arcs in by_edge.items():
         drop = frozenset(arcs)
         alive = sum(local_connects(seg, s, drop) for s in sets)
@@ -111,25 +138,24 @@ def test_solve_type2_dominant_pair_valid():
         sol = solve_segment(seg)
         assert sol.dominant == 0
         dominant = sol.sets[0]
-        edges = [a.edge for a in dominant]
+        edges = [a >> 1 for a in dominant]
         assert len(edges) == len(set(edges))  # never both copies of one edge
         # dominant crosses each bounding cut once per capacity-2 edge
-        entries = {a.edge for a in dominant if a in seg.entry_arcs}
-        exits = {a.edge for a in dominant if a in seg.exit_arcs}
+        entries = {a >> 1 for a in dominant if a in seg.entry_arcs}
+        exits = {a >> 1 for a in dominant if a in seg.exit_arcs}
         assert len(entries) == 2 and len(exits) == 2
 
 
 def test_solve_type2_exhaustive_pair_count():
     # at most 4 capacity-2 edges each rule out one of the 6 pairs
-    from triflow.decompose import _segment_paths
-
-    _, _, segments = pipeline(diamond2())
+    _, aux, segments = pipeline(diamond2())
     for seg in segments:
-        paths = _segment_paths(seg.arcs, seg.tails, seg.heads, 4)
+        paths = segment_solver._paths(seg, seg.entry_arcs, aux.tail, aux.head, 4)
+        assert len(paths) == 4
         valid = 0
         for a in range(4):
             for b in range(a + 1, 4):
-                edges = [arc.edge for arc in paths[a] + paths[b]]
+                edges = [arc >> 1 for arc in paths[a] + paths[b]]
                 if len(edges) == len(set(edges)):
                     valid += 1
         assert valid >= 2
@@ -143,9 +169,9 @@ def test_solve_type3_merger_structure_in_ladder15():
     assert sol.merger == "b3"
     # exits of the three sets are pairwise distinct
     exits = [next(a for a in s if a in seg.exit_arcs) for s in sol.sets]
-    assert len({a.edge for a in exits}) == 3
+    assert len({a >> 1 for a in exits}) == 3
     # dominant set enters through both capacity-2 edges
-    dom_entries = {a.edge for a in sol.sets[0] if a in seg.entry_arcs}
+    dom_entries = {a >> 1 for a in sol.sets[0] if a in seg.entry_arcs}
     assert len(dom_entries) == 2
 
 
@@ -155,7 +181,7 @@ def test_solve_type4_splitter_structure_in_ladder15():
     assert seg.seg_type is SegmentType.IV
     sol = solve_segment(seg)
     assert sol.splitter == "a4"
-    dom_exits = {a.edge for a in sol.sets[0] if a in seg.exit_arcs}
+    dom_exits = {a >> 1 for a in sol.sets[0] if a in seg.exit_arcs}
     assert len(dom_exits) == 2
 
 
@@ -164,7 +190,8 @@ def test_glue_single_segment_identity():
     assert len(segments) == 1
     sols = [solve_segment(s) for s in segments]
     sets, dominant = glue_segments(segments, sols)
-    assert sets[sols[0].dominant or 0] == sols[0].sets[sols[0].dominant or 0]
+    i = sols[0].dominant or 0
+    assert sets[i] == frozenset(map(aux.arc, sols[0].sets[i]))
     assert dominant == sols[0].dominant
 
 
@@ -175,7 +202,8 @@ def test_glue_multi_segment_disjoint_and_connected():
         sets, dominant = glue_segments(segments, sols)
         all_arcs = [a for s in sets for a in s]
         assert len(all_arcs) == len(set(all_arcs))
-        assert all(not str(a.edge).startswith("~") for a in all_arcs)
+        # virtual arcs are stripped: every arc is a copy of a real edge
+        assert all(a.copy < cond.network.coding_cap.get(a.edge, 0) for a in all_arcs)
 
 
 def test_decompose_tripath_plain_paths():
@@ -232,8 +260,6 @@ def test_decompose_is_deterministic():
 
 
 def test_merge_type_segments_have_distinct_exits_across_ladders():
-    from triflow import GenParams, generate
-
     seen = 0
     for seed in range(10):
         net = generate(GenParams(node_count=30, seed=seed))
@@ -242,7 +268,7 @@ def test_merge_type_segments_have_distinct_exits_across_ladders():
             if seg.seg_type not in (SegmentType.III, SegmentType.IV):
                 continue
             sol = solve_segment(seg)
-            exits = [{a.edge for a in s if a in seg.exit_arcs} for s in sol.sets]
+            exits = [{a >> 1 for a in s if a in seg.exit_arcs} for s in sol.sets]
             if seg.seg_type is SegmentType.III:
                 # one-to-one correspondence with the three exit arcs
                 assert [len(x) for x in exits] == [1, 1, 1]
@@ -270,3 +296,107 @@ def test_plan_capacity_usage_never_exceeds_coding_capacity():
             for a in arcs:
                 usage[a.edge] = usage.get(a.edge, 0) + 1
         assert all(usage[e] <= cn.coding_cap[e] for e in usage)
+
+
+def named(seg, arcs):
+    """Arc ints as the reference names them: real arcs as `Arc`s, virtual
+    arc 2·(E + j) as `virtual_arc(j)`."""
+    real = 2 * len(seg.aux.graph.edge_ids)
+    return [seg.aux.arc(a) if a < real else virtual_arc((a - real) // 2) for a in arcs]
+
+
+def assert_solver_matches_reference(net):
+    cond = condition_network(coding(net))
+    segments = extract_segments(cond, build_auxiliary(cond.network))
+    refs = reference_segments(cond)
+    assert [(s.index, s.seg_type) for s in segments] == [(r.index, r.seg_type) for r in refs]
+    for seg, ref in zip(segments, refs):
+        assert tuple(named(seg, seg.arcs)) == ref.arcs
+        assert tuple(named(seg, seg.entry_arcs)) == ref.entry_arcs
+        assert tuple(named(seg, seg.exit_arcs)) == ref.exit_arcs
+        sol = solve_segment(seg)
+        got = SegmentSolution(sets=tuple(frozenset(named(seg, s)) for s in sol.sets),
+                              dominant=sol.dominant, merger=sol.merger,
+                              splitter=sol.splitter)
+        assert got == reference_solve_segment(ref), f"segment {seg.index}"
+    return segments
+
+
+def network_coding_corpus():
+    """The golden corpus, its mixed-id relabelling and the pinned fixtures,
+    keeping the networks that reach segment solving."""
+    nets = []
+    for corpus, relabel in ((CORPUS, None), (MIXED_CORPUS, mixed_ids)):
+        for params in corpus:
+            try:
+                net = generate(params)
+            except GenerationFailed:
+                continue
+            nets.append(relabel(net) if relabel else net)
+    nets += [getattr(netfixtures, name)() for name in
+             ("tripath", "quadpath", "diamond2", "chain2", "unit_chain", "ladder15",
+              "widefan", "demotable5", "parallel_capacity2")]
+    return [net for net in nets
+            if classify_feasibility(coding(net)).kind is FeasibilityKind.NETWORK_CODING]
+
+
+def test_segment_solver_matches_per_segment_digraph_reference():
+    # every segment's sets, dominant, merger and splitter equal those of the
+    # reference that builds a Digraph per segment and runs max_flow on it
+    seen = {t: 0 for t in SegmentType}
+    for net in network_coding_corpus():
+        for seg in assert_solver_matches_reference(net):
+            seen[seg.seg_type] += 1
+    assert all(seen.values()), seen
+
+
+def test_segment_solver_matches_reference_with_ids_sorting_after_virtual_names():
+    # the reference names virtual arcs "~src0".."~snk2"; edge ids above "~"
+    # sort after them there and before them as ints, which changes no solution
+    nets = [generate(GenParams(n, seed, Structure.RANDOM_DAG))
+            for n, seed in ((7, 0), (7, 35), (32, 37), (64, 8), (64, 34))] + [widefan()]
+    reordered = 0
+    for net in nets:
+        g = net.graph
+        rename = {e: f"\u00e9{i:03d}" if i % 2 else f"\x7f{i:03d}"
+                  for i, e in enumerate(g.edge_ids)}
+        relabeled = Network(
+            graph=Digraph(g.nodes, [(rename[e], tail, head) for e, tail, head in g.edges()]),
+            free_cap={rename[e]: k for e, k in net.free_cap.items()},
+            source=net.source, target=net.target)
+        cond = condition_network(coding(relabeled))
+        segments = extract_segments(cond, build_auxiliary(cond.network))
+        for seg, ref in zip(segments, reference_segments(cond)):
+            assert set(named(seg, seg.arcs)) == set(ref.arcs)
+            reordered += tuple(named(seg, seg.arcs)) != ref.arcs
+            sol = solve_segment(seg)
+            got = SegmentSolution(sets=tuple(frozenset(named(seg, s)) for s in sol.sets),
+                                  dominant=sol.dominant, merger=sol.merger,
+                                  splitter=sol.splitter)
+            assert got == reference_solve_segment(ref)
+    assert reordered == 7  # every segment with a virtual boundary
+
+
+def random_network_coding_digraphs(count, seed):
+    """`count` seeded random digraphs in the network-coding class, with
+    parallel, antiparallel and dead-end edges and cycles."""
+    rng = random.Random(seed)
+    nets = []
+    while len(nets) < count:
+        n = rng.randint(4, 16)
+        nodes = list(range(n))
+        edges = [(i, *rng.sample(nodes, 2)) for i in range(rng.randint(n, 4 * n))]
+        net = Network(graph=Digraph(nodes, edges),
+                      free_cap={i: rng.randint(1, 2) for i, _, _ in edges},
+                      source=0, target=n - 1)
+        if classify_feasibility(coding(net)).kind is FeasibilityKind.NETWORK_CODING:
+            nets.append(net)
+    return nets
+
+
+def test_segment_solver_matches_reference_on_general_digraphs():
+    seen = {t: 0 for t in SegmentType}
+    for net in random_network_coding_digraphs(400, 20143):
+        for seg in assert_solver_matches_reference(net):
+            seen[seg.seg_type] += 1
+    assert all(seen.values()), seen
