@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 
 from .conditioning import Feasibility, FeasibilityKind, Network
 from .errors import PlanReferenceError, TriflowError
@@ -61,8 +63,6 @@ def network_from_json(data) -> Network:
         eid = e["id"]
         if not isinstance(eid, (str, int)) or isinstance(eid, bool):
             raise FormatError(f"edges[{i}]: id must be a string or integer")
-        if isinstance(eid, str) and eid.startswith("~"):
-            raise FormatError(f"edges[{i}]: ids starting with '~' are reserved")
         if eid in seen:
             raise FormatError(f"edges[{i}]: duplicate edge id {eid!r}")
         seen.add(eid)
@@ -218,7 +218,73 @@ def load_plan(path, net: Network) -> RecoveryPlan:
 
 
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True)` plus a newline, byte for
+    byte.  `indent` forces `json`'s pure-Python encoder, so the layout is
+    added here by hand around runs of values that the C encoder writes in
+    one call.  Any other shape (non-str keys, tuples, other types) goes to
+    `json` itself."""
+    try:
+        return _emit(data, "\n") + "\n"
+    except _Fallback:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class _Fallback(Exception):
+    """A value outside the shapes `_emit` lays out itself."""
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _emit(value, nl):
+    """`value` as `json.dumps(indent=2, sort_keys=True)` writes it on a line
+    begun by `nl` (a newline and the indent)."""
+    kind = type(value)
+    if kind is dict:
+        return _records([value], sorted(value, key=_str_key), nl)[0] if value else "{}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + f",{inner}".join(_values(value, inner)) + nl + "]"
+    if kind in _SCALARS:
+        return json.dumps(value)
+    raise _Fallback
+
+
+def _str_key(key):
+    if type(key) is not str:
+        raise _Fallback
+    return key
+
+
+def _values(values, nl) -> list:
+    """`_emit` of each of `values`, in as few encoder calls as their shape
+    allows."""
+    types = set(map(type, values))
+    if types <= _SCALARS:
+        # a raw newline is never part of an encoded scalar, only a separator
+        return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    if types == {dict}:
+        keys = values[0].keys()
+        if keys and set(map(len, values)) == {len(keys)} and \
+                set(chain.from_iterable(values)) == keys:
+            return _records(values, sorted(keys, key=_str_key), nl)
+    if types == {list} and set(map(type, chain.from_iterable(values))) <= {str}:
+        # lists of labels repeat (survivors): lay out each distinct one once
+        lists = list(map(tuple, values))
+        texts = {v: _emit(list(v), nl) for v in set(lists)}
+        return list(map(texts.__getitem__, lists))
+    return [_emit(v, nl) for v in values]
+
+
+def _records(records, keys, nl) -> list:
+    """Dicts that all have the sorted `keys`, laid out column by column."""
+    inner = nl + "  "
+    columns = [_values(list(map(itemgetter(k), records)), inner) for k in keys]
+    form = "{" + inner + f",{inner}".join(
+        json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
+    return [form % row for row in zip(*columns)]
 
 
 _DOT_STYLE = {"A": "dashed", "B": "dotted", "XOR": "solid"}
