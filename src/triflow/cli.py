@@ -148,11 +148,12 @@ def _cmd_simulate(args) -> int:
     cn = derive_coding_capacities(net)
     gen = Generation(seq=args.seq, payload_a=_payload(args.payload_a),
                      payload_b=_payload(args.payload_b))
+    want = (gen.payload_a, gen.payload_b)
     if args.sweep:
-        outcomes = failure_sweep(cn, plan, gen)
-        good = sum(1 for o in outcomes.values() if o.decoded is not None)
-        for edge, o in sorted(outcomes.items(), key=lambda kv: str(kv[0])):
-            status = "decoded" if o.decoded else "LOST"
+        outcomes = failure_sweep(cn, plan, gen)  # in the graph's edge order
+        good = sum(1 for o in outcomes.values() if o.decoded == want)
+        for edge, o in outcomes.items():
+            status = "decoded" if o.decoded == want else "LOST"
             via = "+".join(o.recovered_via) if o.recovered_via else "-"
             print(f"fail {edge}: {status} via {via} "
                   f"(received {','.join(sorted(o.received_labels)) or 'none'})")
@@ -167,8 +168,7 @@ def _cmd_simulate(args) -> int:
     a, b = outcome.decoded
     via = "+".join(outcome.recovered_via)
     print(f"fail {failed}: decoded via {via}: a={a.hex()} b={b.hex()}")
-    ok = (a, b) == (gen.payload_a, gen.payload_b)
-    return EXIT_OK if ok else EXIT_REFUSED
+    return EXIT_OK if (a, b) == want else EXIT_REFUSED
 
 
 def _cmd_gen(args) -> int:

@@ -287,7 +287,10 @@ def reference_simulate_transmission(cn: CodingNetwork, plan, gen,
     arrived = {label for label in LABELS
                if cn.target in _flood(_label_adjacency(cn, plan, label),
                                       cn.source, failed_edge, arc_sends, label)}
-    payloads = encode(gen.payload_a, gen.payload_b)
+    return _reference_outcome(arrived, encode(gen.payload_a, gen.payload_b), arc_sends)
+
+
+def _reference_outcome(arrived, payloads: dict, arc_sends: dict) -> ReferenceOutcome:
     received = {label: payloads[label] for label in LABELS if label in arrived}
     if len(received) < 2:
         return ReferenceOutcome(frozenset(received), None, None, arc_sends)
@@ -298,6 +301,27 @@ def reference_simulate_transmission(cn: CodingNetwork, plan, gen,
     else:
         via = ("B", "XOR")
     return ReferenceOutcome(frozenset(received), decode(received), via, arc_sends)
+
+
+def reference_failure_sweep(cn: CodingNetwork, plan, gen) -> dict:
+    """The re-flood sweep that the dominator sweep replaced: each label is
+    flooded once without a failure, and a failed edge re-floods only the
+    labels whose subflow uses it.  Returns {edge: ReferenceOutcome} with
+    empty `arc_sends`."""
+    if plan.verification is None or not plan.verification.overall:
+        raise UnverifiedPlan("plan has no passing verification report")
+    adjacency = {label: _label_adjacency(cn, plan, label) for label in LABELS}
+    used = {label: {arc.edge for arc in plan.subflows[label]} for label in LABELS}
+
+    def reaches(label, failed_edge=None) -> bool:
+        return cn.target in _flood(adjacency[label], cn.source, failed_edge, {}, label)
+
+    intact = [label for label in LABELS if reaches(label)]
+    payloads = encode(gen.payload_a, gen.payload_b)
+    return {edge: _reference_outcome(
+                [label for label in intact if edge not in used[label] or reaches(label, edge)],
+                payloads, {})
+            for edge in cn.graph.edge_ids}
 
 
 class _SegmentEnd:

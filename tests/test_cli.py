@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from triflow import files
+from triflow import cli, failure_sweep, files
 from triflow.cli import main
 
 from netfixtures import chain2, ladder15, quadpath, tripath
@@ -89,11 +90,36 @@ def test_verify_against_wrong_network(ladder_file, tmp_path, capsys):
 def test_simulate_sweep(ladder_file, tmp_path, capsys):
     plan_path = str(tmp_path / "plan.json")
     main(["decompose", ladder_file, "-o", plan_path])
+    capsys.readouterr()
     code = main(["simulate", ladder_file, plan_path, "--sweep",
                  "--payload-a", "0102", "--payload-b", "fdfe"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "22/22 failures decoded" in out
+    assert lines[-1] == "22/22 failures decoded"
+    failed = [line.split()[1].rstrip(":") for line in lines[:-1]]
+    assert failed == [str(e) for e in ladder15().graph.edge_ids] == [str(e) for e in range(22)]
+    assert all(" decoded via " in line for line in lines[:-1])
+
+
+def test_simulate_sweep_requires_the_sent_payloads(ladder_file, tmp_path, capsys,
+                                                   monkeypatch):
+    plan_path = str(tmp_path / "plan.json")
+    main(["decompose", ladder_file, "-o", plan_path])
+    capsys.readouterr()
+
+    def garbled_sweep(cn, plan, gen):
+        outcomes = failure_sweep(cn, plan, gen)
+        edge = next(iter(outcomes))
+        outcomes[edge] = dataclasses.replace(outcomes[edge], decoded=(b"\0\0", b"\0\0"))
+        return outcomes
+
+    monkeypatch.setattr(cli, "failure_sweep", garbled_sweep)
+    code = main(["simulate", ladder_file, plan_path, "--sweep",
+                 "--payload-a", "0102", "--payload-b", "fdfe"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert lines[0].startswith("fail 0: LOST ")
+    assert lines[-1] == "21/22 failures decoded"
 
 
 def test_simulate_single_failure(ladder_file, tmp_path, capsys):

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
-                     RecoveryPlan, decode, decompose, encode, failure_sweep,
-                     generate, simulate_transmission, verify_plan)
+                     RecoveryPlan, decode, decompose, derive_coding_capacities,
+                     encode, failure_sweep, generate, simulate_transmission,
+                     survivability_by_removal, verify_plan)
 from triflow.errors import (GenerationFailed, InsufficientLabels, LengthMismatch,
                             PlanReferenceError, Unprotectable, UnverifiedPlan)
 from triflow.netgen import GenParams, Structure
+from triflow.simulate import _cut_edges
 
 from netfixtures import coding, diamond2, ladder15, tripath
-from oracles import reference_simulate_transmission
+from oracles import reference_failure_sweep, reference_simulate_transmission
 from test_golden import MIXED_CORPUS, mixed_ids
+from test_verify import _label_reaches, _random_plan_case, general_digraph_networks
 
 
 def test_encode_identities():
@@ -199,6 +202,89 @@ def test_simulation_matches_reference():
             assert got.arc_sends == want.arc_sends, failed
         mixed += len({type(e) for e in cn.graph.edge_ids}) > 1
     assert mixed
+
+
+def _handmade_plan(edges, subflows):
+    """A verified plan on unit-capacity `edges` [(id, tail, head)] from s to t,
+    with subflows given as label -> edge ids (copy 0 of each)."""
+    nodes = {v for _, tail, head in edges for v in (tail, head)}
+    net = Network(graph=Digraph(nodes, edges), free_cap={e: 1 for e, _, _ in edges},
+                  source="s", target="t")
+    cn = coding(net)
+    plan = RecoveryPlan(
+        subflows={label: frozenset(Arc(e, 0) for e in ids) for label, ids in subflows.items()},
+        roles=(), feasibility=None)
+    plan = plan.with_verification(verify_plan(cn, plan))
+    assert plan.verification.overall
+    return cn, plan
+
+
+def _cyclic_label_plan():
+    """A's edges hold the directed cycle a -> b -> c -> a, and A reaches t
+    from b and from c, so only sa and ab cut A off."""
+    edges = [("sa", "s", "a"), ("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"),
+             ("bt", "b", "t"), ("ct", "c", "t"),
+             ("sd", "s", "d"), ("dt", "d", "t"), ("se", "s", "e"), ("et", "e", "t")]
+    return _handmade_plan(edges, {"A": ["sa", "ab", "bc", "ca", "bt", "ct"],
+                                  "B": ["sd", "dt"], "XOR": ["se", "et"]})
+
+
+def _parallel_edge_plan():
+    """A uses the parallel edges p and q from s to a, so neither cuts A
+    off; only at does."""
+    edges = [("p", "s", "a"), ("q", "s", "a"), ("at", "a", "t"),
+             ("sd", "s", "d"), ("dt", "d", "t"), ("se", "s", "e"), ("et", "e", "t")]
+    return _handmade_plan(edges, {"A": ["p", "q", "at"],
+                                  "B": ["sd", "dt"], "XOR": ["se", "et"]})
+
+
+def test_sweep_matches_reference_sweep():
+    gen = Generation(seq=4, payload_a=b"\x5a\x01", payload_b=b"\xa5\x02")
+    handmade = [_cyclic_label_plan(), _parallel_edge_plan(), _twin_arc_plan()]
+    for cn, plan in (*_simulation_corpus(), *handmade):
+        got = failure_sweep(cn, plan, gen)
+        want = reference_failure_sweep(cn, plan, gen)
+        assert list(got) == list(want) == list(cn.graph.edge_ids)
+        for edge, outcome in got.items():
+            assert (outcome.received_labels, outcome.decoded, outcome.recovered_via) == (
+                want[edge].received_labels, want[edge].decoded,
+                want[edge].recovered_via), edge
+    cyclic, parallel, _ = (failure_sweep(cn, plan, gen) for cn, plan in handmade)
+    assert {e for e, o in cyclic.items() if "A" not in o.received_labels} == {"sa", "ab"}
+    assert {e for e, o in parallel.items() if "A" not in o.received_labels} == {"at"}
+
+
+def test_sweep_matches_removal_on_general_digraphs():
+    gen = Generation(seq=6, payload_a=b"\x01", payload_b=b"\x02")
+    plans = 0
+    for net in general_digraph_networks():
+        try:
+            plan = decompose(net)
+        except Unprotectable:
+            continue
+        cn = derive_coding_capacities(net)
+        removal = survivability_by_removal(cn, plan)
+        assert {e: o.received_labels for e, o in failure_sweep(cn, plan, gen).items()} == removal
+        plans += 1
+    assert plans >= 500
+
+
+def test_cut_edges_match_removal_on_random_labels():
+    # arbitrary labels on general digraphs: cycles, parallel and antiparallel
+    # edges, twin copies, unreachable targets, and s or t outside the graph
+    rng = random.Random(20143)
+    connected = cut = 0
+    for _ in range(3000):
+        cn, plan = _random_plan_case(rng)
+        removal = survivability_by_removal(cn, plan)
+        for label, arcs in plan.subflows.items():
+            got = _cut_edges(cn.graph, {arc.edge for arc in arcs}, cn.source, cn.target)
+            assert (got is not None) == _label_reaches(cn.graph, arcs, cn.source, cn.target)
+            if got is not None:
+                assert got == {e for e, v in removal.items() if label not in v}
+                connected += 1
+                cut += bool(got)
+    assert connected >= 2000 and cut >= 1000
 
 
 def test_twin_arc_sends():

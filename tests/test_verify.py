@@ -274,16 +274,22 @@ def test_both_copies_of_one_edge_fail_together():
     assert "A" in report.survivability["st"]
 
 
-def test_decompose_on_general_digraphs_agrees_with_classifier():
+def general_digraph_networks():
+    """3k seeded general digraphs of 3-8 nodes and n-5n edges (cycles,
+    antiparallel and parallel edges) with free capacities 0-3."""
     rng = random.Random(20142)
-    protected = 0
     for _ in range(3000):
         n = rng.randint(3, 8)
         nodes = list(range(n))
         edges = [(i, *rng.sample(nodes, 2)) for i in range(rng.randint(n, 5 * n))]
-        net = Network(graph=Digraph(nodes, edges),
+        yield Network(graph=Digraph(nodes, edges),
                       free_cap={i: rng.randint(0, 3) for i, _, _ in edges},
                       source=0, target=n - 1)
+
+
+def test_decompose_on_general_digraphs_agrees_with_classifier():
+    protected = 0
+    for net in general_digraph_networks():
         cn = derive_coding_capacities(net)
         try:
             plan = decompose(net)
