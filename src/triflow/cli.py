@@ -13,8 +13,7 @@ from . import files
 from .conditioning import (FeasibilityKind, classify_feasibility,
                            derive_coding_capacities)
 from .decompose import decompose
-from .errors import (GenerationFailed, PlanReferenceError, TriflowError,
-                     Unprotectable, UnverifiedPlan)
+from .errors import GenerationFailed, TriflowError, Unprotectable, UnverifiedPlan
 from .netgen import GenParams, Structure, generate
 from .plan import LABELS
 from .simulate import Generation, failure_sweep, simulate_transmission
@@ -205,13 +204,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (files.FormatError, PlanReferenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (UnverifiedPlan, GenerationFailed) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except TriflowError as exc:
+    except (TriflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

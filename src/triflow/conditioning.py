@@ -86,17 +86,14 @@ def derive_coding_capacities(net: Network) -> CodingNetwork:
 
     More than 2 units on one edge cannot help: at most one arc copy per
     subflow crosses an edge, and there are only three subflows of which two
-    may share an edge only via distinct copies.
+    may share an edge only via distinct copies.  Without a k=0 edge (no
+    loaded network has one) the immutable graph is shared, not rebuilt.
     """
-    kept = []
-    cap = {}
-    for eid, tail, head in net.graph.edges():
-        k = net.free_cap[eid]
-        if k <= 0:
-            continue
-        kept.append((eid, tail, head))
-        cap[eid] = min(k, 2)
-    graph = Digraph(net.graph.nodes, kept)
+    graph, free = net.graph, net.free_cap
+    cap = {eid: free[eid] if free[eid] < 2 else 2 for eid in graph.edge_ids}
+    if cap and min(cap.values()) <= 0:
+        cap = {eid: c for eid, c in cap.items() if c > 0}
+        graph = Digraph(graph.nodes, [(eid, *graph.ends(eid)) for eid in cap])
     return CodingNetwork(graph=graph, coding_cap=cap,
                          source=net.source, target=net.target)
 

@@ -25,7 +25,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .conditioning import Feasibility, FeasibilityKind, Network
-from .errors import PlanReferenceError, TriflowError
+from .errors import PlanReferenceError, TriflowError, UnknownNode
 from .graph import Digraph, order_key, sorted_ids
 from .plan import (LABELS, Arc, NodeRole, RecoveryPlan, Role,
                    VerificationReport, Violation)
@@ -44,17 +44,36 @@ def network_from_json(data) -> Network:
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("nodes", "edges", "source", "target"):
         _require(key in data, f"missing key {key!r}")
-    nodes = data["nodes"]
+    nodes, edges = data["nodes"], data["edges"]
     _require(isinstance(nodes, list) and all(isinstance(n, str) for n in nodes),
              "nodes must be a list of strings")
-    _require(len(set(nodes)) == len(nodes), "duplicate node ids")
     node_set = set(nodes)
-    edges = []
-    caps = {}
-    seen = set()
-    _require(isinstance(data["edges"], list), "edges must be a list")
-    # the per-edge messages are built only when a check fails
-    for i, e in enumerate(data["edges"]):
+    _require(len(node_set) == len(nodes), "duplicate node ids")
+    _require(isinstance(edges, list), "edges must be a list")
+    graph = None
+    try:  # Digraph rejects duplicate ids, unknown ends and self-loops itself
+        caps = dict(map(itemgetter("id", "capacity"), edges))
+        if ({dict} >= set(map(type, edges)) and {str, int} >= set(map(type, caps))
+                and {int} >= set(map(type, caps.values()))
+                and min(caps.values(), default=1) > 0):
+            graph = Digraph(nodes, map(itemgetter("id", "tail", "head"), edges))
+    except (KeyError, TypeError, ValueError, UnknownNode):
+        pass
+    if graph is None:  # name the first bad edge in file order; subclasses pass
+        edge_list, caps = _parse_edges(edges, node_set)
+        graph = Digraph(nodes, edge_list)
+    for key in ("source", "target"):
+        _require(isinstance(data[key], str) and data[key] in node_set,
+                 f"unknown {key} {data[key]!r}")
+    _require(data["source"] != data["target"], "source equals target")
+    return Network(graph=graph, free_cap=caps,
+                   source=data["source"], target=data["target"])
+
+
+def _parse_edges(entries, node_set):
+    """(edge tuples, capacities), or a FormatError naming the first bad entry."""
+    edges, caps = [], {}
+    for i, e in enumerate(entries):
         if not isinstance(e, dict):
             raise FormatError(f"edges[{i}] must be an object")
         for key in ("id", "tail", "head", "capacity"):
@@ -63,13 +82,11 @@ def network_from_json(data) -> Network:
         eid = e["id"]
         if not isinstance(eid, (str, int)) or isinstance(eid, bool):
             raise FormatError(f"edges[{i}]: id must be a string or integer")
-        if eid in seen:
+        if eid in caps:
             raise FormatError(f"edges[{i}]: duplicate edge id {eid!r}")
-        seen.add(eid)
-        if not (isinstance(e["tail"], str) and e["tail"] in node_set):
-            raise FormatError(f"edges[{i}]: unknown tail {e['tail']!r}")
-        if not (isinstance(e["head"], str) and e["head"] in node_set):
-            raise FormatError(f"edges[{i}]: unknown head {e['head']!r}")
+        for end in ("tail", "head"):
+            if not (isinstance(e[end], str) and e[end] in node_set):
+                raise FormatError(f"edges[{i}]: unknown {end} {e[end]!r}")
         if e["tail"] == e["head"]:
             raise FormatError(f"edges[{i}]: self-loop")
         k = e["capacity"]
@@ -77,13 +94,7 @@ def network_from_json(data) -> Network:
             raise FormatError(f"edges[{i}]: capacity must be a positive integer")
         edges.append((eid, e["tail"], e["head"]))
         caps[eid] = k
-    for key in ("source", "target"):
-        _require(isinstance(data[key], str) and data[key] in node_set,
-                 f"unknown {key} {data[key]!r}")
-    _require(data["source"] != data["target"], "source equals target")
-    graph = Digraph(nodes, edges)
-    return Network(graph=graph, free_cap=caps,
-                   source=data["source"], target=data["target"])
+    return edges, caps
 
 
 def _read_json(path):
@@ -132,12 +143,14 @@ def report_from_json(data) -> VerificationReport:
     _require(isinstance(data, dict) and all(k in data for k in _REPORT_KEYS),
              f"verification must be an object with {', '.join(_REPORT_KEYS)}")
     # Entries are checked by parsing them: malformed ones raise below.
+    sets = {}  # a report holds few distinct survivor lists: one shared set each
     try:
         return VerificationReport(
             disjointness_ok=bool(data["disjointness_ok"]),
             capacity_ok=bool(data["capacity_ok"]),
             connectivity={k: bool(v) for k, v in data["connectivity"].items()},
-            survivability={entry["edge"]: frozenset(entry["survivors"])
+            survivability={entry["edge"]: sets.get(v := tuple(entry["survivors"]))
+                           or sets.setdefault(v, frozenset(v))
                            for entry in data["survivability"]},
             overall=bool(data["overall"]),
             violations=tuple(Violation(v["kind"], v["detail"])

@@ -151,10 +151,8 @@ def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowRe
     a node are tried lowest edge id first, forward before backward, which makes
     the result deterministic.
     """
-    if s not in g:
-        raise UnknownNode(s)
-    if t not in g:
-        raise UnknownNode(t)
+    if s not in g or t not in g:
+        raise UnknownNode(s if s not in g else t)
     if s == t:
         raise ValueError("source equals target")
 

@@ -78,6 +78,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     g = cn.graph
     cap = cn.coding_cap
     subflows = {label: plan.subflows.get(label, frozenset()) for label in LABELS}
+    usage = {}
     for arcs in subflows.values():
         for arc in arcs:
             if arc.edge not in cap:
@@ -85,6 +86,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             if not 0 <= arc.copy < cap[arc.edge]:
                 raise PlanReferenceError(
                     f"copy {arc.copy} out of range for edge {arc.edge!r}")
+            usage[arc.edge] = usage.get(arc.edge, 0) + 1
 
     violations = []
     disjoint = True
@@ -98,10 +100,6 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
                     f"{LABELS[i]} and {LABELS[j]} share arcs {sorted(shared, key=order_key)}"))
 
     capacity_ok = True
-    usage = {}
-    for arcs in subflows.values():
-        for arc in arcs:
-            usage[arc.edge] = usage.get(arc.edge, 0) + 1
     for edge, used in usage.items():
         if used > cap[edge]:
             capacity_ok = False
@@ -127,14 +125,12 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
                 "survivability",
                 f"edge {edge!r} failure leaves only {sorted(survivors)}"))
 
-    overall = (disjoint and capacity_ok and all(connectivity.values())
-               and all(len(v) >= 2 for v in survivability.values()))
     return VerificationReport(
         disjointness_ok=disjoint,
         capacity_ok=capacity_ok,
         connectivity=connectivity,
         survivability=survivability,
-        overall=overall,
+        overall=not violations,  # the violations are exactly the failed checks
         violations=tuple(violations),
     )
 

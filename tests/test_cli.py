@@ -203,6 +203,13 @@ def test_network_roundtrip_through_files(tmp_path):
     assert sorted(loaded.graph.edges()) == sorted(net.graph.edges())
     assert loaded.free_cap == net.free_cap
     assert (loaded.source, loaded.target) == (net.source, net.target)
+    data = files.network_to_json(net)
+    units = type("Units", (int,), {})
+    for e in data["edges"]:  # in-memory data may hold int subclasses; they load too
+        e["capacity"] = units(e["capacity"])
+    again = files.network_from_json(data)
+    assert sorted(again.graph.edges()) == sorted(net.graph.edges())
+    assert again.free_cap == net.free_cap
 
 
 def _set_role(data):
@@ -238,18 +245,40 @@ def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda data: data.update(edges=5),
-    lambda data: data["edges"][0].update(tail=["s"]),
-    lambda data: data.update(source=["s"]),
-], ids=["edges-not-a-list", "tail-not-a-string", "source-not-a-string"])
-def test_malformed_network_is_input_error(tmp_path, capsys, corrupt):
+def _edit(**fields):
+    """Set `fields` on ladder15's edges, given as {index: value}."""
+    def corrupt(data):
+        for key, changes in fields.items():
+            for i, value in changes.items():
+                data["edges"][i][key] = value
+    return corrupt
+
+
+# ladder15's edge i has id i; edges 0-2 leave s, for a0, b0 and c0, and
+# edge 3 is b0 -> c0.  True equals 1, so only on edge 1 does it stay unique.
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda data: data.update(edges=5), "edges must be a list"),
+    (_edit(tail={0: ["s"]}), "edges[0]: unknown tail ['s']"),
+    (lambda data: data.update(source=["s"]), "unknown source ['s']"),
+    (_edit(id={3: 0}), "edges[3]: duplicate edge id 0"),
+    (_edit(head={2: "zz"}), "edges[2]: unknown head 'zz'"),
+    (_edit(head={1: "s"}), "edges[1]: self-loop"),
+    (_edit(capacity={4: 0}), "edges[4]: capacity must be a positive integer"),
+    (_edit(id={1: True}), "edges[1]: id must be a string or integer"),
+    (lambda data: data["edges"][5].pop("capacity"), "edges[5] missing 'capacity'"),
+    (_edit(id={2: 0}, capacity={5: 0}), "edges[2]: duplicate edge id 0"),
+    (_edit(capacity={1: "2"}, tail={6: "zz"}),
+     "edges[1]: capacity must be a positive integer"),
+], ids=["edges-not-a-list", "tail-not-a-string", "source-not-a-string",
+        "duplicate-id", "unknown-head", "self-loop", "capacity-0", "id-true",
+        "missing-capacity", "two-faults-graph-first", "two-faults-shape-first"])
+def test_malformed_network_is_input_error(tmp_path, capsys, corrupt, message):
     data = files.network_to_json(ladder15())
     corrupt(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["analyze", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_non_utf8_file_is_input_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ def test_derive_clamps_and_drops():
     cn = derive_coding_capacities(net)
     assert cn.coding_cap == {0: 2, 1: 1}
     assert 2 not in cn.graph.edge_ids
+    assert cn.graph.nodes == net.graph.nodes
 
 
 def test_derive_all_unit_is_identity():
@@ -23,6 +24,7 @@ def test_derive_all_unit_is_identity():
     cn = derive_coding_capacities(net)
     assert cn.coding_cap == {e: 1 for e in net.graph.edge_ids}
     assert set(cn.graph.edge_ids) == set(net.graph.edge_ids)
+    assert cn.graph is net.graph
 
 
 def test_derive_ladder15_thick_thin_pattern():
