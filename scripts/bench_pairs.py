@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
 Usage:
   python3 scripts/bench_pairs.py WORKLOAD SEED0 N PARENT_DIR CHANGE_DIR
 
+WORKLOAD `all` runs the pairs for every workload in CHANGE_DIR's
+BENCHMARK.json, one workload after another, and prints one table each.
 Pair i (0 <= i < N) runs `perfbench/run.py --workload WORKLOAD --seed SEED0+i
 --trace 0` once in each checkout, for the `run_seconds` that CHANGE_DIR's
 BENCHMARK.json fixes; the parent goes first in even pairs, the change in odd
@@ -54,13 +56,9 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else values * 3
 
 
-def main(argv) -> int:
-    if len(argv) != 5:
-        print(__doc__, file=sys.stderr)
-        return 2
-    workload, seed0, n = argv[0], int(argv[1]), int(argv[2])
-    dirs = dict(zip(SIDES, (Path(argv[3]).resolve(), Path(argv[4]).resolve())))
-    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+def pairs(workload: str, seed0: int, n: int, dirs: dict, spec: dict) -> int:
+    """Run and print the `n` pairs of one workload and its table; 1 when a run
+    failed or a seed's digests differ, else 0."""
     metrics = spec["end_to_end"]
     values = {side: {m["name"]: [] for m in metrics} for side in SIDES}
     status = 0
@@ -95,7 +93,23 @@ def main(argv) -> int:
         holds = wins >= math.ceil(0.9 * n) and gap > p3 - p1
         print(f"{name} ({m['unit']}): {pm:.4g} [{p1:.4g}, {p3:.4g}] -> "
               f"{cm:.4g} [{c1:.4g}, {c3:.4g}]  ratio {cm / pm:.3f}  "
-              f"wins {wins}/{n}  gain rule {'holds' if holds else 'fails'}")
+              f"wins {wins}/{n}  gain rule {'holds' if holds else 'fails'}", flush=True)
+    return status
+
+
+def main(argv) -> int:
+    if len(argv) != 5:
+        print(__doc__, file=sys.stderr)
+        return 2
+    workload, seed0, n = argv[0], int(argv[1]), int(argv[2])
+    dirs = dict(zip(SIDES, (Path(argv[3]).resolve(), Path(argv[4]).resolve())))
+    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]] if workload == "all" else [workload]
+    status = 0
+    for i, name in enumerate(workloads):
+        if i:
+            print(flush=True)
+        status |= pairs(name, seed0, n, dirs, spec)
     return status
 
 

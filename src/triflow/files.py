@@ -142,17 +142,22 @@ _REPORT_KEYS = ("disjointness_ok", "capacity_ok", "connectivity", "survivability
 def report_from_json(data) -> VerificationReport:
     _require(isinstance(data, dict) and all(k in data for k in _REPORT_KEYS),
              f"verification must be an object with {', '.join(_REPORT_KEYS)}")
-    # Entries are checked by parsing them: malformed ones raise below.
+    for key in ("overall", "disjointness_ok", "capacity_ok"):
+        _require(type(data[key]) is bool, f"verification {key} must be true or false")
+    _require(isinstance(data["connectivity"], dict)
+             and {bool} >= set(map(type, data["connectivity"].values())),
+             "verification connectivity must map labels to true or false")
+    # Other entries are checked by parsing them: malformed ones raise below.
     sets = {}  # a report holds few distinct survivor lists: one shared set each
     try:
         return VerificationReport(
-            disjointness_ok=bool(data["disjointness_ok"]),
-            capacity_ok=bool(data["capacity_ok"]),
-            connectivity={k: bool(v) for k, v in data["connectivity"].items()},
+            disjointness_ok=data["disjointness_ok"],
+            capacity_ok=data["capacity_ok"],
+            connectivity=dict(data["connectivity"]),
             survivability={entry["edge"]: sets.get(v := tuple(entry["survivors"]))
                            or sets.setdefault(v, frozenset(v))
                            for entry in data["survivability"]},
-            overall=bool(data["overall"]),
+            overall=data["overall"],
             violations=tuple(Violation(v["kind"], v["detail"])
                              for v in data.get("violations", ())),
         )
@@ -199,7 +204,7 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
         for i, a in enumerate(entries):
             # one check per arc, and the message is built only on failure
             if not (isinstance(a, dict) and "edge" in a and "copy" in a
-                    and isinstance(a["edge"], (str, int)) and type(a["copy"]) is int):
+                    and type(a["edge"]) in (str, int) and type(a["copy"]) is int):
                 raise FormatError(f"subflows[{label}][{i}] must have an integer or "
                                   f"string edge and an integer copy")
             if a["edge"] not in known:

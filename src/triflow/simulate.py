@@ -3,8 +3,8 @@ labeled subflow with splitter/merger semantics, optionally fail one edge, and
 decode at the destination from whichever labels arrived.
 
 One failure floods the graph's interned moves, restricted to each label's
-edges.  The failure sweep makes one dominator pass per label instead, which
-finds every edge whose failure cuts that label off."""
+edges.  The failure sweep floods nothing: it reads every edge's surviving
+labels from the verifier's s-t bridge sweep, one pass per label."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .conditioning import CodingNetwork
 from .errors import InsufficientLabels, LengthMismatch, PlanReferenceError, UnverifiedPlan
 from .graph import sorted_ids
 from .plan import LABELS, RecoveryPlan
+from .verify import survivors
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -112,102 +113,6 @@ def _plan_edges(cn: CodingNetwork, plan: RecoveryPlan) -> dict:
     return used
 
 
-def _cut_edges(g, edges, s, t) -> set | None:
-    """The edges of `edges` whose failure cuts `t` off from `s` along them,
-    or None when they connect no s-t path (also when `s` or `t` is not a
-    node of `g` and differs from the other).
-
-    Each edge e is subdivided by a midpoint m_e, so failing e removes m_e,
-    and e cuts t off iff m_e dominates t from s.  Dominators come from
-    Cooper, Harvey and Kennedy's iterative algorithm ("A Simple, Fast
-    Dominance Algorithm", 2001) over a depth-first postorder of the
-    subdivided graph, with each node named by its postorder number.  Both
-    copies of an edge share its midpoint and fail together; two parallel
-    edges have two midpoints, neither dominating.  So cycles, twin copies
-    and parallel edges need no special case.
-    """
-    if s == t:
-        return set()
-    index, ends = g._index, g._ends
-    if s not in index or t not in index:
-        return None
-    # subdivided nodes: node i of `g` as i, the midpoint of eids[k] as n + k
-    n = len(index)
-    eids = list(edges)
-    tails = []
-    heads = []
-    out = {}
-    for k, edge in enumerate(eids, n):
-        tail, head = ends[edge]
-        tail = index[tail]
-        tails.append(tail)
-        heads.append(index[head])
-        out.setdefault(tail, []).append(k)
-    si = index[s]
-    post = {}  # reached subdivided node -> its postorder number
-    seen = {si}
-    stack = [(si, iter(out.get(si, ())), None)]
-    while stack:
-        x, succ, via = stack[-1]
-        for mid in succ:
-            v = heads[mid - n]
-            if v in seen:
-                post[mid] = len(post)  # a leaf: v was reached before
-            else:
-                seen.add(v)
-                stack.append((v, iter(out.get(v, ())), mid))
-                break
-        else:
-            stack.pop()
-            post[x] = len(post)
-            if via is not None:
-                post[via] = len(post)  # the midpoint v was reached through
-    ti = index[t]
-    if ti not in post:
-        return None
-    order = list(post)  # postorder number -> subdivided node; s is last
-    size = len(order)
-    preds = [[] for _ in order]  # by postorder number, as postorder numbers
-    cyclic = False
-    for b, x in enumerate(order):
-        if x >= n:
-            preds[b].append(post[tails[x - n]])
-            v = post[heads[x - n]]
-            preds[v].append(b)
-            cyclic = cyclic or b < v  # a back edge
-    # Without a back edge every predecessor comes first in reverse
-    # postorder, so one pass is exact; otherwise pass until nothing changes.
-    dom = [-1] * size
-    dom[-1] = size - 1
-    changed = True
-    while changed:
-        changed = False
-        for b in range(size - 2, -1, -1):  # reverse postorder
-            new = -1
-            for p in preds[b]:
-                if dom[p] < 0:
-                    continue  # behind a back edge, not reached in this pass yet
-                if new < 0:
-                    new = p
-                    continue
-                while p != new:  # nearest common dominator
-                    while p < new:
-                        p = dom[p]
-                    while new < p:
-                        new = dom[new]
-            if dom[b] != new:
-                dom[b] = new
-                changed = cyclic
-    # the midpoints on the dominator chain from t back to s
-    cut = set()
-    b = post[ti]
-    while b != size - 1:
-        b = dom[b]
-        if order[b] >= n:
-            cut.add(eids[order[b] - n])
-    return cut
-
-
 def _forward_counts(g, used: set, source, failed_edge) -> bytearray:
     """How many times each node (by interned index) forwarded the packet: the
     first copy a node gets goes onto each of its out-edges in `used`."""
@@ -265,27 +170,17 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
 def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dict:
     """{edge: outcome} for every edge of the network, that edge failed.
 
-    One dominator pass per label (`_cut_edges`) finds whether the label
-    reaches the target and which edges' failure cuts it off.  A failed edge
-    then drops exactly the labels it cuts off: no edge re-floods anything,
-    and an edge that cuts no label off shares the failure-free outcome.
-    Outcomes are shared by received-label set.  A plan arc on an edge that
-    is not in `cn.graph` raises `PlanReferenceError`.
+    The verifier's `survivors` gives the labels that survive each edge's
+    failure from one s-t bridge sweep per label, so no edge re-floods
+    anything, and an edge that cuts no label off shares the failure-free
+    outcome.  Outcomes are shared by received-label set.  A plan arc on an
+    edge that is not in `cn.graph` raises `PlanReferenceError`.
     """
     used = _plan_edges(cn, plan)
     payloads = encode(gen.payload_a, gen.payload_b)
-    cuts = {label: _cut_edges(cn.graph, edges, cn.source, cn.target)
-            for label, edges in used.items()}
-    intact = frozenset(label for label in LABELS if cuts[label] is not None)
-    lost = {}  # edge -> the intact labels its failure cuts off
-    for label in intact:
-        for edge in cuts[label]:
-            lost.setdefault(edge, []).append(label)
-    outcomes = {intact: _outcome(intact, payloads)}  # at most eight distinct
-    sweep = dict.fromkeys(cn.graph.edge_ids, outcomes[intact])
-    for edge, labels in lost.items():
-        arrived = intact.difference(labels)
-        if arrived not in outcomes:
-            outcomes[arrived] = _outcome(arrived, payloads)
-        sweep[edge] = outcomes[arrived]
+    connected, cut = survivors(cn.graph, used, cn.source, cn.target)
+    outcomes = {labels: _outcome(labels, payloads)  # at most eight distinct
+                for labels in {connected, *cut.values()}}
+    sweep = dict.fromkeys(cn.graph.edge_ids, outcomes[connected])
+    sweep.update((edge, outcomes[labels]) for edge, labels in cut.items())
     return sweep

@@ -1,6 +1,7 @@
 """Independent checks: structural plan verification and exact
-single-failure survivability from each label's s-t bridges, with the
-per-edge removal search kept as its reference."""
+single-failure survivability from each label's s-t bridges (which the
+failure sweep reads too), with the per-edge removal search kept as its
+reference."""
 
 from __future__ import annotations
 
@@ -67,14 +68,34 @@ def _bridges(g: Digraph, edges, s, t) -> set | None:
     return bridges
 
 
+def survivors(g: Digraph, used: dict, s, t) -> tuple:
+    """(connected, {edge: survivors}) for the labels that `used` maps to the
+    ids of their edges: the labels whose edges connect `s` to `t`, and the
+    labels still connected when an edge fails, for each edge of `g` whose
+    failure cuts one off.  Every other edge's failure leaves `connected`.
+
+    A label survives an edge's failure iff it is connected and the edge is
+    not one of its s-t bridges; failing an edge removes all its copies, so
+    bridges over the label's edges are exact.  Each distinct survivor set is
+    one shared frozenset."""
+    bridges = {label: _bridges(g, edges, s, t) for label, edges in used.items()}
+    connected = frozenset(label for label, cut in bridges.items() if cut is not None)
+    lost = {}  # edge -> the connected labels its failure cuts off
+    for label, cut in bridges.items():
+        for edge in cut or ():
+            lost.setdefault(edge, []).append(label)
+    shared = {}
+    for edge, labels in lost.items():
+        rest = connected.difference(labels)
+        lost[edge] = shared.setdefault(rest, rest)
+    return connected, lost
+
+
 def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     """Check disjointness, capacity usage, per-label connectivity and, for
-    every edge, which labels survive its failure.  Failures, a missing label
-    among them, become report entries; only dangling references raise.
-
-    A label survives an edge's failure iff it connects source to target and
-    the edge is not one of its s-t bridges; failing an edge removes all its
-    copies, so bridges over the label's edges are exact."""
+    every edge, which labels survive its failure (`survivors`).  Failures, a
+    missing label among them, become report entries; only dangling
+    references raise."""
     g = cn.graph
     cap = cn.coding_cap
     subflows = {label: plan.subflows.get(label, frozenset()) for label in LABELS}
@@ -106,24 +127,22 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             violations.append(Violation(
                 "capacity", f"edge {edge!r} uses {used} arcs, capacity {cap[edge]}"))
 
-    bridges = {label: _bridges(g, {arc.edge for arc in arcs}, cn.source, cn.target)
-               for label, arcs in subflows.items()}
-    connectivity = {label: bridges[label] is not None for label in LABELS}
+    connected, cut = survivors(
+        g, {label: {arc.edge for arc in arcs} for label, arcs in subflows.items()},
+        cn.source, cn.target)
+    survivability = dict.fromkeys(g.edge_ids, connected)
+    survivability.update(cut)
+    connectivity = {label: label in connected for label in LABELS}
     for label in LABELS:
         if not connectivity[label]:
             violations.append(Violation(
                 "connectivity", f"subflow {label} does not connect source to target"))
 
-    connected = frozenset(label for label in LABELS if connectivity[label])
-    survivability = dict.fromkeys(g.edge_ids, connected)
-    for label in connected:
-        for edge in bridges[label]:
-            survivability[edge] = survivability[edge] - {label}
-    for edge, survivors in survivability.items():
-        if len(survivors) < 2:
+    for edge, labels in survivability.items():
+        if len(labels) < 2:
             violations.append(Violation(
                 "survivability",
-                f"edge {edge!r} failure leaves only {sorted(survivors)}"))
+                f"edge {edge!r} failure leaves only {sorted(labels)}"))
 
     return VerificationReport(
         disjointness_ok=disjoint,

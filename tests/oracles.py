@@ -304,7 +304,7 @@ def _reference_outcome(arrived, payloads: dict, arc_sends: dict) -> ReferenceOut
 
 
 def reference_failure_sweep(cn: CodingNetwork, plan, gen) -> dict:
-    """The re-flood sweep that the dominator sweep replaced: each label is
+    """The re-flood sweep that the bridge sweep replaced: each label is
     flooded once without a failure, and a failed edge re-floods only the
     labels whose subflow uses it.  Returns {edge: ReferenceOutcome} with
     empty `arc_sends`."""

@@ -232,8 +232,16 @@ def _set_reduced_text(data):
     data["reduced_max_flow"] = "3"
 
 
+def _set_edge_true(data):
+    # true == 1 in Python, so it must not load as edge 1
+    for arcs in data["subflows"].values():
+        for arc in arcs:
+            if arc["edge"] == 1:
+                arc["edge"] = True
+
+
 @pytest.mark.parametrize("corrupt", [_set_role, _set_copy, _drop_survivability,
-                                     _set_edge_list, _set_reduced_text])
+                                     _set_edge_list, _set_reduced_text, _set_edge_true])
 def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
     plan_path = str(tmp_path / "plan.json")
     main(["decompose", ladder_file, "-o", plan_path])
@@ -243,6 +251,29 @@ def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
     bad.write_text(json.dumps(data))
     assert main(["verify", ladder_file, str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("path,message", [
+    (("overall",), "verification overall must be true or false"),
+    (("disjointness_ok",), "verification disjointness_ok must be true or false"),
+    (("capacity_ok",), "verification capacity_ok must be true or false"),
+    (("connectivity", "A"), "verification connectivity must map labels to true or false"),
+], ids=["overall", "disjointness", "capacity", "connectivity"])
+def test_report_flags_must_be_json_booleans(ladder_file, tmp_path, capsys, path, message):
+    plan_path = str(tmp_path / "plan.json")
+    main(["decompose", ladder_file, "-o", plan_path])
+    capsys.readouterr()
+    data = json.loads(open(plan_path).read())
+    *keys, last = ("verification", *path)
+    entry = data
+    for key in keys:
+        entry = entry[key]
+    entry[last] = "false"  # a string, not a JSON boolean
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["simulate", ladder_file, str(bad), "--sweep",
+                 "--payload-a", "0102", "--payload-b", "fdfe"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _edit(**fields):
