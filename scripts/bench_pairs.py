@@ -11,11 +11,12 @@ Pair i (0 <= i < N) runs `perfbench/run.py --workload WORKLOAD --seed SEED0+i
 BENCHMARK.json fixes; the parent goes first in even pairs, the change in odd
 ones.  Each run starts in its own checkout, so the digest state that run.py
 keeps stays there.  Prints every pair, then for each end-to-end metric each
-side's median and quartiles, the change's wins (ties count for neither) and
-whether the gain rule holds: wins in at least nine tenths of the pairs, and
-medians further apart, in the better direction, than the parent's quartiles.
-Exits non-zero when a run fails or two runs of one seed give different plan
-digests.
+side's median and quartiles, the change's wins (ties count for neither),
+whether the gain rule holds (wins in at least nine tenths of the pairs, and
+medians further apart, in the better direction, than the parent's quartiles)
+and the no-regression verdict against the metric's `bound` in BENCHMARK.json
+(see `verdict`).  Exits non-zero when a run fails, two runs of one seed give
+different plan digests, or a metric exceeds its bound.
 """
 
 from __future__ import annotations
@@ -56,6 +57,21 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else values * 3
 
 
+def verdict(par, chg, bound: float, lower: bool) -> str:
+    """No-regression verdict of one metric: "within bound" when the change's
+    median is worse than the parent's by at most `bound`, a fraction of the
+    parent's median; "unresolved" when the parent's quartile spread exceeds
+    that bound, unless every change run beats every parent run; else
+    "exceeds bound"."""
+    sign = 1 if lower else -1  # sign * value: lower is better
+    if max(sign * c for c in chg) < min(sign * p for p in par):
+        return "within bound (every change run better)"
+    (p1, pm, p3), cm = quartiles(par), statistics.median(chg)
+    if p3 - p1 > bound * abs(pm):
+        return "unresolved"
+    return "within bound" if sign * (cm - pm) <= bound * abs(pm) else "exceeds bound"
+
+
 def pairs(workload: str, seed0: int, n: int, dirs: dict, spec: dict) -> int:
     """Run and print the `n` pairs of one workload and its table; 1 when a run
     failed or a seed's digests differ, else 0."""
@@ -80,7 +96,7 @@ def pairs(workload: str, seed0: int, n: int, dirs: dict, spec: dict) -> int:
               f"{' FAILED ' + ','.join(failed) if failed else ''}  {row}", flush=True)
 
     print(f"\n{workload}: {n} pairs from seed {seed0}; "
-          "median [q1, q3] parent -> change, change wins, gain rule")
+          "median [q1, q3] parent -> change, change wins, gain rule, no-regression")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         par, chg = values["parent"][name], values["change"][name]
@@ -91,9 +107,13 @@ def pairs(workload: str, seed0: int, n: int, dirs: dict, spec: dict) -> int:
         (p1, pm, p3), (c1, cm, c3) = quartiles(par), quartiles(chg)
         gap = (pm - cm) if lower else (cm - pm)
         holds = wins >= math.ceil(0.9 * n) and gap > p3 - p1
+        judged = verdict(par, chg, m["bound"], lower)
+        if judged == "exceeds bound":
+            status = 1
         print(f"{name} ({m['unit']}): {pm:.4g} [{p1:.4g}, {p3:.4g}] -> "
               f"{cm:.4g} [{c1:.4g}, {c3:.4g}]  ratio {cm / pm:.3f}  "
-              f"wins {wins}/{n}  gain rule {'holds' if holds else 'fails'}", flush=True)
+              f"wins {wins}/{n}  gain rule {'holds' if holds else 'fails'}  "
+              f"bound {m['bound']:.0%}: {judged}", flush=True)
     return status
 
 

@@ -1,9 +1,12 @@
 """From raw capacities to a conditioned network ready for decomposition.
 
-The conditioning pipeline computes a 3-unit flow against the reduced
-capacities (capacity 2 counts as 1.5, capacity 1 as 1, both stored doubled),
-prunes zero-flow edges, builds the minimum-cut chain, demotes capacity-2
-edges buried inside one chain part, and recomputes.  The result satisfies:
+The conditioning pipeline starts from a 3-unit maximum flow against the
+reduced capacities (capacity 2 counts as 1.5, capacity 1 as 1, both stored
+doubled).  `decompose` hands over the classify probe's flow, which for this
+class is that flow, so the whole graph's max flow is computed once.  It then
+cancels flow cycles, prunes zero-flow edges (recomputing the flow on the
+pruned graph), builds the minimum-cut chain, demotes capacity-2 edges buried
+inside one chain part, and recomputes.  The result satisfies:
 
 1. the reduced max flow is exactly 3,
 2. every retained edge carries doubled flow in {1, 2, 3},
@@ -101,20 +104,35 @@ def derive_coding_capacities(net: Network) -> CodingNetwork:
 def classify_feasibility(cn: CodingNetwork) -> Feasibility:
     """Classify protectability from the reduced max-flow value; max_flow
     raises UnknownNode for a source or target outside the graph."""
+    return _classify(cn)[0]
+
+
+def _classify(cn: CodingNetwork) -> tuple:
+    """(`classify_feasibility(cn)`, the probe's reduced flow).
+
+    For the network-coding class the probe's value, 6, stays below its limit,
+    so `max_flow` ran until no augmenting path was left: the flow is the
+    unlimited maximum flow of `cn`, which `condition_network` accepts.
+    """
     reduced = cn.reduced_caps()
     probe = max_flow(cn.graph, reduced, cn.source, cn.target, limit=_DIVERSITY_PROBE)
     if probe.value >= _DIVERSITY_PROBE:
-        return Feasibility(FeasibilityKind.DIVERSITY_CODING, probe.value)
+        return Feasibility(FeasibilityKind.DIVERSITY_CODING, probe.value), probe
     if probe.value == FLOW_TARGET_DOUBLED:
-        return Feasibility(FeasibilityKind.NETWORK_CODING, probe.value)
+        return Feasibility(FeasibilityKind.NETWORK_CODING, probe.value), probe
     integral = max_flow(cn.graph, dict(cn.coding_cap), cn.source, cn.target, limit=2)
     if integral.value >= 2:
-        return Feasibility(FeasibilityKind.UNPROTECTED_2FLOW, probe.value)
-    return Feasibility(FeasibilityKind.INFEASIBLE, probe.value)
+        return Feasibility(FeasibilityKind.UNPROTECTED_2FLOW, probe.value), probe
+    return Feasibility(FeasibilityKind.INFEASIBLE, probe.value), probe
 
 
-def _settle(graph: Digraph, coding_cap: Mapping, s, t):
+def _settle(graph: Digraph, coding_cap: Mapping, s, t, flow: FlowResult | None = None):
     """Max flow, cycle cancellation and zero-flow pruning to a fixed point.
+
+    The first round starts from `flow` when one is given: it must be
+    `max_flow(graph, reduced capacities, s, t)`, as the classify probe's flow
+    is for a network-coding-class network.  Every later round computes that
+    flow on the pruned graph.
 
     Returns (graph, coding_cap, flow) where the flow is the deterministic
     max-flow of exactly that graph, is acyclic, and is positive on every
@@ -122,8 +140,8 @@ def _settle(graph: Digraph, coding_cap: Mapping, s, t):
     makes the whole conditioning pipeline idempotent.
     """
     while True:
-        reduced = reduced_capacities(graph, coding_cap)
-        flow = max_flow(graph, reduced, s, t)
+        if flow is None:
+            flow = max_flow(graph, reduced_capacities(graph, coding_cap), s, t)
         if flow.value != FLOW_TARGET_DOUBLED:
             raise NotNetworkCodingClass(
                 f"reduced max flow is {flow.value}/2, expected 3")
@@ -133,20 +151,26 @@ def _settle(graph: Digraph, coding_cap: Mapping, s, t):
             return graph, coding_cap, flow
         graph = graph.subgraph(support, extra_nodes=(s, t))
         coding_cap = {e: coding_cap[e] for e in graph.edge_ids}
+        flow = None
 
 
 def _buried(graph: Digraph, cap: Mapping, chain: CutChain) -> list:
     """Capacity-2 edges with both endpoints inside one chain part."""
-    part_of = chain.part_of()
-    return [e for e in graph.edge_ids
-            if cap[e] == 2 and part_of[graph.tail(e)] == part_of[graph.head(e)]]
+    part = chain.node_part
+    return [e for e, u, v in zip(graph.edge_ids, graph._tail, graph._head)
+            if cap[e] == 2 and part[u] == part[v]]
 
 
-def condition_network(cn: CodingNetwork) -> ConditionedNetwork:
+def condition_network(cn: CodingNetwork, flow: FlowResult | None = None) -> ConditionedNetwork:
     """Prune and demote a network-coding-class network until it satisfies the
-    three structural properties above.  Idempotent on its own output."""
+    three structural properties above.  Idempotent on its own output.
+
+    `flow`, when given, is the maximum reduced flow of `cn` that `max_flow`
+    computes without a limit (the classify probe's flow for this class); the
+    result is the same as without it.
+    """
     s, t = cn.source, cn.target
-    graph, cap, flow = _settle(cn.graph, dict(cn.coding_cap), s, t)
+    graph, cap, flow = _settle(cn.graph, dict(cn.coding_cap), s, t, flow)
     chain = build_cut_chain(graph, cap, flow, s, t)
 
     demoted = _buried(graph, cap, chain)

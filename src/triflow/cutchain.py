@@ -10,12 +10,12 @@ before predecessors), starting from the source's own component.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 from .errors import BrokenChain, MalformedCut
-from .graph import Digraph, FlowResult, order_key, residual_scc_condensation
+from .graph import Digraph, FlowResult, _residual_sccs, order_key
 
 REDUCED_DOUBLED = {1: 2, 2: 3}  # coding capacity -> reduced capacity, doubled
 FLOW_TARGET_DOUBLED = 6         # a 3-unit flow in doubled units
@@ -33,10 +33,13 @@ class CutChain:
     `parts[0]` is C_1, `parts[i]` is C_{i+1} \\ C_i, and `parts[k]` is the
     remainder behind the last cut, so C_i is the union of the first i parts.
     Storing parts rather than cuts keeps the representation linear-size.
+    `node_part[v]` is the part of node index v of the graph the chain was
+    built on.
     """
 
     parts: tuple
     kinds: tuple
+    node_part: list = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -74,19 +77,19 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
 
     Expects zero-flow edges already removed and an acyclic flow support.  Each
     step of the chain adds exactly one residual SCC, successors first; ties are
-    broken by the smallest node id inside the component.
+    broken by the smallest node id inside the component, in `order_key` order.
     """
-    reduced = reduced_capacities(g, coding_cap)
-    cond = residual_scc_condensation(g, reduced, flow, s, t)
-    comps = cond.components
-    comp_of = cond.component_of
+    ids = g._edge_ids
+    caps = [coding_cap[e] for e in ids]
+    reduced = [REDUCED_DOUBLED[c] for c in caps]
+    per_edge = [flow.per_edge[e] for e in ids]
+    comps, comp_of, succs = _residual_sccs(g, reduced, per_edge, s, t)
     n = len(comps)
-    s_comp = comp_of[s]
-    t_comp = comp_of[t]
+    s_comp = comp_of[g._index[s]]
+    t_comp = comp_of[g._index[t]]
     if s_comp == t_comp:
         raise BrokenChain("source and target share a residual component")
 
-    succs = cond.successors
     preds = [set() for _ in range(n)]
     for a, bs in enumerate(succs):
         for b in bs:
@@ -96,7 +99,9 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
         raise BrokenChain("residual arcs enter the target component; support "
                           "is cyclic or zero-flow edges remain")
 
-    min_key = [min(order_key(v) for v in comp) for comp in comps]
+    nodes = g._nodes_sorted
+    # node-index order is `order_key` order only when all ids share one plain type
+    min_key = [min(order_key(nodes[v]) for v in comp) for comp in comps]
     pending = [len(succs[i]) for i in range(n)]
     ready = [(min_key[i], i) for i in range(n) if pending[i] == 0 and i != t_comp]
     heapq.heapify(ready)
@@ -111,38 +116,44 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
                 heapq.heappush(ready, (min_key[p], p))
     if len(order) != n - 1:
         raise BrokenChain("condensation did not linearize into a chain")
-    if order and comp_of[s] != order[0]:
+    if order and s_comp != order[0]:
         raise BrokenChain("first chain component does not contain the source")
 
-    parts = tuple(comps[i] for i in order) + (comps[t_comp],)
-    return CutChain(parts=parts, kinds=_sweep(g, coding_cap, reduced, flow.per_edge, parts))
+    order.append(t_comp)
+    part_of_comp = [0] * n
+    for i, c in enumerate(order):
+        part_of_comp[c] = i
+    node_part = [part_of_comp[c] for c in comp_of]
+    parts = tuple(frozenset(nodes[v] for v in comps[c]) for c in order)
+    kinds = _sweep(g, caps, reduced, per_edge, node_part, len(parts))
+    return CutChain(parts=parts, kinds=kinds, node_part=node_part)
 
 
-def _sweep(g, coding_cap, reduced, per_edge, parts) -> tuple:
-    """Kind of every chain cut, after checking that the cut is saturated
-    forward and carries no backward flow.
+def _sweep(g, caps, reduced, flow, node_part, count) -> tuple:
+    """Kind of every cut of a chain of `count` parts, after checking that the
+    cut is saturated forward and carries no backward flow.  `caps`,
+    `reduced` and `flow` are indexed by edge, `node_part` by node.
 
     Cut i+1 is crossed forward by the edges from parts <= i to parts > i and
     backward by the reverse, so per-part deltas summed in one prefix sweep
     give every cut's crossing counts in linear time.
     """
-    part_of = {v: i for i, part in enumerate(parts) for v in part}
-    delta = [[0, 0, 0, 0] for _ in parts]  # ones, twos, forward slack, backward flow
-    for eid, tail, head in g.edges():
-        a, b = part_of[tail], part_of[head]
+    delta = [[0, 0, 0, 0] for _ in range(count)]  # ones, twos, forward slack, backward flow
+    for e, (tail, head) in enumerate(zip(g._tail, g._head)):
+        a, b = node_part[tail], node_part[head]
         if a < b:
-            col = 0 if coding_cap[eid] == 1 else 1
+            col = 0 if caps[e] == 1 else 1
             delta[a][col] += 1
             delta[b][col] -= 1
-            slack = reduced[eid] - per_edge[eid]
+            slack = reduced[e] - flow[e]
             delta[a][2] += slack
             delta[b][2] -= slack
         elif a > b:
-            delta[b][3] += per_edge[eid]
-            delta[a][3] -= per_edge[eid]
+            delta[b][3] += flow[e]
+            delta[a][3] -= flow[e]
     ones = twos = slack = backward = 0
     kinds = []
-    for i in range(len(parts) - 1):
+    for i in range(count - 1):
         d_ones, d_twos, d_slack, d_backward = delta[i]
         ones += d_ones
         twos += d_twos

@@ -31,8 +31,8 @@ from enum import Enum
 from itertools import count
 
 from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
-                           FeasibilityKind, Network, classify_feasibility,
-                           condition_network, derive_coding_capacities)
+                           FeasibilityKind, Network, _classify, condition_network,
+                           derive_coding_capacities)
 from .cutchain import CutKind
 from .errors import (BrokenChain, GlueMismatch, SegmentInfeasible, Unprotectable,
                      VerificationFailed)
@@ -145,13 +145,7 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
     chain = conditioned.chain
     parts = chain.parts
     k = chain.k
-    index = aux.graph._index
-    part = [0] * len(aux.arcs_at)
-    for i, nodes in enumerate(parts):
-        for v in nodes:
-            part[index[v]] = i
-    part[-2], part[-1] = -1, k + 1
-    aux.part = part
+    part = aux.part = chain.node_part + [-1, k + 1]
 
     pieces = []
     if parts[0] != frozenset((conditioned.network.source,)):
@@ -516,13 +510,13 @@ def decompose(net: Network) -> RecoveryPlan:
     from .verify import verify_plan  # local import to keep module layering flat
 
     cn = derive_coding_capacities(net)
-    feas = classify_feasibility(cn)
+    feas, probe = _classify(cn)
     if feas.kind is FeasibilityKind.DIVERSITY_CODING:
         paths = edge_disjoint_paths(cn.graph, cn.source, cn.target, 3)
         sets = [frozenset(Arc(e, 0) for e in p) for p in paths]
         plan = assign_roles(cn, sets, None, feas)
     elif feas.kind is FeasibilityKind.NETWORK_CODING:
-        conditioned = condition_network(cn)
+        conditioned = condition_network(cn, probe)
         aux = build_auxiliary(conditioned.network)
         segments = extract_segments(conditioned, aux)
         solutions = [solve_segment(seg) for seg in segments]

@@ -32,6 +32,14 @@ def sorted_ids(values):
         return sorted(values, key=order_key)
 
 
+def _one_plain_type(ids) -> bool:
+    """Whether `ids` share one type other than tuple.  Then their native order
+    is their `order_key` order, so any subsequence of a `sorted_ids` order
+    that holds only such ids is already in its own `sorted_ids` order."""
+    kinds = set(map(type, ids))
+    return len(kinds) <= 1 and tuple not in kinds
+
+
 class Digraph:
     """Immutable directed multigraph. Edges carry unique ids; parallel edges
     between the same node pair are allowed, self-loops are not.
@@ -59,8 +67,11 @@ class Digraph:
                 raise UnknownNode(tail if tail not in index else head)
             ends[eid] = (tail, head)
         edge_ids = tuple(sorted_ids(ends))
-        tails = [index[ends[eid][0]] for eid in edge_ids]
-        heads = [index[ends[eid][1]] for eid in edge_ids]
+        self._intern(nodes_sorted, index, edge_ids, ends,
+                     [index[ends[eid][0]] for eid in edge_ids],
+                     [index[ends[eid][1]] for eid in edge_ids])
+
+    def _intern(self, nodes_sorted, index, edge_ids, ends, tails, heads):
         moves = [[] for _ in nodes_sorted]
         for e, (u, v) in enumerate(zip(tails, heads)):
             moves[u].append(2 * e)
@@ -105,16 +116,37 @@ class Digraph:
             yield eid, tail, head
 
     def subgraph(self, keep_edges, extra_nodes=()) -> "Digraph":
-        """Restriction to `keep_edges`; nodes are their endpoints plus extras."""
+        """Restriction to `keep_edges`; nodes are their endpoints plus extras.
+
+        Raises KeyError for an unknown edge id or extra node.  The kept
+        edges and nodes are filtered from this graph's interning by index, in
+        their order here, which is their sorted order whenever
+        `_one_plain_type` holds for each; otherwise they are sorted afresh.
+        """
         keep = set(keep_edges)
-        nodes = set(extra_nodes)
-        edges = []
-        for eid in keep:
-            tail, head = self._ends[eid]
-            nodes.add(tail)
-            nodes.add(head)
-            edges.append((eid, tail, head))
-        return Digraph(nodes, edges)
+        unknown = keep - self._ends.keys()
+        if unknown:
+            raise KeyError(min(unknown, key=order_key))
+        used = [False] * len(self._nodes_sorted)
+        for v in extra_nodes:
+            used[self._index[v]] = True
+        ids, tails, heads = self._edge_ids, self._tail, self._head
+        kept = [e for e, eid in enumerate(ids) if eid in keep]
+        for e in kept:
+            used[tails[e]] = used[heads[e]] = True
+        old = [v for v, u in enumerate(used) if u]
+        nodes_sorted = tuple(self._nodes_sorted[v] for v in old)
+        edge_ids = tuple(ids[e] for e in kept)
+        if not (_one_plain_type(nodes_sorted) and _one_plain_type(edge_ids)):
+            return Digraph(nodes_sorted, [(eid, *self._ends[eid]) for eid in edge_ids])
+        new = [0] * len(used)
+        for i, v in enumerate(old):
+            new[v] = i
+        sub = Digraph.__new__(Digraph)
+        sub._intern(nodes_sorted, {v: i for i, v in enumerate(nodes_sorted)}, edge_ids,
+                    {eid: self._ends[eid] for eid in edge_ids},
+                    [new[tails[e]] for e in kept], [new[heads[e]] for e in kept])
+        return sub
 
     def __repr__(self):
         return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._ends)})"
@@ -223,12 +255,27 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
     come out in a topological order (residual arcs go earlier -> later), so the
     target-side component is first and the source-side component last.
     """
+    ids, per_edge = g._edge_ids, flow.per_edge
+    comps, comp_of, successors = _residual_sccs(
+        g, [cap[e] for e in ids], [per_edge[e] for e in ids], s, t)
+    nodes = g._nodes_sorted
+    return CondensationDag(
+        components=tuple(frozenset(nodes[v] for v in comp) for comp in comps),
+        component_of={v: comp_of[i] for i, v in enumerate(nodes)},
+        successors=tuple(map(frozenset, successors)))
+
+
+def _residual_sccs(g: Digraph, cap: list, flow: list, s, t) -> tuple:
+    """`residual_scc_condensation` on the interned ints.
+
+    `cap` and `flow` are indexed by edge.  Returns (components as lists of
+    node indices in topological order, the component of each node index, the
+    set of other components that residual arcs out of each component enter).
+    """
     if s not in g or t not in g:
         raise UnknownNode(s if s not in g else t)
-    ids, tails, heads = g._edge_ids, g._tail, g._head
-    per_edge = flow.per_edge
-    room = [cap[e] - per_edge[e] for e in ids]
-    back = [per_edge[e] for e in ids]
+    tails, heads = g._tail, g._head
+    room = [c - f for c, f in zip(cap, flow)]
     # Residual successors of each node, lowest node first.
     succ = []
     for ms in g._moves:
@@ -236,7 +283,7 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
         for m in ms:
             e = m >> 1
             if m & 1:
-                if back[e] > 0:
+                if flow[e] > 0:
                     nxt.add(tails[e])
             elif room[e] > 0:
                 nxt.add(heads[e])
@@ -304,13 +351,9 @@ def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) 
     for i, comp in enumerate(emitted):
         for v in comp:
             comp_of[v] = i
-    nodes = g._nodes_sorted
-    components = tuple(frozenset(nodes[v] for v in comp) for comp in emitted)
-    component_of = {nodes[v]: comp_of[v] for v in range(n)}
-    successors = tuple(frozenset(comp_of[v] for u in comp for v in succ[u]) - {i}
-                       for i, comp in enumerate(emitted))
-    return CondensationDag(components=components, component_of=component_of,
-                           successors=successors)
+    successors = [{comp_of[v] for u in comp for v in succ[u]} - {i}
+                  for i, comp in enumerate(emitted)]
+    return emitted, comp_of, successors
 
 
 def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
@@ -390,8 +433,48 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
     return paths
 
 
+def _is_path_sum(g: Digraph, per_edge: Mapping, s, t) -> bool:
+    """Whether `per_edge` is a sum of s-t paths in `g`: defined on exactly
+    g's edges, nonnegative, conserved at every node but s and t, entering no
+    s and leaving no t, with a support that Kahn's pass finds acyclic.  The
+    peel in `cancel_cycles` splits such a flow into paths that add back up
+    to it, never raising."""
+    if per_edge.keys() != g._ends.keys():
+        return False
+    flow = [per_edge[e] for e in g._edge_ids]
+    if min(flow, default=0) < 0:
+        return False
+    tails, heads = g._tail, g._head
+    si, ti = g._index[s], g._index[t]
+    balance = [0] * len(g._moves)
+    indegree = [0] * len(g._moves)
+    for e, f in enumerate(flow):
+        if f:
+            u, v = tails[e], heads[e]
+            if v == si or u == ti:
+                return False
+            balance[u] -= f
+            balance[v] += f
+            indegree[v] += 1
+    balance[si] = balance[ti] = 0
+    if any(balance):
+        return False
+    queue = [v for v, d in enumerate(indegree) if not d]
+    for u in queue:
+        for m in g._moves[u]:
+            if not m & 1 and flow[m >> 1]:
+                v = heads[m >> 1]
+                indegree[v] -= 1
+                if not indegree[v]:
+                    queue.append(v)
+    return len(queue) == len(indegree)
+
+
 def cancel_cycles(g: Digraph, flow: FlowResult, s, t) -> FlowResult:
-    """Equivalent flow with acyclic support (cycle components removed)."""
+    """Equivalent flow with acyclic support (cycle components removed).  A
+    flow that is already a sum of s-t paths comes back as it is."""
+    if _is_path_sum(g, flow.per_edge, s, t):
+        return flow
     per_edge = {e: 0 for e in flow.per_edge}
     for path, amount in decompose_flow_to_paths(g, flow, s, t):
         for e in path:

@@ -3,11 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from triflow import (Digraph, FeasibilityKind, Network, classify_feasibility,
                      condition_network, derive_coding_capacities)
+from triflow.conditioning import _classify
 from triflow.errors import NotNetworkCodingClass
 
 from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
                          quadpath, tripath, unit_chain, widefan)
 from oracles import brute_force_feasible, is_conserved, support_is_acyclic
+from test_decompose import random_network_coding_digraphs
+from test_verify import general_digraph_networks
 
 
 def test_derive_clamps_and_drops():
@@ -109,6 +112,26 @@ def test_condition_is_idempotent():
         assert twice.network == once.network
         assert twice.flow == once.flow
         assert twice.chain == once.chain
+
+
+def test_condition_from_the_probe_flow_is_exact():
+    # for this class the probe ran to completion, so it is the max flow that
+    # conditioning would compute first: handing it over changes nothing
+    checked = 0
+    for net in [*general_digraph_networks(), *random_network_coding_digraphs(400, 20143)]:
+        cn = coding(net)
+        feas, probe = _classify(cn)
+        assert feas == classify_feasibility(cn)
+        if feas.kind is not FeasibilityKind.NETWORK_CODING:
+            continue
+        handed, fresh = condition_network(cn, probe), condition_network(cn)
+        assert handed.network.graph.edge_ids == fresh.network.graph.edge_ids
+        assert handed.network.coding_cap == fresh.network.coding_cap
+        assert handed.flow.per_edge == fresh.flow.per_edge
+        assert handed.chain == fresh.chain
+        assert handed.chain.node_part == fresh.chain.node_part
+        checked += 1
+    assert checked == 629  # 229 general digraphs and the 400 random ones
 
 
 def test_condition_recomputed_reduced_flow_is_exactly_three():

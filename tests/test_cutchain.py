@@ -6,7 +6,7 @@ from triflow.cutchain import build_cut_chain
 from triflow.errors import MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
-from netfixtures import coding, diamond2, ladder15, tripath, widefan
+from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
 from oracles import chain_cuts, cut_value, enumerate_min_cuts, longest_min_cut_chain
 
 
@@ -20,6 +20,12 @@ def test_diamond_chain():
     assert chain_cuts(chain) == [frozenset("s"), frozenset(("s", "a")),
                                  frozenset(("s", "a", "b"))]
     assert all(k is CutKind.TWO_EDGE for k in chain.kinds)
+    # a, b, s, t relabelled 0, 1.5, 2, 3.5: the tie between a and b goes to
+    # b, first in `order_key` order, although a has the lower node index
+    chain = conditioned(numeric_ids(diamond2())).chain
+    assert chain.parts == (frozenset([2]), frozenset([1.5]), frozenset([0]),
+                           frozenset([3.5]))
+    assert all(k is CutKind.TWO_EDGE for k in chain.kinds)
 
 
 def test_tripath_chain_is_maximal():
@@ -29,6 +35,10 @@ def test_tripath_chain_is_maximal():
     assert chain_cuts(chain)[0] == frozenset("s")
     assert chain_cuts(chain)[-1] == frozenset(("s", "m1", "m2", "m3"))
     assert all(k is CutKind.THREE_ARC for k in chain.kinds)
+    # m1, m2, m3, s, t relabelled 0, 1.5, 2, 3.5, 4: the floats come first
+    chain = conditioned(numeric_ids(tripath())).chain
+    assert chain.parts == (frozenset([3.5]), frozenset([1.5]), frozenset([0]),
+                           frozenset([2]), frozenset([4]))
 
 
 def test_ladder15_chain_pinned():

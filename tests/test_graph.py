@@ -25,6 +25,14 @@ def test_digraph_rejects_self_loops_and_duplicates():
         Digraph(["a"], [(0, "a", "b")])
 
 
+def test_subgraph_rejects_unknown_ids():
+    g = tripath().graph
+    with pytest.raises(KeyError):
+        g.subgraph([g.edge_ids[0], "ghost"])
+    with pytest.raises(KeyError):
+        g.subgraph(g.edge_ids, extra_nodes=("ghost",))
+
+
 def test_digraph_allows_parallel_edges():
     g = Digraph(["a", "b"], [(0, "a", "b"), (1, "a", "b")])
     assert list(g.edges()) == [(0, "a", "b"), (1, "a", "b")]
@@ -216,6 +224,28 @@ def test_flow_decomposition_properties(instance):
     rebuilt = cancel_cycles(g, flow, s, t)
     assert support_is_acyclic(g, rebuilt.per_edge)
     assert is_conserved(g, rebuilt.per_edge, s, t)
+    # whether or not the peel ran, the result is the sum of the peeled paths
+    peeled = dict.fromkeys(flow.per_edge, 0)
+    for path, amount in paths:
+        for e in path:
+            peeled[e] += amount
+    assert rebuilt.per_edge == peeled
+
+
+def test_cancel_cycles_still_rejects_flows_that_are_not_path_sums():
+    g, caps, s, t = reduced(tripath())
+    flow = max_flow(g, caps, s, t)
+    off_graph = FlowResult(value=flow.value, per_edge={**flow.per_edge, "ghost": 1})
+    with pytest.raises(AssertionError):
+        cancel_cycles(g, off_graph, s, t)
+    first = g.edge_ids[0]  # s -> m1 only: m1 keeps what it receives
+    stuck = FlowResult(value=2, per_edge={e: 2 if e == first else 0 for e in g.edge_ids})
+    with pytest.raises(AssertionError):
+        cancel_cycles(g, stuck, s, t)
+    # conserved and acyclic, but it runs from t back into s
+    back = Digraph(["s", "b", "t"], [(0, "s", "t"), (1, "t", "b"), (2, "b", "s")])
+    with pytest.raises(AssertionError):
+        cancel_cycles(back, FlowResult(value=0, per_edge={0: 0, 1: 1, 2: 1}), "s", "t")
 
 
 # Ids of three types that never compare with each other, so every sort of a
@@ -225,19 +255,36 @@ MIXED_IDS = st.one_of(st.integers(-3, 30), st.sampled_from("abcdefgh"),
 
 
 @st.composite
-def mixed_multigraphs(draw):
-    nodes = draw(st.lists(MIXED_IDS, min_size=2, max_size=7, unique=True))
+def mixed_multigraphs(draw, id_values=MIXED_IDS):
+    nodes = draw(st.lists(id_values, min_size=2, max_size=7, unique=True))
     pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
                           .filter(lambda p: p[0] != p[1]), min_size=1, max_size=12))
     # repeated pairs are parallel edges, reversed ones antiparallel
     extra = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=6))
     pairs += [(head, tail) if flip else (tail, head) for (tail, head), flip in extra]
-    ids = draw(st.lists(MIXED_IDS, min_size=len(pairs), max_size=len(pairs), unique=True))
+    ids = draw(st.lists(id_values, min_size=len(pairs), max_size=len(pairs), unique=True))
     caps = {e: draw(st.integers(0, 5)) for e in ids}
     s, t = draw(st.permutations(nodes))[:2]
     limit = draw(st.one_of(st.none(), st.integers(1, 8)))
     graph = Digraph(nodes, [(e, tail, head) for e, (tail, head) in zip(ids, pairs)])
     return graph, caps, s, t, limit
+
+
+# Ids mixing natively comparable types (int and float) with incomparable ones
+# (str and tuple), so a subset can sort natively although its parent could not.
+NUMERIC_AND_MIXED_IDS = st.one_of(MIXED_IDS, st.sampled_from([0.5, 1.5, 2.5, 7.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_multigraphs(NUMERIC_AND_MIXED_IDS), st.data())
+def test_subgraph_matches_a_fresh_build(instance, data):
+    g, _, s, t, _ = instance
+    keep = data.draw(st.lists(st.sampled_from(g.edge_ids), unique=True))
+    sub = g.subgraph(keep, extra_nodes=(s, t))
+    fresh = Digraph({s, t}.union(*map(g.ends, keep)), [(e, *g.ends(e)) for e in keep])
+    for attr in ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_ends", "_tail",
+                 "_head", "_moves"):
+        assert getattr(sub, attr) == getattr(fresh, attr), attr
 
 
 @settings(max_examples=300, deadline=None)
