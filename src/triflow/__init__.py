@@ -9,7 +9,7 @@ endpoints plus duplicate/select relays inside the network.
 from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
                            FeasibilityKind, Network, classify_feasibility,
                            condition_network, derive_coding_capacities)
-from .cutchain import CutChain, CutKind, build_cut_chain, classify_cut
+from .cutchain import CutChain, CutKind, build_cut_chain
 from .decompose import (AuxiliaryGraph, Segment, SegmentSolution, SegmentType,
                         assign_roles, build_auxiliary, decompose,
                         extract_segments, glue_segments, solve_segment)
@@ -30,7 +30,7 @@ __all__ = [
     "LABELS", "Network", "NodeRole", "RecoveryPlan", "Role", "Segment",
     "SegmentSolution", "SegmentType", "Structure", "VerificationReport",
     "assign_roles", "build_auxiliary", "build_cut_chain", "cancel_cycles",
-    "classify_cut", "classify_feasibility", "condition_network", "decode",
+    "classify_feasibility", "condition_network", "decode",
     "decompose", "decompose_flow_to_paths", "derive_coding_capacities",
     "edge_disjoint_paths", "encode", "errors", "failure_sweep", "generate",
     "glue_segments", "max_flow", "residual_scc_condensation", "simulate_transmission",

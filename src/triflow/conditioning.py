@@ -4,9 +4,9 @@ The conditioning pipeline starts from a 3-unit maximum flow against the
 reduced capacities (capacity 2 counts as 1.5, capacity 1 as 1, both stored
 doubled).  `decompose` hands over the classify probe's flow, which for this
 class is that flow, so the whole graph's max flow is computed once.  It then
-cancels flow cycles, prunes zero-flow edges (recomputing the flow on the
-pruned graph), builds the minimum-cut chain, demotes capacity-2 edges buried
-inside one chain part, and recomputes.  The result satisfies:
+cancels flow cycles, prunes zero-flow edges once, builds the minimum-cut
+chain, demotes capacity-2 edges buried inside one chain part, and if any
+were, settles once more from a fresh max flow.  The result satisfies:
 
 1. the reduced max flow is exactly 3,
 2. every retained edge carries doubled flow in {1, 2, 3},
@@ -127,31 +127,37 @@ def _classify(cn: CodingNetwork) -> tuple:
 
 
 def _settle(graph: Digraph, coding_cap: Mapping, s, t, flow: FlowResult | None = None):
-    """Max flow, cycle cancellation and zero-flow pruning to a fixed point.
+    """Cycle cancellation and one zero-flow pruning of a maximum flow.
 
-    The first round starts from `flow` when one is given: it must be
-    `max_flow(graph, reduced capacities, s, t)`, as the classify probe's flow
-    is for a network-coding-class network.  Every later round computes that
-    flow on the pruned graph.
+    `flow` must be `max_flow(graph, reduced capacities, s, t)`, as the
+    classify probe's flow is for a network-coding-class network; without it
+    that flow is computed here.  Returns (graph, coding_cap, flow), pruned to
+    the support of the cancelled flow.
 
-    Returns (graph, coding_cap, flow) where the flow is the deterministic
-    max-flow of exactly that graph, is acyclic, and is positive on every
-    edge.  Re-running the computation on the result changes nothing, which
-    makes the whole conditioning pipeline idempotent.
+    The kept flow is a maximum flow of the pruned graph (deleting edges
+    cannot raise its value above 6), acyclic and positive on every edge, so
+    properties 1-2 hold.  For every such flow the sets closed under residual
+    arcs are exactly the empty set, all nodes and the minimum cuts (Picard
+    and Queyranne, 1980): each edge has its backward residual arc and each
+    node lies on a flow path, so a closed set holding t holds every node and
+    one missing s holds none.  Residual reachability is thus the same for
+    every such flow, and Kahn's heap in `build_cut_chain` reads only that (a
+    component is ready once all its descendants are consumed).  So the chain,
+    `node_part` and the plan equal what re-running `max_flow` on the pruned
+    graph gives whenever that flow prunes nothing more.
     """
-    while True:
-        if flow is None:
-            flow = max_flow(graph, reduced_capacities(graph, coding_cap), s, t)
-        if flow.value != FLOW_TARGET_DOUBLED:
-            raise NotNetworkCodingClass(
-                f"reduced max flow is {flow.value}/2, expected 3")
-        flow = cancel_cycles(graph, flow, s, t)
-        support = flow.support()
-        if len(support) == len(graph.edge_ids):
-            return graph, coding_cap, flow
+    if flow is None:
+        flow = max_flow(graph, reduced_capacities(graph, coding_cap), s, t)
+    if flow.value != FLOW_TARGET_DOUBLED:
+        raise NotNetworkCodingClass(f"reduced max flow is {flow.value}/2, expected 3")
+    flow = cancel_cycles(graph, flow, s, t)
+    support = flow.support()
+    if len(support) < len(graph.edge_ids):
         graph = graph.subgraph(support, extra_nodes=(s, t))
         coding_cap = {e: coding_cap[e] for e in graph.edge_ids}
-        flow = None
+        flow = FlowResult(flow.value, {e: flow.per_edge[e] for e in graph.edge_ids},
+                          flow.augmentations)
+    return graph, coding_cap, flow
 
 
 def _buried(graph: Digraph, cap: Mapping, chain: CutChain) -> list:
@@ -162,8 +168,8 @@ def _buried(graph: Digraph, cap: Mapping, chain: CutChain) -> list:
 
 
 def condition_network(cn: CodingNetwork, flow: FlowResult | None = None) -> ConditionedNetwork:
-    """Prune and demote a network-coding-class network until it satisfies the
-    three structural properties above.  Idempotent on its own output.
+    """Prune and demote a network-coding-class network so that it satisfies
+    the three structural properties above; only a demotion settles twice.
 
     `flow`, when given, is the maximum reduced flow of `cn` that `max_flow`
     computes without a limit (the classify probe's flow for this class); the

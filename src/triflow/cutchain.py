@@ -45,9 +45,6 @@ class CutChain:
     def k(self) -> int:
         return len(self.kinds)
 
-    def part_of(self) -> dict:
-        return {v: i for i, part in enumerate(self.parts) for v in part}
-
 
 def reduced_capacities(g: Digraph, coding_cap: Mapping) -> dict:
     """Reduced capacities in doubled units: c=1 -> 2, c=2 -> 3."""
@@ -62,14 +59,6 @@ def _kind(ones: int, twos: int, where: str) -> CutKind:
     if ones == 3 and twos == 0:
         return CutKind.THREE_ARC
     raise MalformedCut(f"{where} crosses {twos} capacity-2 and {ones} capacity-1 edges")
-
-
-def classify_cut(g: Digraph, coding_cap: Mapping, cut) -> CutKind:
-    """TWO_EDGE or THREE_ARC, from the crossing-edge capacities."""
-    caps = [coding_cap[eid] for eid, tail, head in g.edges()
-            if tail in cut and head not in cut]
-    ones = caps.count(1)
-    return _kind(ones, len(caps) - ones, "cut")
 
 
 def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> CutChain:

@@ -4,10 +4,12 @@ from collections import deque
 from itertools import combinations, product
 from typing import NamedTuple
 
-from triflow import (Arc, CodingNetwork, CutChain, CutKind, Digraph, SegmentSolution,
-                     SegmentType, decode, decompose_flow_to_paths, edge_disjoint_paths,
-                     encode, max_flow)
-from triflow.errors import InsufficientPaths, SegmentInfeasible, UnknownNode, UnverifiedPlan
+from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, Digraph,
+                     SegmentSolution, SegmentType, build_cut_chain, cancel_cycles, decode,
+                     decompose_flow_to_paths, edge_disjoint_paths, encode, max_flow)
+from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
+from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
+                            UnknownNode, UnverifiedPlan)
 from triflow.graph import FlowResult, order_key, reach, sorted_ids
 from triflow.plan import LABELS
 
@@ -76,6 +78,54 @@ def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:
         value += bottleneck
         augmentations += 1
     return FlowResult(value=value, per_edge=flow, augmentations=augmentations)
+
+
+def _reference_settle(graph: Digraph, coding_cap, s, t, flow=None):
+    """Max flow, cycle cancellation and zero-flow pruning to a fixed point:
+    every round after the first recomputes `max_flow` on the pruned graph."""
+    while True:
+        if flow is None:
+            flow = max_flow(graph, reduced_capacities(graph, coding_cap), s, t)
+        if flow.value != FLOW_TARGET_DOUBLED:
+            raise NotNetworkCodingClass(f"reduced max flow is {flow.value}/2, expected 3")
+        flow = cancel_cycles(graph, flow, s, t)
+        support = flow.support()
+        if len(support) == len(graph.edge_ids):
+            return graph, coding_cap, flow
+        graph = graph.subgraph(support, extra_nodes=(s, t))
+        coding_cap = {e: coding_cap[e] for e in graph.edge_ids}
+        flow = None
+
+
+def reference_condition_network(cn: CodingNetwork, flow=None) -> ConditionedNetwork:
+    """The conditioning that settled to a fixed point: after each pruning it
+    re-ran `max_flow` on the pruned graph until nothing more was pruned."""
+    s, t = cn.source, cn.target
+    graph, cap, flow = _reference_settle(cn.graph, dict(cn.coding_cap), s, t, flow)
+    chain = build_cut_chain(graph, cap, flow, s, t)
+    part = part_of(chain)
+    demoted = [e for e, tail, head in graph.edges() if cap[e] == 2 and part[tail] == part[head]]
+    if demoted:
+        for e in demoted:
+            cap[e] = 1
+        graph, cap, flow = _reference_settle(graph, cap, s, t)
+        chain = build_cut_chain(graph, cap, flow, s, t)
+    network = CodingNetwork(graph=graph, coding_cap=cap, source=s, target=t)
+    return ConditionedNetwork(network=network, flow=flow, chain=chain)
+
+
+def part_of(chain: CutChain) -> dict:
+    """{node id: index of its chain part}."""
+    return {v: i for i, part in enumerate(chain.parts) for v in part}
+
+
+def classify_cut(g: Digraph, coding_cap, cut) -> CutKind:
+    """TWO_EDGE or THREE_ARC, from the capacities of the edges crossing the
+    node set `cut`, by the chain's own rule."""
+    caps = [coding_cap[eid] for eid, tail, head in g.edges()
+            if tail in cut and head not in cut]
+    ones = caps.count(1)
+    return _kind(ones, len(caps) - ones, "cut")
 
 
 def cut_value(g: Digraph, cap, cut) -> int:
@@ -363,7 +413,7 @@ def reference_segments(conditioned) -> list:
     s, t = cn.source, cn.target
     parts = chain.parts
     k = chain.k
-    part_of = chain.part_of()
+    part = part_of(chain)
 
     pieces = []
     if parts[0] != frozenset((s,)):
@@ -380,7 +430,7 @@ def reference_segments(conditioned) -> list:
     for eid, tail, head in cn.graph.edges():
         for arc in (Arc(eid, c) for c in range(cn.coding_cap[eid])):
             ends[arc] = (tail, head)
-            a, b = part_of[tail], part_of[head]
+            a, b = part[tail], part[head]
             if a == b:
                 if a in piece_set:
                     interior[a].append(arc)

@@ -240,17 +240,39 @@ def _set_edge_true(data):
                 arc["edge"] = True
 
 
-@pytest.mark.parametrize("corrupt", [_set_role, _set_copy, _drop_survivability,
-                                     _set_edge_list, _set_reduced_text, _set_edge_true])
-def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt):
+def _role(**fields):
+    def corrupt(data):
+        data["roles"] = [{"node": "s", "role": "splitter", "label": "A", **fields}]
+    return corrupt
+
+
+_ROLE_SHAPE = ("roles[0] must have a string or integer node, a label in "
+               "('A', 'B', 'XOR') and a role in ('splitter', 'merger')")
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    pytest.param(f, None, id=f.__name__)
+    for f in (_set_role, _set_copy, _drop_survivability, _set_edge_list,
+              _set_reduced_text, _set_edge_true)
+] + [
+    pytest.param(_role(node="zz"), "roles[0] references unknown node 'zz'",
+                 id="role-unknown-node"),
+    pytest.param(_role(node=["x"]), _ROLE_SHAPE, id="role-unhashable-node"),
+    pytest.param(_role(label="C"), _ROLE_SHAPE, id="role-unknown-label"),
+])
+def test_malformed_plan_is_input_error(ladder_file, tmp_path, capsys, corrupt, message):
     plan_path = str(tmp_path / "plan.json")
     main(["decompose", ladder_file, "-o", plan_path])
+    capsys.readouterr()
     data = json.loads(open(plan_path).read())
     corrupt(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["verify", ladder_file, str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("path,message", [

@@ -1,14 +1,18 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triflow import (Digraph, FeasibilityKind, Network, classify_feasibility,
-                     condition_network, derive_coding_capacities)
+from triflow import (Digraph, FeasibilityKind, GenParams, Network, Structure,
+                     classify_feasibility, condition_network, decompose,
+                     derive_coding_capacities, generate)
 from triflow.conditioning import _classify
 from triflow.errors import NotNetworkCodingClass
 
 from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
                          quadpath, tripath, unit_chain, widefan)
-from oracles import brute_force_feasible, is_conserved, support_is_acyclic
+from oracles import (brute_force_feasible, is_conserved, part_of,
+                     reference_condition_network, support_is_acyclic)
 from test_decompose import random_network_coding_digraphs
 from test_verify import general_digraph_networks
 
@@ -83,11 +87,11 @@ def test_condition_ladder15_properties():
     assert is_conserved(net.graph, flow.per_edge, net.source, net.target)
     assert support_is_acyclic(net.graph, flow.per_edge)
     # every capacity-2 edge crosses some chain cut
-    part_of = cond.chain.part_of()
+    part = part_of(cond.chain)
     for e in net.graph.edge_ids:
         if net.coding_cap[e] == 2:
             tail, head = net.graph.ends(e)
-            assert part_of[tail] < part_of[head]
+            assert part[tail] < part[head]
     # nothing pruned or demoted on this already-tight instance
     assert set(net.graph.edge_ids) == set(ladder15().graph.edge_ids)
     assert sorted(net.coding_cap.values()).count(2) == 6
@@ -134,6 +138,71 @@ def test_condition_from_the_probe_flow_is_exact():
     assert checked == 629  # 229 general digraphs and the 400 random ones
 
 
+def _seeded_networks():
+    """LADDER and network-coding RANDOM_DAG networks of 8-2,000 nodes."""
+    for n in (8, 12, 20, 40, 100, 400, 2000):
+        for seed in range(4 if n < 2000 else 2):
+            yield generate(GenParams(node_count=n, seed=seed))
+            yield generate(GenParams(node_count=n, seed=seed, structure=Structure.RANDOM_DAG,
+                                     target_class=FeasibilityKind.NETWORK_CODING))
+
+
+def _demoted(cn, cond) -> bool:
+    return any(cond.network.coding_cap[e] < cn.coding_cap[e]
+               for e in cond.network.graph.edge_ids)
+
+
+def test_condition_matches_the_fixed_point_reference():
+    # pruning the probe's flow once gives what re-running max_flow on the
+    # pruned graph until it pruned nothing more gave, and conditioning the
+    # result again keeps its flow
+    checked = demoted = 0
+    for net in [*general_digraph_networks(), *random_network_coding_digraphs(400, 20143),
+                *_seeded_networks()]:
+        cn = coding(net)
+        feas, probe = _classify(cn)
+        if feas.kind is not FeasibilityKind.NETWORK_CODING:
+            continue
+        cond, ref = condition_network(cn, probe), reference_condition_network(cn)
+        assert cond.network.graph.edge_ids == ref.network.graph.edge_ids
+        assert cond.network.coding_cap == ref.network.coding_cap
+        assert cond.flow.per_edge == ref.flow.per_edge
+        assert cond.chain == ref.chain
+        assert cond.chain.node_part == ref.chain.node_part
+        assert condition_network(cond.network).flow.per_edge == cond.flow.per_edge
+        checked += 1
+        demoted += _demoted(cn, cond)
+    assert (checked, demoted) == (629 + 52, 366)  # 52 seeded networks
+
+
+@pytest.mark.parametrize("params,calls", [
+    (GenParams(node_count=40, seed=1), 1),
+    (GenParams(node_count=40, seed=0, structure=Structure.RANDOM_DAG,
+               target_class=FeasibilityKind.NETWORK_CODING), 2),
+], ids=["pruned-ladder", "demoting-dag"])
+def test_decompose_max_flow_calls(monkeypatch, params, calls):
+    # the classify probe's flow is pruned once; only a demotion takes a
+    # second max flow
+    net = generate(params)
+    cn = coding(net)
+    cond = condition_network(cn)
+    assert len(cond.network.graph.edge_ids) < len(cn.graph.edge_ids)
+    assert _demoted(cn, cond) == (calls == 2)
+    modules = [importlib.import_module(f"triflow.{name}")
+               for name in ("graph", "conditioning", "decompose")]
+    original = modules[0].max_flow
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "max_flow", counted)
+    decompose(net)
+    assert count[0] == calls
+
+
 def test_condition_recomputed_reduced_flow_is_exactly_three():
     for net in (ladder15(), diamond2(), widefan(), demotable5()):
         cond = condition_network(coding(net))
@@ -145,9 +214,9 @@ def test_condition_recomputed_reduced_flow_is_exactly_three():
 def test_no_backward_edges_across_chain_after_conditioning():
     for net in (ladder15(), diamond2(), widefan(), demotable5(), tripath()):
         cond = condition_network(coding(net))
-        part_of = cond.chain.part_of()
+        part = part_of(cond.chain)
         for e, tail, head in cond.network.graph.edges():
-            assert part_of[tail] <= part_of[head]
+            assert part[tail] <= part[head]
 
 
 @st.composite

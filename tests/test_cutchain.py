@@ -1,13 +1,13 @@
 import pytest
 
-from triflow import (CutKind, Digraph, classify_cut, condition_network,
-                     residual_scc_condensation)
+from triflow import CutKind, Digraph, condition_network, residual_scc_condensation
 from triflow.cutchain import build_cut_chain
 from triflow.errors import MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
 from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
-from oracles import chain_cuts, cut_value, enumerate_min_cuts, longest_min_cut_chain
+from oracles import (chain_cuts, classify_cut, cut_value, enumerate_min_cuts,
+                     longest_min_cut_chain)
 
 
 def conditioned(net):
