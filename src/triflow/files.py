@@ -194,7 +194,7 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
     except ValueError as exc:
         raise FormatError(f"unknown class {data['class']!r}") from exc
     _require(isinstance(data["subflows"], dict), "subflows must be an object")
-    known = set(net.graph.edge_ids)
+    has_edge = net.graph.has_edge
     subflows = {}
     for label in LABELS:
         _require(label in data["subflows"], f"subflows missing label {label}")
@@ -207,7 +207,7 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
                     and type(a["edge"]) in (str, int) and type(a["copy"]) is int):
                 raise FormatError(f"subflows[{label}][{i}] must have an integer or "
                                   f"string edge and an integer copy")
-            if a["edge"] not in known:
+            if not has_edge(a["edge"]):
                 raise PlanReferenceError(
                     f"subflow {label} references unknown edge {a['edge']!r}")
             arcs.add(Arc(a["edge"], a["copy"]))

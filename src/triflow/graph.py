@@ -100,6 +100,9 @@ class Digraph:
     def __contains__(self, node) -> bool:
         return node in self._index
 
+    def has_edge(self, eid) -> bool:
+        return eid in self._ends
+
     def ends(self, eid) -> tuple:
         return self._ends[eid]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 
@@ -64,12 +65,20 @@ class RecoveryPlan:
     the destination decodes from any two that arrive.  Inside the network the
     only non-routing behaviour is duplication (splitter) and selection
     (merger), annotated per node and label in `roles`.
+
+    `subflows` is read-only, so the route index that `verify._routes` builds
+    from it for a graph is cached here; `dataclasses.replace` (and so
+    `with_verification`) starts a fresh, empty cache.
     """
 
     subflows: Mapping[str, frozenset]
     roles: tuple
     feasibility: object
     verification: VerificationReport | None = None
+    _route_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "subflows", MappingProxyType(dict(self.subflows)))
 
     def with_verification(self, report: VerificationReport) -> "RecoveryPlan":
         return replace(self, verification=report)

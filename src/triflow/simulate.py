@@ -2,9 +2,12 @@
 labeled subflow with splitter/merger semantics, optionally fail one edge, and
 decode at the destination from whichever labels arrived.
 
-One failure floods the graph's interned moves, restricted to each label's
-edges.  The failure sweep floods nothing: it reads every edge's surviving
-labels from the verifier's s-t bridge sweep, one pass per label."""
+One failure floods each label over the plan's route index (`verify._routes`:
+per node, the label's distinct out-edges with their heads' indices), which
+the plan caches per graph, so repeated simulations and the verifier build it
+once.  The failure sweep floods nothing: it reads every edge's surviving
+labels from the verifier's s-t bridge sweep over the same index, one pass per
+label."""
 
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .conditioning import CodingNetwork
-from .errors import InsufficientLabels, LengthMismatch, PlanReferenceError, UnverifiedPlan
+from .errors import InsufficientLabels, LengthMismatch
 from .graph import sorted_ids
 from .plan import LABELS, RecoveryPlan
-from .verify import survivors
+from .verify import _routes, survivors
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -99,38 +102,18 @@ def _recovery_rule(labels) -> tuple:
     return ("B", "XOR")
 
 
-def _plan_edges(cn: CodingNetwork, plan: RecoveryPlan) -> dict:
-    """label -> ids of the edges its subflow uses.  Raises `UnverifiedPlan`
-    for a plan without a passing verification report and
-    `PlanReferenceError` for a plan edge that is not in `cn.graph`."""
-    if plan.verification is None or not plan.verification.overall:
-        raise UnverifiedPlan("plan has no passing verification report")
-    used = {label: {arc.edge for arc in plan.subflows[label]} for label in LABELS}
-    unknown = [edge for edges in used.values() for edge in edges.difference(cn.graph._ends)]
-    if unknown:
-        raise PlanReferenceError(
-            f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
-    return used
-
-
-def _forward_counts(g, used: set, source, failed_edge) -> bytearray:
-    """How many times each node (by interned index) forwarded the packet: the
-    first copy a node gets goes onto each of its out-edges in `used`."""
-    ids, heads, moves = g._edge_ids, g._head, g._moves
-    forwarded = bytearray(len(moves))
-    queue = [g._index[source]]
+def _forward_counts(out: list, source: int, failed_edge) -> bytearray:
+    """Whether each node (by interned index) forwarded the packet, as 0 or 1:
+    the first copy a node gets goes onto each of its out-edges in `out` (one
+    label's `_routes` list) but `failed_edge`."""
+    forwarded = bytearray(len(out))
+    forwarded[source] = 1
+    queue = [source]
     while queue:
-        u = queue.pop()
-        if forwarded[u]:
-            continue  # a later copy
-        forwarded[u] += 1
-        for m in moves[u]:
-            if m & 1:
-                continue  # a backward move
-            e = m >> 1
-            edge = ids[e]
-            if edge in used and edge != failed_edge:
-                queue.append(heads[e])
+        for edge, w in out[queue.pop()]:
+            if not forwarded[w] and edge != failed_edge:
+                forwarded[w] = 1
+                queue.append(w)
     return forwarded
 
 
@@ -158,9 +141,10 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     is sent into them.  A plan arc on an edge that is not in `cn.graph`
     raises `PlanReferenceError`.
     """
-    used = _plan_edges(cn, plan)
     g = cn.graph
-    forwarded = {label: _forward_counts(g, used[label], cn.source, failed_edge)
+    routes = _routes(g, plan, verified=True)
+    source = g._index[cn.source]
+    forwarded = {label: _forward_counts(routes[label], source, failed_edge)
                  for label in LABELS}
     arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
     return _outcome(arrived, encode(gen.payload_a, gen.payload_b),
@@ -176,9 +160,9 @@ def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dic
     outcome.  Outcomes are shared by received-label set.  A plan arc on an
     edge that is not in `cn.graph` raises `PlanReferenceError`.
     """
-    used = _plan_edges(cn, plan)
+    routes = _routes(cn.graph, plan, verified=True)
     payloads = encode(gen.payload_a, gen.payload_b)
-    connected, cut = survivors(cn.graph, used, cn.source, cn.target)
+    connected, cut = survivors(cn.graph, routes, cn.source, cn.target)
     outcomes = {labels: _outcome(labels, payloads)  # at most eight distinct
                 for labels in {connected, *cut.values()}}
     sweep = dict.fromkeys(cn.graph.edge_ids, outcomes[connected])

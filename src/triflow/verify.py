@@ -1,14 +1,19 @@
 """Independent checks: structural plan verification and exact
 single-failure survivability from each label's s-t bridges (which the
 failure sweep reads too), with the per-edge removal search kept as its
-reference."""
+reference.
+
+`_routes` indexes a plan's subflows over a graph once: for each label, the
+label's distinct out-edges of every node with their heads' node indices.  The
+verifier, the failure sweep and every single-failure simulation walk that
+index, which the plan caches per graph."""
 
 from __future__ import annotations
 
 from .conditioning import CodingNetwork
-from .errors import PlanReferenceError
-from .graph import Digraph, order_key, reach
-from .plan import LABELS, RecoveryPlan, VerificationReport, Violation
+from .errors import PlanReferenceError, UnverifiedPlan
+from .graph import Digraph, order_key, reach, sorted_ids
+from .plan import LABELS, RecoveryPlan, Role, VerificationReport, Violation
 
 
 def _adjacency(arcs, src_of, dst_of) -> dict:
@@ -19,9 +24,46 @@ def _adjacency(arcs, src_of, dst_of) -> dict:
     return out
 
 
-def _bridges(g: Digraph, edges, s, t) -> set | None:
-    """The edges of `edges` that every s-t path along them uses, or None when
-    they connect no s-t path (also when s or t is not a node of `g`).
+def _routes(g: Digraph, plan: RecoveryPlan, verified: bool = False) -> dict:
+    """label -> a list indexed by `g`'s node indices, whose entry is the tuple
+    of `(edge id, head index)` for the label's distinct out-edges of that
+    node.  Both copies of an edge are one entry, since a failure drops both.
+
+    Raises `UnverifiedPlan` when `verified` is asked for and the plan has no
+    passing verification report, then `PlanReferenceError` for the smallest
+    plan edge (in `sorted_ids` order) that is not an edge of `g`.  Built once
+    per graph object and cached on the plan, whose subflows are read-only."""
+    if verified and (plan.verification is None or not plan.verification.overall):
+        raise UnverifiedPlan("plan has no passing verification report")
+    routes = plan._route_cache.get(g)
+    if routes is None:
+        routes = plan._route_cache[g] = _build_routes(g, plan)
+    return routes
+
+
+def _build_routes(g: Digraph, plan: RecoveryPlan) -> dict:
+    """`_routes` on a cache miss, without the verification check."""
+    index, ends = g._index, g._ends
+    edges = {label: {arc.edge for arc in plan.subflows.get(label, ())} for label in LABELS}
+    unknown = [edge for used in edges.values() for edge in used.difference(ends)]
+    if unknown:
+        raise PlanReferenceError(f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
+    routes = {}
+    for label, used in edges.items():
+        out = {}
+        for edge in used:
+            tail, head = ends[edge]
+            out.setdefault(index[tail], []).append((edge, index[head]))
+        moves = [()] * len(index)
+        for u, pairs in out.items():
+            moves[u] = tuple(pairs)
+        routes[label] = moves
+    return routes
+
+
+def _bridges(out: list, si: int, ti: int) -> set | None:
+    """The edges that every path from node `si` to node `ti` along `out`
+    (one label's `_routes` list) uses, or None when there is no such path.
 
     Exact and linear on any digraph.  Take one s-t path P = e_0..e_{k-1}
     through v_0 = s .. v_k = t.  Without e_i, s reaches exactly what
@@ -29,23 +71,20 @@ def _bridges(g: Digraph, edges, s, t) -> set | None:
     holds no v_j with j > i.  The set only grows with i, so one flood, kept
     across steps, tracks the furthest position it has reached.
     """
-    index, ends = g._index, g._ends
-    if s not in index or t not in index:
-        return None
-    out = {}
-    for edge in edges:
-        tail, head = ends[edge]
-        out.setdefault(index[tail], []).append((edge, index[head]))
-    si, ti = index[s], index[t]
-    via = reach(out, si)
+    via = {si: None}  # reached node -> (node, edge) that first reached it
+    queue = [si]
+    for u in queue:
+        for edge, w in out[u]:
+            if w not in via:
+                via[w] = (u, edge)
+                queue.append(w)
     if ti not in via:
         return None
     steps = []  # P as (v_i, e_i) pairs, collected from t back to s
     v = ti
     while v != si:
-        edge = via[v]
-        v = index[ends[edge][0]]
-        steps.append((v, edge))
+        steps.append(via[v])
+        v = via[v][0]
     steps.reverse()
     pos = {v: i for i, (v, _) in enumerate(steps)}
     pos[ti] = len(steps)
@@ -58,7 +97,7 @@ def _bridges(g: Digraph, edges, s, t) -> set | None:
             seen.add(v)
             stack = [v]
             while stack:
-                for f, w in out.get(stack.pop(), ()):
+                for f, w in out[stack.pop()]:
                     if f not in on_path and w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -68,34 +107,74 @@ def _bridges(g: Digraph, edges, s, t) -> set | None:
     return bridges
 
 
-def survivors(g: Digraph, used: dict, s, t) -> tuple:
-    """(connected, {edge: survivors}) for the labels that `used` maps to the
-    ids of their edges: the labels whose edges connect `s` to `t`, and the
-    labels still connected when an edge fails, for each edge of `g` whose
-    failure cuts one off.  Every other edge's failure leaves `connected`.
+def survivors(g: Digraph, routes: dict, s, t) -> tuple:
+    """(connected, {edge: survivors}) for the labels of `routes` (from
+    `_routes`): the labels whose edges connect `s` to `t`, and the labels
+    still connected when an edge fails, for each edge of `g` whose failure
+    cuts one off.  Every other edge's failure leaves `connected`.
 
     A label survives an edge's failure iff it is connected and the edge is
     not one of its s-t bridges; failing an edge removes all its copies, so
-    bridges over the label's edges are exact.  Each distinct survivor set is
-    one shared frozenset."""
-    bridges = {label: _bridges(g, edges, s, t) for label, edges in used.items()}
+    bridges over the label's distinct edges are exact.  Each distinct
+    survivor set is one shared frozenset."""
+    index = g._index
+    if s in index and t in index:
+        bridges = {label: _bridges(out, index[s], index[t]) for label, out in routes.items()}
+    else:
+        bridges = dict.fromkeys(routes)
     connected = frozenset(label for label, cut in bridges.items() if cut is not None)
-    lost = {}  # edge -> the connected labels its failure cuts off
-    for label, cut in bridges.items():
+    lost = {}  # edge -> bit i set for each i-th label its failure cuts off
+    for i, cut in enumerate(bridges.values()):
         for edge in cut or ():
-            lost.setdefault(edge, []).append(label)
-    shared = {}
-    for edge, labels in lost.items():
-        rest = connected.difference(labels)
-        lost[edge] = shared.setdefault(rest, rest)
-    return connected, lost
+            lost[edge] = lost.get(edge, 0) | 1 << i
+    labels = list(bridges)
+    shared = {mask: connected.difference(
+                  label for i, label in enumerate(labels) if mask >> i & 1)
+              for mask in set(lost.values())}
+    return connected, {edge: shared[mask] for edge, mask in lost.items()}
+
+
+# a role's residual moves (forward 0, backward 1) and what they count
+_SIDES = {Role.SPLITTER: (0, "out-arcs"), Role.MERGER: (1, "in-arcs")}
+
+
+def _role_violations(g: Digraph, plan: RecoveryPlan) -> list:
+    """A violation for each role that is listed more than once, or that does
+    not name a node with two or more out-arcs (splitter) or in-arcs (merger)
+    of its label.  Arcs are counted copy by copy, as `assign_roles` does."""
+    index, ids, moves = g._index, g._edge_ids, g._moves
+    violations = []
+    listed = set()
+    for role in plan.roles:
+        side, kind = _SIDES.get(role.role, (None, "arcs"))
+        v = index.get(role.node)
+        arcs = plan.subflows.get(role.label, ())
+        degree = 0
+        if side is not None and v is not None:
+            for m in moves[v]:
+                if m & 1 == side:
+                    # an Arc equals and hashes as the plain tuple (edge, copy)
+                    edge = ids[m >> 1]
+                    degree += ((edge, 0) in arcs) + ((edge, 1) in arcs)
+        if role in listed:
+            problem = "is listed more than once"
+        elif degree < 2:
+            problem = f"has {degree} {kind} of its label"
+        else:
+            problem = None
+        listed.add(role)
+        if problem:
+            name = getattr(role.role, "value", role.role)
+            violations.append(Violation(
+                "roles", f"{role.label} {name} at node {role.node!r} {problem}"))
+    return violations
 
 
 def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
-    """Check disjointness, capacity usage, per-label connectivity and, for
-    every edge, which labels survive its failure (`survivors`).  Failures, a
-    missing label among them, become report entries; only dangling
-    references raise."""
+    """Check disjointness, capacity usage, per-label connectivity, for every
+    edge which labels survive its failure (`survivors`), and the roles
+    (`_role_violations`; a plan may list none).  Failures, a missing label
+    among them, become report entries; only dangling references raise."""
     g = cn.graph
     cap = cn.coding_cap
     subflows = {label: plan.subflows.get(label, frozenset()) for label in LABELS}
@@ -127,9 +206,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             violations.append(Violation(
                 "capacity", f"edge {edge!r} uses {used} arcs, capacity {cap[edge]}"))
 
-    connected, cut = survivors(
-        g, {label: {arc.edge for arc in arcs} for label, arcs in subflows.items()},
-        cn.source, cn.target)
+    connected, cut = survivors(g, _routes(g, plan), cn.source, cn.target)
     survivability = dict.fromkeys(g.edge_ids, connected)
     survivability.update(cut)
     connectivity = {label: label in connected for label in LABELS}
@@ -143,6 +220,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             violations.append(Violation(
                 "survivability",
                 f"edge {edge!r} failure leaves only {sorted(labels)}"))
+    violations += _role_violations(g, plan)
 
     return VerificationReport(
         disjointness_ok=disjoint,

@@ -179,6 +179,27 @@ def test_sweep_matches_single_failure_simulation():
     assert shared and both_copies
 
 
+def test_cached_route_index_matches_a_fresh_one():
+    # every outcome on a plan whose index is cached equals the outcome on a
+    # fresh copy that builds its own, send counts included
+    gen = Generation(seq=8, payload_a=b"\x66\x01", payload_b=b"\x99\x02")
+
+    def seen(o):  # arc_sends in its order too
+        return o.received_labels, o.decoded, o.recovered_via, list(o.arc_sends.items())
+
+    compared = 0
+    for cn, plan in _sweep_corpus():
+        assert verify_plan(cn, plan) == plan.verification  # caches the index
+        for edge in (None, *cn.graph.edge_ids):
+            cached = simulate_transmission(cn, plan, gen, failed_edge=edge)
+            fresh = simulate_transmission(cn, dataclasses.replace(plan), gen,
+                                          failed_edge=edge)
+            assert seen(cached) == seen(fresh), edge
+            compared += 1
+        assert list(plan._route_cache) == [cn.graph]
+    assert compared > 1000
+
+
 def _simulation_corpus():
     """The sweep corpus plus the golden test's networks relabelled to mixed
     int/str node and edge ids."""

@@ -1,10 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
 from triflow import (Arc, CodingNetwork, Digraph, Feasibility, FeasibilityKind,
-                     Network, RecoveryPlan, classify_feasibility, decompose,
-                     derive_coding_capacities, survivability_by_removal, verify_plan)
+                     Network, NodeRole, RecoveryPlan, Role, classify_feasibility,
+                     decompose, derive_coding_capacities, files,
+                     survivability_by_removal, verify_plan)
+from triflow import verify
+from triflow.netgen import GenParams, generate
+from triflow.simulate import Generation, failure_sweep, simulate_transmission
 from triflow.errors import PlanReferenceError, Unprotectable
 from triflow.graph import reach
 
@@ -125,6 +130,90 @@ def test_verify_rejects_unknown_edge():
         roles=(), feasibility=plan.feasibility)
     with pytest.raises(PlanReferenceError):
         verify_plan(coding(net), bad)
+
+
+def test_verify_checks_roles():
+    net = ladder15()
+    cn = coding(net)
+    plan = decompose(net)
+    assert plan.roles and plan.verification.overall
+    # a plan file whose roles were replaced by three copies of one bogus role
+    data = files.plan_to_json(plan)
+    data["roles"] = [{"node": "t", "role": "splitter", "label": "A"}] * 3
+    report = verify_plan(cn, files.plan_from_json(data, net))
+    assert not report.overall
+    assert [v.kind for v in report.violations] == ["roles"] * 3
+    assert "A splitter at node 't' has 0 out-arcs of its label" in report.violations[0].detail
+    assert "is listed more than once" in report.violations[1].detail
+    # each valid role passes once and fails when listed twice
+    role = plan.roles[0]
+    twice = verify_plan(cn, dataclasses.replace(plan, roles=(role, *plan.roles)))
+    assert [v.kind for v in twice.violations] == ["roles"]
+    # the same node with the other role, or under another label, is checked apart
+    other = Role.MERGER if role.role is Role.SPLITTER else Role.SPLITTER
+    moved = [NodeRole(role.node, other, role.label),
+             NodeRole(role.node, role.role, next(l for l in ("A", "B", "XOR")
+                                                 if l != role.label))]
+    assert all(not verify_plan(cn, dataclasses.replace(plan, roles=(r,))).overall
+               for r in moved)
+
+
+def test_roles_count_both_copies_of_an_edge():
+    edges = [("sa", "s", "a"), ("at", "a", "t")]
+    cn = CodingNetwork(graph=Digraph(["s", "a", "t"], edges),
+                       coding_cap={"sa": 2, "at": 1}, source="s", target="t")
+    plan = dataclasses.replace(
+        _one_label_plan([Arc("sa", 0), Arc("sa", 1), Arc("at", 0)]),
+        roles=(NodeRole("s", Role.SPLITTER, "A"), NodeRole("a", Role.MERGER, "A"),
+               NodeRole("a", Role.SPLITTER, "A")))
+    roles = [v.detail for v in verify_plan(cn, plan).violations if v.kind == "roles"]
+    assert roles == ["A splitter at node 'a' has 1 out-arcs of its label"]
+
+
+def test_route_index_follows_the_plan_and_the_graph():
+    net, plan = handmade_ladder15_plan()
+    cn = coding(net)
+    report = verify_plan(cn, plan)
+    assert report.overall and list(plan._route_cache) == [cn.graph]
+    with pytest.raises(TypeError):
+        plan.subflows["XOR"] = frozenset()
+    # a replaced plan starts without the index, so a verified plan's index
+    # cannot answer for other subflows
+    gen = Generation(seq=1, payload_a=b"\x01", payload_b=b"\x02")
+    verified = plan.with_verification(report)
+    swept = failure_sweep(cn, verified, gen)
+    xor = sorted(verified.subflows["XOR"])
+    dropped = dataclasses.replace(verified, subflows={**verified.subflows,
+                                                      "XOR": frozenset(xor[1:])})
+    assert dropped._route_cache == {}
+    assert not verify_plan(cn, dropped).overall
+    assert failure_sweep(cn, dropped, gen) != swept
+    # a second graph object with the same ids gets its own index: here its
+    # edge from a0 to a1 runs the other way, which cuts A off
+    flipped = CodingNetwork(
+        graph=Digraph(net.graph.nodes,
+                      [(e, *((hd, tl) if (tl, hd) == ("a0", "a1") else (tl, hd)))
+                       for e, tl, hd in net.graph.edges()]),
+        coding_cap=cn.coding_cap, source=cn.source, target=cn.target)
+    assert not verify_plan(flipped, plan).connectivity["A"]
+    assert verify_plan(cn, plan) == report
+    assert list(plan._route_cache) == [cn.graph, flipped.graph]
+
+
+def test_route_index_is_built_once_per_plan(monkeypatch):
+    net = generate(GenParams(node_count=40, seed=1))
+    cn = coding(net)
+    plan = decompose(net)
+    builds = []
+    build = verify._build_routes
+    monkeypatch.setattr(verify, "_build_routes", lambda *a: builds.append(a) or build(*a))
+    assert verify_plan(cn, plan) == plan.verification
+    gen = Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02")
+    edges = random.Random(13).sample(net.graph.edge_ids, 24)
+    outcomes = [simulate_transmission(cn, plan, gen, failed_edge=e) for e in edges]
+    failure_sweep(cn, plan, gen)
+    assert len(builds) == 1
+    assert all(o.decoded == (gen.payload_a, gen.payload_b) for o in outcomes)
 
 
 def test_survivability_matches_removal_oracle():
