@@ -85,14 +85,13 @@ def _payload(raw: str) -> bytes:
 
 
 def _edge_id(net, raw: str):
-    ids = set(net.graph.edge_ids)
-    if raw in ids:
+    if net.graph.has_edge(raw):
         return raw
     try:
         as_int = int(raw)
     except ValueError:
         as_int = None
-    if as_int is not None and as_int in ids:
+    if as_int is not None and net.graph.has_edge(as_int):
         return as_int
     raise files.FormatError(f"unknown edge {raw!r}")
 

@@ -96,7 +96,7 @@ def derive_coding_capacities(net: Network) -> CodingNetwork:
     cap = {eid: free[eid] if free[eid] < 2 else 2 for eid in graph.edge_ids}
     if cap and min(cap.values()) <= 0:
         cap = {eid: c for eid, c in cap.items() if c > 0}
-        graph = Digraph(graph.nodes, [(eid, *graph.ends(eid)) for eid in cap])
+        graph = graph.subgraph(cap, extra_nodes=graph.nodes_sorted)
     return CodingNetwork(graph=graph, coding_cap=cap,
                          source=net.source, target=net.target)
 

@@ -476,27 +476,20 @@ def _two_edge_dominant_owner(prev_owner):
 def assign_roles(cn: CodingNetwork, sets: list, dominant: int | None,
                  feasibility: Feasibility) -> RecoveryPlan:
     """Label the sets (the dominant one carries the XOR stream) and mark every
-    in-set branch point as splitter, every in-set join as merger."""
+    in-set branch point as splitter, every in-set join as merger: a node with
+    two or more out-arcs (in-arcs) of its label, counted copy by copy by
+    `Digraph.degrees`, the rule `verify_plan` checks roles by."""
     order = [i for i in range(3) if i != dominant]
     if dominant is None:
         labeled = dict(zip(LABELS, sets))
     else:
         labeled = {"A": sets[order[0]], "B": sets[order[1]], "XOR": sets[dominant]}
 
+    nodes = cn.graph.nodes_sorted
     roles = []
     for label in LABELS:
-        out_deg = {}
-        in_deg = {}
-        for arc in labeled[label]:
-            tail, head = cn.graph.ends(arc.edge)
-            out_deg[tail] = out_deg.get(tail, 0) + 1
-            in_deg[head] = in_deg.get(head, 0) + 1
-        for node, d in out_deg.items():
-            if d >= 2:
-                roles.append(NodeRole(node, Role.SPLITTER, label))
-        for node, d in in_deg.items():
-            if d >= 2:
-                roles.append(NodeRole(node, Role.MERGER, label))
+        for role, degree in zip(Role, cn.graph.degrees(arc.edge for arc in labeled[label])):
+            roles += [NodeRole(nodes[v], role, label) for v, d in degree.items() if d >= 2]
     roles.sort(key=lambda r: (order_key(r.node), r.role.value, r.label))
     return RecoveryPlan(subflows={k: frozenset(v) for k, v in labeled.items()},
                         roles=tuple(roles), feasibility=feasibility)

@@ -215,11 +215,11 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
     _require(isinstance(data.get("roles", []), list), "roles must be a list")
     roles = []
     for i, r in enumerate(data.get("roles", ())):
-        _require(isinstance(r, dict) and r.keys() >= {"node", "role", "label"}
-                 and type(r["node"]) in (str, int) and r["label"] in LABELS
-                 and r["role"] in _ROLE_VALUES,
-                 f"roles[{i}] must have a string or integer node, a label in "
-                 f"{LABELS} and a role in {_ROLE_VALUES}")
+        if not (isinstance(r, dict) and r.keys() >= {"node", "role", "label"}
+                and type(r["node"]) in (str, int) and r["label"] in LABELS
+                and r["role"] in _ROLE_VALUES):
+            raise FormatError(f"roles[{i}] must have a string or integer node, a label "
+                              f"in {LABELS} and a role in {_ROLE_VALUES}")
         if r["node"] not in net.graph:
             raise PlanReferenceError(f"roles[{i}] references unknown node {r['node']!r}")
         roles.append(NodeRole(r["node"], Role(r["role"]), r["label"]))

@@ -7,6 +7,7 @@ floats ever enter cut or flow comparisons.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -45,13 +46,13 @@ class Digraph:
     between the same node pair are allowed, self-loops are not.
 
     Ids are interned once, here: node i is `nodes_sorted[i]`, edge e is
-    `edge_ids[e]`, `_tail[e]` and `_head[e]` are node indices, and `_moves[i]`
-    lists the residual moves out of node i as 2*e (forward along e) and
-    2*e + 1 (backward along e).  Ascending ints are ascending edge ids,
-    forward before backward.  The algorithms below run on these lists and
-    translate to ids only at their boundaries."""
+    `edge_ids[e]` and `_edge_index[edge_ids[e]]`, `_tail[e]` and `_head[e]`
+    are node indices, and `_moves[i]` lists the residual moves out of node i
+    as 2*e (forward along e) and 2*e + 1 (backward along e).  Ascending ints
+    are ascending edge ids, forward before backward.  Everything below runs
+    on these lists and translates an edge id once, through `_edge_index`."""
 
-    __slots__ = ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_ends",
+    __slots__ = ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_edge_index",
                  "_tail", "_head", "_moves")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]):
@@ -67,11 +68,12 @@ class Digraph:
                 raise UnknownNode(tail if tail not in index else head)
             ends[eid] = (tail, head)
         edge_ids = tuple(sorted_ids(ends))
+        pairs = list(map(ends.__getitem__, edge_ids))
+        ends.update(zip(edge_ids, range(len(edge_ids))))  # now the edge index
         self._intern(nodes_sorted, index, edge_ids, ends,
-                     [index[ends[eid][0]] for eid in edge_ids],
-                     [index[ends[eid][1]] for eid in edge_ids])
+                     [index[tail] for tail, _ in pairs], [index[head] for _, head in pairs])
 
-    def _intern(self, nodes_sorted, index, edge_ids, ends, tails, heads):
+    def _intern(self, nodes_sorted, index, edge_ids, edge_index, tails, heads):
         moves = [[] for _ in nodes_sorted]
         for e, (u, v) in enumerate(zip(tails, heads)):
             moves[u].append(2 * e)
@@ -80,7 +82,7 @@ class Digraph:
         self._nodes_sorted = nodes_sorted
         self._index = index
         self._edge_ids = edge_ids
-        self._ends = ends
+        self._edge_index = edge_index
         self._tail = tails
         self._head = heads
         self._moves = moves
@@ -101,22 +103,30 @@ class Digraph:
         return node in self._index
 
     def has_edge(self, eid) -> bool:
-        return eid in self._ends
+        return eid in self._edge_index
 
     def ends(self, eid) -> tuple:
-        return self._ends[eid]
+        e = self._edge_index[eid]
+        return self._nodes_sorted[self._tail[e]], self._nodes_sorted[self._head[e]]
 
     def tail(self, eid):
-        return self._ends[eid][0]
+        return self._nodes_sorted[self._tail[self._edge_index[eid]]]
 
     def head(self, eid):
-        return self._ends[eid][1]
+        return self._nodes_sorted[self._head[self._edge_index[eid]]]
 
     def edges(self):
         """Iterate (eid, tail, head) in edge-id order."""
-        for eid in self._edge_ids:
-            tail, head = self._ends[eid]
-            yield eid, tail, head
+        node = self._nodes_sorted.__getitem__
+        return zip(self._edge_ids, map(node, self._tail), map(node, self._head))
+
+    def degrees(self, edges) -> tuple:
+        """(out, in): Counters over node indices, of how many of `edges` (edge
+        ids, an id counted each time it occurs) leave and enter each node.
+        They hold only the nodes `edges` touch, so a call costs O(len(edges))."""
+        ints = list(map(self._edge_index.__getitem__, edges))
+        return (Counter(map(self._tail.__getitem__, ints)),
+                Counter(map(self._head.__getitem__, ints)))
 
     def subgraph(self, keep_edges, extra_nodes=()) -> "Digraph":
         """Restriction to `keep_edges`; nodes are their endpoints plus extras.
@@ -127,32 +137,32 @@ class Digraph:
         `_one_plain_type` holds for each; otherwise they are sorted afresh.
         """
         keep = set(keep_edges)
-        unknown = keep - self._ends.keys()
+        unknown = keep - self._edge_index.keys()
         if unknown:
             raise KeyError(min(unknown, key=order_key))
         used = [False] * len(self._nodes_sorted)
         for v in extra_nodes:
             used[self._index[v]] = True
         ids, tails, heads = self._edge_ids, self._tail, self._head
-        kept = [e for e, eid in enumerate(ids) if eid in keep]
+        kept = sorted(map(self._edge_index.__getitem__, keep))
         for e in kept:
             used[tails[e]] = used[heads[e]] = True
         old = [v for v, u in enumerate(used) if u]
         nodes_sorted = tuple(self._nodes_sorted[v] for v in old)
         edge_ids = tuple(ids[e] for e in kept)
         if not (_one_plain_type(nodes_sorted) and _one_plain_type(edge_ids)):
-            return Digraph(nodes_sorted, [(eid, *self._ends[eid]) for eid in edge_ids])
+            return Digraph(nodes_sorted, [(eid, *self.ends(eid)) for eid in edge_ids])
         new = [0] * len(used)
         for i, v in enumerate(old):
             new[v] = i
         sub = Digraph.__new__(Digraph)
         sub._intern(nodes_sorted, {v: i for i, v in enumerate(nodes_sorted)}, edge_ids,
-                    {eid: self._ends[eid] for eid in edge_ids},
+                    {eid: i for i, eid in enumerate(edge_ids)},
                     [new[tails[e]] for e in kept], [new[heads[e]] for e in kept])
         return sub
 
     def __repr__(self):
-        return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._ends)})"
+        return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._edge_ids)})"
 
 
 @dataclass(frozen=True)
@@ -430,8 +440,8 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
                 walk_from(u, False)
         if max(remaining) > 0:
             raise AssertionError("unpeeled flow remained")
-    if not per_edge.keys() <= g._ends.keys() and any(
-            per_edge[e] > 0 for e in per_edge.keys() - g._ends.keys()):
+    if not per_edge.keys() <= g._edge_index.keys() and any(
+            per_edge[e] > 0 for e in per_edge.keys() - g._edge_index.keys()):
         raise AssertionError("unpeeled flow remained")
     return paths
 
@@ -442,7 +452,7 @@ def _is_path_sum(g: Digraph, per_edge: Mapping, s, t) -> bool:
     s and leaving no t, with a support that Kahn's pass finds acyclic.  The
     peel in `cancel_cycles` splits such a flow into paths that add back up
     to it, never raising."""
-    if per_edge.keys() != g._ends.keys():
+    if per_edge.keys() != g._edge_index.keys():
         return False
     flow = [per_edge[e] for e in g._edge_ids]
     if min(flow, default=0) < 0:

@@ -23,6 +23,8 @@ class Arc(NamedTuple):
 
 
 class Role(Enum):
+    """In the order of `Digraph.degrees`' counts: out-arcs, then in-arcs."""
+
     SPLITTER = "splitter"  # duplicates one incoming copy onto two out-arcs
     MERGER = "merger"      # forwards one of two identical incoming copies
 

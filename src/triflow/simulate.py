@@ -66,10 +66,10 @@ class DeliveryOutcome:
         if self._forwarded is None:
             return {}
         graph, subflows, forwarded = self._forwarded
-        node = graph._index
+        index, tails = graph._edge_index, graph._tail
         return {(label, arc): sent
                 for label in LABELS for arc in sorted_ids(subflows[label])
-                if (sent := forwarded[label][node[graph.tail(arc.edge)]])}
+                if (sent := forwarded[label][tails[index[arc.edge]]])}
 
 
 def encode(a: bytes, b: bytes) -> dict:

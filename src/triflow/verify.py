@@ -10,6 +10,8 @@ index, which the plan caches per graph."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .conditioning import CodingNetwork
 from .errors import PlanReferenceError, UnverifiedPlan
 from .graph import Digraph, order_key, reach, sorted_ids
@@ -43,21 +45,17 @@ def _routes(g: Digraph, plan: RecoveryPlan, verified: bool = False) -> dict:
 
 def _build_routes(g: Digraph, plan: RecoveryPlan) -> dict:
     """`_routes` on a cache miss, without the verification check."""
-    index, ends = g._index, g._ends
+    index, tails, heads = g._edge_index, g._tail, g._head
     edges = {label: {arc.edge for arc in plan.subflows.get(label, ())} for label in LABELS}
-    unknown = [edge for used in edges.values() for edge in used.difference(ends)]
+    unknown = [edge for used in edges.values() for edge in used.difference(index)]
     if unknown:
         raise PlanReferenceError(f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
     routes = {}
     for label, used in edges.items():
-        out = {}
+        moves = routes[label] = [()] * len(g._nodes_sorted)
         for edge in used:
-            tail, head = ends[edge]
-            out.setdefault(index[tail], []).append((edge, index[head]))
-        moves = [()] * len(index)
-        for u, pairs in out.items():
-            moves[u] = tuple(pairs)
-        routes[label] = moves
+            e = index[edge]
+            moves[tails[e]] += ((edge, heads[e]),)
     return routes
 
 
@@ -134,31 +132,22 @@ def survivors(g: Digraph, routes: dict, s, t) -> tuple:
     return connected, {edge: shared[mask] for edge, mask in lost.items()}
 
 
-# a role's residual moves (forward 0, backward 1) and what they count
-_SIDES = {Role.SPLITTER: (0, "out-arcs"), Role.MERGER: (1, "in-arcs")}
-
-
 def _role_violations(g: Digraph, plan: RecoveryPlan) -> list:
     """A violation for each role that is listed more than once, or that does
     not name a node with two or more out-arcs (splitter) or in-arcs (merger)
-    of its label.  Arcs are counted copy by copy, as `assign_roles` does."""
-    index, ids, moves = g._index, g._edge_ids, g._moves
+    of its label, counted by `Digraph.degrees` as `assign_roles` counts."""
+    degrees = {label: g.degrees(arc.edge for arc in plan.subflows.get(label, ()))
+               for label in {role.label for role in plan.roles}}
     violations = []
     listed = set()
     for role in plan.roles:
-        side, kind = _SIDES.get(role.role, (None, "arcs"))
-        v = index.get(role.node)
-        arcs = plan.subflows.get(role.label, ())
-        degree = 0
-        if side is not None and v is not None:
-            for m in moves[v]:
-                if m & 1 == side:
-                    # an Arc equals and hashes as the plain tuple (edge, copy)
-                    edge = ids[m >> 1]
-                    degree += ((edge, 0) in arcs) + ((edge, 1) in arcs)
+        side = list(Role).index(role.role) if isinstance(role.role, Role) else None
+        v = g._index.get(role.node)
+        degree = 0 if side is None or v is None else degrees[role.label][side][v]
         if role in listed:
             problem = "is listed more than once"
         elif degree < 2:
+            kind = "arcs" if side is None else ("out-arcs", "in-arcs")[side]
             problem = f"has {degree} {kind} of its label"
         else:
             problem = None
@@ -178,15 +167,14 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     g = cn.graph
     cap = cn.coding_cap
     subflows = {label: plan.subflows.get(label, frozenset()) for label in LABELS}
-    usage = {}
-    for arcs in subflows.values():
-        for arc in arcs:
-            if arc.edge not in cap:
-                raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
-            if not 0 <= arc.copy < cap[arc.edge]:
-                raise PlanReferenceError(
-                    f"copy {arc.copy} out of range for edge {arc.edge!r}")
-            usage[arc.edge] = usage.get(arc.edge, 0) + 1
+    bad = [arc for arcs in subflows.values() for arc in arcs
+           if not 0 <= arc.copy < cap.get(arc.edge, 0)]
+    if bad:  # name the smallest, whatever order the label sets iterate in
+        arc = sorted_ids(bad)[0]
+        if arc.edge not in cap:
+            raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
+        raise PlanReferenceError(f"copy {arc.copy} out of range for edge {arc.edge!r}")
+    routes = _routes(g, plan)
 
     violations = []
     disjoint = True
@@ -199,14 +187,14 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
                     "disjointness",
                     f"{LABELS[i]} and {LABELS[j]} share arcs {sorted(shared, key=order_key)}"))
 
-    capacity_ok = True
-    for edge, used in usage.items():
-        if used > cap[edge]:
-            capacity_ok = False
-            violations.append(Violation(
-                "capacity", f"edge {edge!r} uses {used} arcs, capacity {cap[edge]}"))
+    usage = Counter(arc.edge for arcs in subflows.values() for arc in arcs)
+    over = sorted((g._edge_index[edge], edge) for edge, used in usage.items()
+                  if used > cap[edge])
+    capacity_ok = not over
+    violations += [Violation("capacity", f"edge {edge!r} uses {usage[edge]} arcs, "
+                                         f"capacity {cap[edge]}") for _, edge in over]
 
-    connected, cut = survivors(g, _routes(g, plan), cn.source, cn.target)
+    connected, cut = survivors(g, routes, cn.source, cn.target)
     survivability = dict.fromkeys(g.edge_ids, connected)
     survivability.update(cut)
     connectivity = {label: label in connected for label in LABELS}

@@ -11,7 +11,7 @@ from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
 from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
                             UnknownNode, UnverifiedPlan)
 from triflow.graph import FlowResult, order_key, reach, sorted_ids
-from triflow.plan import LABELS
+from triflow.plan import LABELS, NodeRole, Role
 
 
 class TooLarge(Exception):
@@ -298,6 +298,25 @@ class ReferenceOutcome(NamedTuple):
     decoded: tuple | None
     recovered_via: tuple | None
     arc_sends: dict
+
+
+def reference_roles(g: Digraph, subflows) -> tuple:
+    """The relay roles of three labeled arc sets over `g`, by id-keyed degree
+    dicts: per label, a splitter at each node with two or more out-arcs and a
+    merger at each with two or more in-arcs, arcs counted copy by copy;
+    sorted by `order_key(node)`, then role, then label."""
+    roles = []
+    for label in LABELS:
+        out_deg = {}
+        in_deg = {}
+        for arc in subflows[label]:
+            tail, head = g.ends(arc.edge)
+            out_deg[tail] = out_deg.get(tail, 0) + 1
+            in_deg[head] = in_deg.get(head, 0) + 1
+        roles += [NodeRole(node, Role.SPLITTER, label) for node, d in out_deg.items() if d >= 2]
+        roles += [NodeRole(node, Role.MERGER, label) for node, d in in_deg.items() if d >= 2]
+    roles.sort(key=lambda r: (order_key(r.node), r.role.value, r.label))
+    return tuple(roles)
 
 
 def _label_adjacency(cn: CodingNetwork, plan, label: str) -> dict:

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from triflow import cli, failure_sweep, files
+import triflow
+from triflow import Digraph, Network, cli, failure_sweep, files
 from triflow.cli import main
 
 from netfixtures import chain2, ladder15, quadpath, tripath
@@ -339,3 +343,40 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe{}")
     assert main(["analyze", str(bad)]) == 1
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_verify_output_is_independent_of_hash_seed(tmp_path):
+    # Two out-of-range copies in one label: the smallest arc, ('ct', 5), is
+    # named.  Six edges used twice: listed in edge order.
+    edges = [("sa", "s", "a"), ("sb", "s", "b"), ("sc", "s", "c"), ("at", "a", "t"),
+             ("bt", "b", "t"), ("ct", "c", "t"), ("ab", "a", "b")]
+    net = write_net(tmp_path, Network(graph=Digraph("sabct", edges),
+                                      free_cap={e: 1 for e, _, _ in edges},
+                                      source="s", target="t"), "net.json")
+
+    def plan_file(name, a, b):
+        subflows = {"A": [{"edge": e, "copy": c} for e, c in a],
+                    "B": [{"edge": e, "copy": c} for e, c in b], "XOR": []}
+        path = tmp_path / name
+        path.write_text(json.dumps({"class": "network_coding", "subflows": subflows}))
+        return str(path)
+
+    copies = plan_file("copies.json", [("sa", 0), ("at", 0), ("sb", 3), ("ct", 5)], [])
+    twice = [(e, 0) for e in ("sa", "at", "sb", "bt", "sc", "ct")]
+    capacity = plan_file("capacity.json", twice, twice)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triflow.__file__)))
+    runs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append([subprocess.run([sys.executable, "-m", "triflow.cli", "verify", net, plan],
+                                    env=env, capture_output=True, text=True)
+                     for plan in (copies, capacity)])
+    for bad, over in runs:
+        assert (bad.returncode, bad.stdout) == (1, "")
+        assert bad.stderr == "error: copy 5 out of range for edge 'ct'\n"
+        assert over.returncode == 2
+        assert [line for line in over.stdout.splitlines() if "[capacity]" in line] == [
+            f"violation[capacity]: edge {e!r} uses 2 arcs, capacity 1"
+            for e in ("at", "bt", "ct", "sa", "sb", "sc")]
+        assert over.stdout == runs[0][1].stdout

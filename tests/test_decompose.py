@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from triflow import (Digraph, FeasibilityKind, GenParams, Network, Role,
-                     SegmentSolution, SegmentType, Structure, build_auxiliary,
-                     classify_feasibility, condition_network, decompose,
-                     extract_segments, generate, glue_segments, solve_segment)
+from triflow import (Arc, CodingNetwork, Digraph, FeasibilityKind, GenParams, Network,
+                     NodeRole, Role, SegmentSolution, SegmentType, Structure,
+                     assign_roles, build_auxiliary, classify_feasibility,
+                     condition_network, decompose, extract_segments, generate,
+                     glue_segments, solve_segment)
 from triflow.errors import GenerationFailed, Unprotectable
 
 import netfixtures
-from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
+from netfixtures import (chain2, coding, demotable5, diamond2, ladder15, numeric_ids,
                          parallel_capacity2, quadpath, tripath, unit_chain,
                          widefan)
-from oracles import reference_segments, reference_solve_segment, virtual_arc
+from oracles import (reference_roles, reference_segments, reference_solve_segment,
+                     virtual_arc)
 from test_golden import CORPUS, MIXED_CORPUS, mixed_ids
 
 # `triflow.decompose` is the function, so the module goes by full name
@@ -241,6 +243,41 @@ def test_decompose_diamond_roles():
     plan = decompose(diamond2())
     roles = {(r.node, r.role, r.label) for r in plan.roles}
     assert roles == {("s", Role.SPLITTER, "XOR"), ("t", Role.MERGER, "XOR")}
+
+
+def test_roles_match_the_id_keyed_reference():
+    # plain, int/float and int/str node ids: the last two sort natively in a
+    # different order than `order_key`, so node index order is not role order
+    params = ([GenParams(n, seed, Structure.LADDER) for n in (8, 16, 64, 200)
+               for seed in range(4)]
+              + [GenParams(n, seed, Structure.RANDOM_DAG, target)
+                 for n in (7, 10, 16, 32, 64) for seed in range(8)
+                 for target in (None, FeasibilityKind.NETWORK_CODING)])
+    with_roles = {structure: 0 for structure in (Structure.LADDER, Structure.RANDOM_DAG)}
+    resorted = 0
+    for p in params:
+        try:
+            base = generate(p)
+        except GenerationFailed:
+            continue
+        for net in (base, numeric_ids(base), mixed_ids(base)):
+            try:
+                plan = decompose(net)
+            except Unprotectable:
+                continue
+            assert plan.roles == reference_roles(net.graph, plan.subflows)
+            with_roles[p.structure] += bool(plan.roles)
+            nodes = [r.node for r in plan.roles]
+            resorted += nodes != sorted(nodes, key=net.graph._index.__getitem__)
+    assert all(count >= 30 for count in with_roles.values()), with_roles
+    assert resorted >= 10, resorted
+    # no decomposed label holds both copies of an edge; such a label counts both
+    cn = CodingNetwork(graph=Digraph("sat", [("sa", "s", "a"), ("at", "a", "t")]),
+                       coding_cap={"sa": 2, "at": 1}, source="s", target="t")
+    sets = [frozenset({Arc("sa", 0), Arc("sa", 1), Arc("at", 0)}), frozenset(), frozenset()]
+    plan = assign_roles(cn, sets, None, None)
+    assert plan.roles == reference_roles(cn.graph, plan.subflows) == (
+        NodeRole("a", Role.MERGER, "A"), NodeRole("s", Role.SPLITTER, "A"))
 
 
 def test_decompose_rejects_unprotectable():

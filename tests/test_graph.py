@@ -282,8 +282,7 @@ def test_subgraph_matches_a_fresh_build(instance, data):
     keep = data.draw(st.lists(st.sampled_from(g.edge_ids), unique=True))
     sub = g.subgraph(keep, extra_nodes=(s, t))
     fresh = Digraph({s, t}.union(*map(g.ends, keep)), [(e, *g.ends(e)) for e in keep])
-    for attr in ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_ends", "_tail",
-                 "_head", "_moves"):
+    for attr in Digraph.__slots__:
         assert getattr(sub, attr) == getattr(fresh, attr), attr
 
 
