@@ -13,7 +13,7 @@ from . import files
 from .conditioning import (FeasibilityKind, classify_feasibility,
                            derive_coding_capacities)
 from .decompose import decompose
-from .errors import GenerationFailed, TriflowError, Unprotectable, UnverifiedPlan
+from .errors import GenerationFailed, TriflowError, Unprotectable
 from .netgen import GenParams, Structure, generate
 from .plan import LABELS
 from .simulate import Generation, failure_sweep, simulate_transmission
@@ -127,6 +127,11 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _print_violations(report, file=None):
+    for v in report.violations:
+        print(f"violation[{v.kind}]: {v.detail}", file=file)
+
+
 def _cmd_verify(args) -> int:
     net = files.load_network(args.network)
     plan = files.load_plan(args.plan, net)
@@ -135,8 +140,7 @@ def _cmd_verify(args) -> int:
     print(f"disjoint={report.disjointness_ok} capacity={report.capacity_ok} "
           f"connected={all(report.connectivity.values())} "
           f"min_survivors={worst} overall={report.overall}")
-    for v in report.violations:
-        print(f"violation[{v.kind}]: {v.detail}")
+    _print_violations(report)
     return EXIT_OK if report.overall else EXIT_REFUSED
 
 
@@ -147,6 +151,12 @@ def _cmd_simulate(args) -> int:
     gen = Generation(seq=args.seq, payload_a=_payload(args.payload_a),
                      payload_b=_payload(args.payload_b))
     want = (gen.payload_a, gen.payload_b)
+    failed = None if args.sweep else _edge_id(net, args.fail)
+    report = verify_plan(cn, plan)  # builds the route index the simulation reads
+    if not report.overall:
+        _print_violations(report, sys.stderr)
+        print("refused: plan fails verification", file=sys.stderr)
+        return EXIT_REFUSED
     if args.sweep:
         outcomes = failure_sweep(cn, plan, gen)  # in the graph's edge order
         good = sum(1 for o in outcomes.values() if o.decoded == want)
@@ -157,7 +167,6 @@ def _cmd_simulate(args) -> int:
                   f"(received {','.join(sorted(o.received_labels)) or 'none'})")
         print(f"{good}/{len(outcomes)} failures decoded")
         return EXIT_OK if good == len(outcomes) else EXIT_REFUSED
-    failed = _edge_id(net, args.fail)
     outcome = simulate_transmission(cn, plan, gen, failed_edge=failed)
     if outcome.decoded is None:
         print(f"fail {failed}: LOST (received "
@@ -170,12 +179,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = GenParams(
-        node_count=args.nodes,
-        seed=args.seed,
-        structure=Structure(args.structure),
-        target_class=FeasibilityKind(args.target) if args.target else None,
-    )
+    try:
+        params = GenParams(
+            node_count=args.nodes,
+            seed=args.seed,
+            structure=Structure(args.structure),
+            target_class=FeasibilityKind(args.target) if args.target else None,
+        )
+    except ValueError as exc:  # an out-of-range --nodes
+        raise TriflowError(str(exc)) from exc
     net = generate(params)
     text = files.dumps(files.network_to_json(net))
     if args.out:
@@ -203,7 +215,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (UnverifiedPlan, GenerationFailed) as exc:
+    except GenerationFailed as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (TriflowError, OSError) as exc:

@@ -60,10 +60,6 @@ class VerificationFailed(TriflowError):
         self.report = report
 
 
-class UnverifiedPlan(TriflowError):
-    """Simulation requires a plan carrying a passing verification report."""
-
-
 class LengthMismatch(TriflowError):
     """Payload halves must have equal length."""
 

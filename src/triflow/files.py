@@ -15,6 +15,10 @@ Plan file::
 
 Node ids are strings.  Edge ids may be strings or integers; copy indices are
 explicit so parallel-arc identity survives serialization.
+
+`plan_to_json` writes the plan's verification report for human readers;
+`plan_from_json` ignores it, so a loaded plan carries no report and only
+`verify_plan` decides whether it is sound.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from operator import itemgetter
 from .conditioning import Feasibility, FeasibilityKind, Network
 from .errors import PlanReferenceError, TriflowError, UnknownNode
 from .graph import Digraph, order_key, sorted_ids
-from .plan import (LABELS, Arc, NodeRole, RecoveryPlan, Role,
-                   VerificationReport, Violation)
+from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, VerificationReport
 
 
 class FormatError(TriflowError):
@@ -135,36 +138,6 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-_REPORT_KEYS = ("disjointness_ok", "capacity_ok", "connectivity", "survivability",
-                "overall")
-
-
-def report_from_json(data) -> VerificationReport:
-    _require(isinstance(data, dict) and all(k in data for k in _REPORT_KEYS),
-             f"verification must be an object with {', '.join(_REPORT_KEYS)}")
-    for key in ("overall", "disjointness_ok", "capacity_ok"):
-        _require(type(data[key]) is bool, f"verification {key} must be true or false")
-    _require(isinstance(data["connectivity"], dict)
-             and {bool} >= set(map(type, data["connectivity"].values())),
-             "verification connectivity must map labels to true or false")
-    # Other entries are checked by parsing them: malformed ones raise below.
-    sets = {}  # a report holds few distinct survivor lists: one shared set each
-    try:
-        return VerificationReport(
-            disjointness_ok=data["disjointness_ok"],
-            capacity_ok=data["capacity_ok"],
-            connectivity=dict(data["connectivity"]),
-            survivability={entry["edge"]: sets.get(v := tuple(entry["survivors"]))
-                           or sets.setdefault(v, frozenset(v))
-                           for entry in data["survivability"]},
-            overall=data["overall"],
-            violations=tuple(Violation(v["kind"], v["detail"])
-                             for v in data.get("violations", ())),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise FormatError(f"malformed verification entry: {exc!r}") from exc
-
-
 def plan_to_json(plan: RecoveryPlan) -> dict:
     data = {
         "class": plan.feasibility.kind.value,
@@ -224,15 +197,10 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
             raise PlanReferenceError(f"roles[{i}] references unknown node {r['node']!r}")
         roles.append(NodeRole(r["node"], Role(r["role"]), r["label"]))
     reduced = data.get("reduced_max_flow", 3)
-    _require(type(reduced) is int or type(reduced) is float and math.isfinite(reduced),
-             "reduced_max_flow must be a finite number")
-    reduced = int(round(2 * reduced))
-    verification = None
-    if "verification" in data:
-        verification = report_from_json(data["verification"])
+    _require(type(reduced) is int or type(reduced) is float and math.isfinite(2 * reduced),
+             "reduced_max_flow must be a number whose double is finite")
     return RecoveryPlan(subflows=subflows, roles=tuple(roles),
-                        feasibility=Feasibility(kind, reduced),
-                        verification=verification)
+                        feasibility=Feasibility(kind, int(round(2 * reduced))))
 
 
 def load_plan(path, net: Network) -> RecoveryPlan:

@@ -7,7 +7,8 @@ per node, the label's distinct out-edges with their heads' indices), which
 the plan caches per graph, so repeated simulations and the verifier build it
 once.  The failure sweep floods nothing: it reads every edge's surviving
 labels from the verifier's s-t bridge sweep over the same index, one pass per
-label."""
+label.  Any plan over the network's edges is simulated as it is: whether it
+is sound is `verify_plan`'s call, not the plan's own report's."""
 
 from __future__ import annotations
 
@@ -142,7 +143,7 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     raises `PlanReferenceError`.
     """
     g = cn.graph
-    routes = _routes(g, plan, verified=True)
+    routes = _routes(g, plan)
     source = g._index[cn.source]
     forwarded = {label: _forward_counts(routes[label], source, failed_edge)
                  for label in LABELS}
@@ -160,7 +161,7 @@ def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dic
     outcome.  Outcomes are shared by received-label set.  A plan arc on an
     edge that is not in `cn.graph` raises `PlanReferenceError`.
     """
-    routes = _routes(cn.graph, plan, verified=True)
+    routes = _routes(cn.graph, plan)
     payloads = encode(gen.payload_a, gen.payload_b)
     connected, cut = survivors(cn.graph, routes, cn.source, cn.target)
     outcomes = {labels: _outcome(labels, payloads)  # at most eight distinct

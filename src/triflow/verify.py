@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .conditioning import CodingNetwork
-from .errors import PlanReferenceError, UnverifiedPlan
+from .errors import PlanReferenceError
 from .graph import Digraph, order_key, reach, sorted_ids
 from .plan import LABELS, RecoveryPlan, Role, VerificationReport, Violation
 
@@ -26,17 +26,14 @@ def _adjacency(arcs, src_of, dst_of) -> dict:
     return out
 
 
-def _routes(g: Digraph, plan: RecoveryPlan, verified: bool = False) -> dict:
+def _routes(g: Digraph, plan: RecoveryPlan) -> dict:
     """label -> a list indexed by `g`'s node indices, whose entry is the tuple
     of `(edge id, head index)` for the label's distinct out-edges of that
     node.  Both copies of an edge are one entry, since a failure drops both.
 
-    Raises `UnverifiedPlan` when `verified` is asked for and the plan has no
-    passing verification report, then `PlanReferenceError` for the smallest
-    plan edge (in `sorted_ids` order) that is not an edge of `g`.  Built once
-    per graph object and cached on the plan, whose subflows are read-only."""
-    if verified and (plan.verification is None or not plan.verification.overall):
-        raise UnverifiedPlan("plan has no passing verification report")
+    Raises `PlanReferenceError` for the smallest plan edge (in `sorted_ids`
+    order) that is not an edge of `g`.  Built once per graph object and
+    cached on the plan, whose subflows are read-only."""
     routes = plan._route_cache.get(g)
     if routes is None:
         routes = plan._route_cache[g] = _build_routes(g, plan)
@@ -44,7 +41,7 @@ def _routes(g: Digraph, plan: RecoveryPlan, verified: bool = False) -> dict:
 
 
 def _build_routes(g: Digraph, plan: RecoveryPlan) -> dict:
-    """`_routes` on a cache miss, without the verification check."""
+    """`_routes` on a cache miss."""
     index, tails, heads = g._edge_index, g._tail, g._head
     edges = {label: {arc.edge for arc in plan.subflows.get(label, ())} for label in LABELS}
     unknown = [edge for used in edges.values() for edge in used.difference(index)]

@@ -9,7 +9,7 @@ from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, 
                      decompose_flow_to_paths, edge_disjoint_paths, encode, max_flow)
 from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
 from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
-                            UnknownNode, UnverifiedPlan)
+                            UnknownNode)
 from triflow.graph import FlowResult, order_key, reach, sorted_ids
 from triflow.plan import LABELS, NodeRole, Role
 
@@ -350,8 +350,6 @@ def reference_simulate_transmission(cn: CodingNetwork, plan, gen,
     """The single-failure simulation that flooded a per-label adjacency of
     `(arc, edge, head)` triples and counted sends into a dict as it went:
     every node holding a copy forwards it once onto each of its label arcs."""
-    if plan.verification is None or not plan.verification.overall:
-        raise UnverifiedPlan("plan has no passing verification report")
     arc_sends = {}
     arrived = {label for label in LABELS
                if cn.target in _flood(_label_adjacency(cn, plan, label),
@@ -377,8 +375,6 @@ def reference_failure_sweep(cn: CodingNetwork, plan, gen) -> dict:
     flooded once without a failure, and a failed edge re-floods only the
     labels whose subflow uses it.  Returns {edge: ReferenceOutcome} with
     empty `arc_sends`."""
-    if plan.verification is None or not plan.verification.overall:
-        raise UnverifiedPlan("plan has no passing verification report")
     adjacency = {label: _label_adjacency(cn, plan, label) for label in LABELS}
     used = {label: {arc.edge for arc in plan.subflows[label]} for label in LABELS}
 

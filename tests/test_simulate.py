@@ -9,7 +9,7 @@ from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
                      encode, failure_sweep, generate, simulate_transmission,
                      survivability_by_removal, verify_plan)
 from triflow.errors import (GenerationFailed, InsufficientLabels, LengthMismatch,
-                            PlanReferenceError, Unprotectable, UnverifiedPlan)
+                            PlanReferenceError, Unprotectable)
 from triflow.netgen import GenParams, Structure
 
 from netfixtures import coding, diamond2, ladder15, tripath
@@ -64,21 +64,16 @@ def test_simulation_without_failure():
     assert outcome.recovered_via == ("A", "B")
 
 
-def test_simulation_requires_verified_plan():
+def test_simulation_does_not_read_the_plan_report():
+    # a plan is simulated as it is; whether it is sound is `verify_plan`'s call
     net = ladder15()
     plan = decompose(net)
-    gen = Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00")
-    with pytest.raises(UnverifiedPlan):
-        simulate_transmission(coding(net), plan.with_verification(None), gen)
-
-
-def test_sweep_requires_verified_plan():
-    plan = decompose(ladder15()).with_verification(None)
-    gen = Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00")
-    edgeless = Network(graph=Digraph(["s", "t"], []), free_cap={},
-                       source="s", target="t")
-    with pytest.raises(UnverifiedPlan):
-        failure_sweep(coding(edgeless), plan, gen)
+    gen = Generation(seq=0, payload_a=b"\x01", payload_b=b"\x02")
+    bare = plan.with_verification(None)
+    assert failure_sweep(coding(net), bare, gen) == failure_sweep(coding(net), plan, gen)
+    for edge in net.graph.edge_ids:
+        assert (simulate_transmission(coding(net), bare, gen, failed_edge=edge)
+                == simulate_transmission(coding(net), plan, gen, failed_edge=edge))
 
 
 def test_simulation_rejects_unknown_plan_edge():
