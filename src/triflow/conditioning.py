@@ -48,10 +48,6 @@ class CodingNetwork:
     source: object
     target: object
 
-    def reduced_caps(self) -> dict:
-        """Reduced capacities in doubled units: c=1 -> 2, c=2 -> 3."""
-        return reduced_capacities(self.graph, self.coding_cap)
-
 
 class FeasibilityKind(Enum):
     DIVERSITY_CODING = "diversity_coding"    # reduced max flow > 3
@@ -114,7 +110,7 @@ def _classify(cn: CodingNetwork) -> tuple:
     so `max_flow` ran until no augmenting path was left: the flow is the
     unlimited maximum flow of `cn`, which `condition_network` accepts.
     """
-    reduced = cn.reduced_caps()
+    reduced = reduced_capacities(cn.graph, cn.coding_cap)
     probe = max_flow(cn.graph, reduced, cn.source, cn.target, limit=_DIVERSITY_PROBE)
     if probe.value >= _DIVERSITY_PROBE:
         return Feasibility(FeasibilityKind.DIVERSITY_CODING, probe.value), probe

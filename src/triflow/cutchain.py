@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import BrokenChain, MalformedCut
-from .graph import Digraph, FlowResult, _residual_sccs, order_key
+from .graph import Digraph, FlowResult, _one_plain_type, _residual_sccs, order_key
 
 REDUCED_DOUBLED = {1: 2, 2: 3}  # coding capacity -> reduced capacity, doubled
 FLOW_TARGET_DOUBLED = 6         # a 3-unit flow in doubled units
@@ -90,7 +90,10 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
 
     nodes = g._nodes_sorted
     # node-index order is `order_key` order only when all ids share one plain type
-    min_key = [min(order_key(nodes[v]) for v in comp) for comp in comps]
+    if _one_plain_type(nodes):
+        min_key = list(map(min, comps))
+    else:
+        min_key = [min(order_key(nodes[v]) for v in comp) for comp in comps]
     pending = [len(succs[i]) for i in range(n)]
     ready = [(min_key[i], i) for i in range(n) if pending[i] == 0 and i != t_comp]
     heapq.heapify(ready)

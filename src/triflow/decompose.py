@@ -38,7 +38,7 @@ from .errors import (BrokenChain, GlueMismatch, SegmentInfeasible, Unprotectable
                      VerificationFailed)
 # unused `max_flow` stays bound: perfbench's tracer tests look it up here
 from .graph import edge_disjoint_paths, max_flow, order_key, reach  # noqa: F401
-from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role
+from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, Subflows
 
 
 class AuxiliaryGraph:
@@ -406,8 +406,9 @@ def glue_segments(segments: list, solutions: list):
     two copies of an edge are interchangeable) so that its dominant set enters
     exactly where the previous dominant exited.
 
-    Returns (three global sets of `Arc`s, index of the globally dominant set
-    or None) with virtual boundary arcs already stripped.
+    Returns (three sorted lists of arc ints over the segments' auxiliary
+    graph, index of the globally dominant set or None), with virtual boundary
+    arcs already stripped.
     """
     global_sets = [set(), set(), set()]
     dominant_global = None
@@ -459,11 +460,8 @@ def glue_segments(segments: list, solutions: list):
             raise GlueMismatch(f"segment {seg.index} leaves exit arcs unused")
         prev_owner = {a: mapping[where[a]] for a in prev_exit}
 
-    edge_ids = segments[0].aux.graph.edge_ids if segments else ()
-    real = 2 * len(edge_ids)
-    stripped = [frozenset(Arc(edge_ids[a >> 1], a & 1) for a in s if a < real)
-                for s in global_sets]
-    return stripped, dominant_global
+    real = 2 * len(segments[0].aux.graph.edge_ids) if segments else 0
+    return [sorted(a for a in s if a < real) for s in global_sets], dominant_global
 
 
 def _two_edge_dominant_owner(prev_owner):
@@ -475,10 +473,11 @@ def _two_edge_dominant_owner(prev_owner):
 
 def assign_roles(cn: CodingNetwork, sets: list, dominant: int | None,
                  feasibility: Feasibility) -> RecoveryPlan:
-    """Label the sets (the dominant one carries the XOR stream) and mark every
-    in-set branch point as splitter, every in-set join as merger: a node with
-    two or more out-arcs (in-arcs) of its label, counted copy by copy by
-    `Digraph.degrees`, the rule `verify_plan` checks roles by."""
+    """Label the sets of sorted arc ints over `cn.graph` (the dominant one
+    carries the XOR stream) and mark every in-set branch point as splitter,
+    every in-set join as merger: a node with two or more out-arcs (in-arcs)
+    of its label, counted copy by copy by `Digraph.degrees`, the rule
+    `verify_plan` checks roles by."""
     order = [i for i in range(3) if i != dominant]
     if dominant is None:
         labeled = dict(zip(LABELS, sets))
@@ -488,10 +487,10 @@ def assign_roles(cn: CodingNetwork, sets: list, dominant: int | None,
     nodes = cn.graph.nodes_sorted
     roles = []
     for label in LABELS:
-        for role, degree in zip(Role, cn.graph.degrees(arc.edge for arc in labeled[label])):
+        for role, degree in zip(Role, cn.graph.degrees(labeled[label])):
             roles += [NodeRole(nodes[v], role, label) for v, d in degree.items() if d >= 2]
     roles.sort(key=lambda r: (order_key(r.node), r.role.value, r.label))
-    return RecoveryPlan(subflows={k: frozenset(v) for k, v in labeled.items()},
+    return RecoveryPlan(subflows=Subflows(labeled, cn.graph),
                         roles=tuple(roles), feasibility=feasibility)
 
 
@@ -499,14 +498,16 @@ def decompose(net: Network) -> RecoveryPlan:
     """End-to-end pipeline: classify, then either route three edge-disjoint
     paths (plain diversity coding) or condition the network and run the
     segment constructions.  The returned plan carries a fresh verification
-    report; a failing report is an internal error, not a result."""
+    report, made on the graph its arc ints index; a failing report is an
+    internal error, not a result."""
     from .verify import verify_plan  # local import to keep module layering flat
 
     cn = derive_coding_capacities(net)
     feas, probe = _classify(cn)
     if feas.kind is FeasibilityKind.DIVERSITY_CODING:
         paths = edge_disjoint_paths(cn.graph, cn.source, cn.target, 3)
-        sets = [frozenset(Arc(e, 0) for e in p) for p in paths]
+        index = cn.graph._edge_index
+        sets = [sorted(2 * index[e] for e in p) for p in paths]
         plan = assign_roles(cn, sets, None, feas)
     elif feas.kind is FeasibilityKind.NETWORK_CODING:
         conditioned = condition_network(cn, probe)
@@ -514,7 +515,10 @@ def decompose(net: Network) -> RecoveryPlan:
         segments = extract_segments(conditioned, aux)
         solutions = [solve_segment(seg) for seg in segments]
         sets, dominant = glue_segments(segments, solutions)
-        plan = assign_roles(conditioned.network, sets, dominant, feas)
+        # the conditioned graph is a pruned copy: map its edge indices back
+        back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
+        sets = [sorted(2 * back[a >> 1] | a & 1 for a in s) for s in sets]
+        plan = assign_roles(cn, sets, dominant, feas)
     else:
         raise Unprotectable(feas)
 

@@ -30,8 +30,9 @@ from operator import itemgetter
 
 from .conditioning import Feasibility, FeasibilityKind, Network
 from .errors import PlanReferenceError, TriflowError, UnknownNode
-from .graph import Digraph, order_key, sorted_ids
-from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, VerificationReport
+from .graph import Digraph, _one_plain_type, order_key, sorted_ids
+from .plan import (LABELS, Arc, NodeRole, RecoveryPlan, Role, Subflows,
+                   VerificationReport)
 
 
 class FormatError(TriflowError):
@@ -139,14 +140,21 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def plan_to_json(plan: RecoveryPlan) -> dict:
+    """The plan file's object.  Each label's arcs are listed in `sorted_ids`
+    order, which is their int order when the edge ids share one plain type;
+    only plans without ints, or with mixed ids, sort their `Arc`s."""
+    subflows = plan.subflows
+    if subflows.graph is not None and _one_plain_type(subflows.graph.edge_ids):
+        ids = subflows.graph.edge_ids
+        arcs = {label: [{"edge": ids[a >> 1], "copy": a & 1} for a in ints]
+                for label, ints in subflows.ints.items()}
+    else:
+        arcs = {label: [{"edge": arc.edge, "copy": arc.copy}
+                        for arc in sorted_ids(subflows[label])] for label in LABELS}
     data = {
         "class": plan.feasibility.kind.value,
         "reduced_max_flow": plan.feasibility.reduced_value / 2,
-        "subflows": {
-            label: [{"edge": arc.edge, "copy": arc.copy}
-                    for arc in sorted_ids(plan.subflows[label])]
-            for label in LABELS
-        },
+        "subflows": {label: arcs[label] for label in LABELS},
         "roles": [{"node": r.node, "role": r.role.value, "label": r.label}
                   for r in plan.roles],
     }
@@ -167,24 +175,30 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
     except ValueError as exc:
         raise FormatError(f"unknown class {data['class']!r}") from exc
     _require(isinstance(data["subflows"], dict), "subflows must be an object")
-    has_edge = net.graph.has_edge
-    subflows = {}
+    index = net.graph._edge_index
+    ints = {}
+    wild = 0  # nonzero once a copy is neither 0 nor 1, which only an `Arc` holds
     for label in LABELS:
         _require(label in data["subflows"], f"subflows missing label {label}")
         entries = data["subflows"][label]
         _require(isinstance(entries, list), f"subflows[{label}] must be a list")
-        arcs = set()
+        arcs = []
         for i, a in enumerate(entries):
             # one check per arc, and the message is built only on failure
             if not (isinstance(a, dict) and "edge" in a and "copy" in a
                     and type(a["edge"]) in (str, int) and type(a["copy"]) is int):
                 raise FormatError(f"subflows[{label}][{i}] must have an integer or "
                                   f"string edge and an integer copy")
-            if not has_edge(a["edge"]):
+            e = index.get(a["edge"])
+            if e is None:
                 raise PlanReferenceError(
                     f"subflow {label} references unknown edge {a['edge']!r}")
-            arcs.add(Arc(a["edge"], a["copy"]))
-        subflows[label] = frozenset(arcs)
+            wild |= a["copy"] >> 1
+            arcs.append(2 * e + a["copy"])
+        ints[label] = sorted(set(arcs))
+    subflows = Subflows(ints, net.graph) if not wild else {  # `verify_plan` reports it
+        label: {Arc(a["edge"], a["copy"]) for a in data["subflows"][label]}
+        for label in LABELS}
     _require(isinstance(data.get("roles", []), list), "roles must be a list")
     roles = []
     for i, r in enumerate(data.get("roles", ())):

@@ -120,13 +120,13 @@ class Digraph:
         node = self._nodes_sorted.__getitem__
         return zip(self._edge_ids, map(node, self._tail), map(node, self._head))
 
-    def degrees(self, edges) -> tuple:
-        """(out, in): Counters over node indices, of how many of `edges` (edge
-        ids, an id counted each time it occurs) leave and enter each node.
-        They hold only the nodes `edges` touch, so a call costs O(len(edges))."""
-        ints = list(map(self._edge_index.__getitem__, edges))
-        return (Counter(map(self._tail.__getitem__, ints)),
-                Counter(map(self._head.__getitem__, ints)))
+    def degrees(self, arcs) -> tuple:
+        """(out, in): Counters over node indices, of how many of `arcs` (arc
+        ints 2·e + copy over this graph's edges) leave and enter each node.
+        They hold only the nodes `arcs` touch, so a call costs O(len(arcs))."""
+        edges = [a >> 1 for a in arcs]
+        return (Counter(map(self._tail.__getitem__, edges)),
+                Counter(map(self._head.__getitem__, edges)))
 
     def subgraph(self, keep_edges, extra_nodes=()) -> "Digraph":
         """Restriction to `keep_edges`; nodes are their endpoints plus extras.

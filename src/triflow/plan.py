@@ -3,10 +3,10 @@ the structural verification report."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 
 LABEL_A = "A"
@@ -20,6 +20,34 @@ class Arc(NamedTuple):
 
     edge: object
     copy: int
+
+
+class Subflows(Mapping):
+    """Read-only label -> frozenset of `Arc`s: either the sets it was given
+    (`graph` is None), or views built on first read from `ints`, each
+    label's sorted tuple of arc ints 2·e + copy over `graph`'s edges."""
+
+    __slots__ = ("graph", "ints", "_arcs")
+
+    def __init__(self, arcs: Mapping, graph=None):
+        self.graph = graph
+        self.ints = None if graph is None else {k: tuple(v) for k, v in arcs.items()}
+        self._arcs = {k: frozenset(v) for k, v in arcs.items()} if graph is None else {}
+
+    def __getitem__(self, label):
+        if label not in self._arcs and self.graph is not None:
+            ids = self.graph.edge_ids
+            self._arcs[label] = frozenset(Arc(ids[a >> 1], a & 1) for a in self.ints[label])
+        return self._arcs[label]
+
+    def __iter__(self):
+        return iter(self._arcs if self.ints is None else self.ints)
+
+    def __len__(self):
+        return len(self._arcs if self.ints is None else self.ints)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 class Role(Enum):
@@ -68,9 +96,13 @@ class RecoveryPlan:
     only non-routing behaviour is duplication (splitter) and selection
     (merger), annotated per node and label in `roles`.
 
-    `subflows` is read-only, so the route index that `verify._routes` builds
-    from it for a graph is cached here; `dataclasses.replace` (and so
-    `with_verification`) starts a fresh, empty cache.
+    `subflows` is given as label -> `Arc` set, or as a `Subflows` (which
+    `decompose` and `files.plan_from_json` build over arc ints), and read as
+    a `Subflows`.  It is read-only, so what `verify._index` derives from it
+    for a graph (its arc ints there, the route index, the survivors and the
+    failure-free floods) is cached here.  `dataclasses.replace` starts a
+    fresh, empty cache; `with_verification`, which keeps the subflows,
+    keeps it.
     """
 
     subflows: Mapping[str, frozenset]
@@ -80,7 +112,10 @@ class RecoveryPlan:
     _route_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subflows", MappingProxyType(dict(self.subflows)))
+        if not isinstance(self.subflows, Subflows):
+            object.__setattr__(self, "subflows", Subflows(self.subflows))
 
     def with_verification(self, report: VerificationReport) -> "RecoveryPlan":
-        return replace(self, verification=report)
+        plan = replace(self, verification=report)
+        object.__setattr__(plan, "_route_cache", self._route_cache)
+        return plan

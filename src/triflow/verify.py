@@ -3,141 +3,191 @@ single-failure survivability from each label's s-t bridges (which the
 failure sweep reads too), with the per-edge removal search kept as its
 reference.
 
-`_routes` indexes a plan's subflows over a graph once: for each label, the
-label's distinct out-edges of every node with their heads' node indices.  The
-verifier, the failure sweep and every single-failure simulation walk that
-index, which the plan caches per graph."""
+A plan's subflows are read over a graph as sorted arc ints (`_Index`), and
+`_routes` indexes them once: for each label, the label's distinct out-edges
+of every node with their heads' node indices.  The verifier, the failure
+sweep and every single-failure simulation walk that index; the plan caches
+it per graph, with the survivors and the failure-free floods."""
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations, compress
 
 from .conditioning import CodingNetwork
 from .errors import PlanReferenceError
 from .graph import Digraph, order_key, reach, sorted_ids
-from .plan import LABELS, RecoveryPlan, Role, VerificationReport, Violation
+from .plan import LABELS, Arc, RecoveryPlan, Role, VerificationReport, Violation
 
 
-def _adjacency(arcs, src_of, dst_of) -> dict:
-    """node -> [(arc, node)] moves along `arcs` from `src_of` to `dst_of`."""
-    out = {}
-    for arc in arcs:
-        out.setdefault(src_of[arc], []).append((arc, dst_of[arc]))
-    return out
+class _Index:
+    """A plan's subflows over one graph, cached on the plan by `_index`.
+
+    `arcs` holds each label's sorted arc ints 2·e + copy over the graph's
+    edges, and `bad` the plan's `Arc`s that have none (an edge the graph
+    lacks, or a copy other than 0 and 1).  Filled on first use: `routes`,
+    `survivors` per (source, target) and `floods` per source index."""
+
+    __slots__ = ("arcs", "bad", "routes", "survivors", "floods")
+
+    def __init__(self, g: Digraph, subflows):
+        self.bad, self.routes, self.survivors, self.floods = [], None, {}, {}
+        self.arcs = subflows.ints if subflows.graph is g else {}
+        if subflows.graph is not g:  # `Arc`s given, or ints over another graph
+            for label, arcs in subflows.items():
+                ints = []
+                for arc in arcs:
+                    e = g._edge_index.get(arc.edge)
+                    if e is None or arc.copy >> 1:
+                        self.bad.append(arc)
+                    else:
+                        ints.append(2 * e + arc.copy)
+                self.arcs[label] = sorted(ints)
+
+
+def _index(g: Digraph, plan: RecoveryPlan) -> _Index:
+    index = plan._route_cache.get(g)
+    if index is None:
+        index = plan._route_cache[g] = _Index(g, plan.subflows)
+    return index
+
+
+def _refuse(bad, known) -> None:
+    """Raise `PlanReferenceError` for the smallest of the `Arc`s `bad` (in
+    `sorted_ids` order): for its edge unless that is in `known`, else for
+    its copy."""
+    arc = sorted_ids(bad)[0]
+    if arc.edge not in known:
+        raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
+    raise PlanReferenceError(f"copy {arc.copy} out of range for edge {arc.edge!r}")
 
 
 def _routes(g: Digraph, plan: RecoveryPlan) -> dict:
     """label -> a list indexed by `g`'s node indices, whose entry is the tuple
-    of `(edge id, head index)` for the label's distinct out-edges of that
+    of `(edge index, head index)` for the label's distinct out-edges of that
     node.  Both copies of an edge are one entry, since a failure drops both.
+    A plan arc with no int over `g` raises `PlanReferenceError`."""
+    index = _index(g, plan)
+    if index.routes is None:
+        if index.bad:
+            _refuse(index.bad, g._edge_index)
+        index.routes = _build_routes(g, index.arcs)
+    return index.routes
 
-    Raises `PlanReferenceError` for the smallest plan edge (in `sorted_ids`
-    order) that is not an edge of `g`.  Built once per graph object and
-    cached on the plan, whose subflows are read-only."""
-    routes = plan._route_cache.get(g)
-    if routes is None:
-        routes = plan._route_cache[g] = _build_routes(g, plan)
-    return routes
 
-
-def _build_routes(g: Digraph, plan: RecoveryPlan) -> dict:
-    """`_routes` on a cache miss."""
-    index, tails, heads = g._edge_index, g._tail, g._head
-    edges = {label: {arc.edge for arc in plan.subflows.get(label, ())} for label in LABELS}
-    unknown = [edge for used in edges.values() for edge in used.difference(index)]
-    if unknown:
-        raise PlanReferenceError(f"plan references unknown edge {sorted_ids(unknown)[0]!r}")
+def _build_routes(g: Digraph, arcs: dict) -> dict:
+    """`_routes` on a cache miss.  In sorted arc ints the copies of an edge
+    are neighbours, so one comparison drops the second."""
+    tails, heads = g._tail, g._head
     routes = {}
-    for label, used in edges.items():
+    for label in LABELS:
         moves = routes[label] = [()] * len(g._nodes_sorted)
-        for edge in used:
-            e = index[edge]
-            moves[tails[e]] += ((edge, heads[e]),)
+        last = -1
+        for a in arcs.get(label, ()):
+            if a >> 1 != last:
+                last = a >> 1
+                moves[tails[last]] += ((last, heads[last]),)
     return routes
 
 
 def _bridges(out: list, si: int, ti: int) -> set | None:
-    """The edges that every path from node `si` to node `ti` along `out`
-    (one label's `_routes` list) uses, or None when there is no such path.
+    """The edges (by index) that every path from node `si` to node `ti`
+    along `out` (one label's `_routes` list) uses, or None when there is no
+    such path.
 
     Exact and linear on any digraph.  Take one s-t path P = e_0..e_{k-1}
     through v_0 = s .. v_k = t.  Without e_i, s reaches exactly what
     v_0..v_i reach over the edges off P, so e_i is a bridge iff that set
     holds no v_j with j > i.  The set only grows with i, so one flood, kept
-    across steps, tracks the furthest position it has reached.
+    across steps, tracks the furthest position it has reached.  Only a v_i
+    with an edge off P can make it grow, so the steps between two such nodes
+    share one furthest position and take their bridges as one slice of P.
     """
-    via = {si: None}  # reached node -> (node, edge) that first reached it
+    n = len(out)
+    via = [-1] * n  # edge that first reached each node; the source is marked n
+    via[si] = n
+    prev = [0] * n  # the node that edge leaves
     queue = [si]
     for u in queue:
-        for edge, w in out[u]:
-            if w not in via:
-                via[w] = (u, edge)
+        for e, w in out[u]:
+            if via[w] < 0:
+                via[w] = e
+                prev[w] = u
                 queue.append(w)
-    if ti not in via:
+    if via[ti] < 0:
         return None
-    steps = []  # P as (v_i, e_i) pairs, collected from t back to s
-    v = ti
-    while v != si:
-        steps.append(via[v])
-        v = via[v][0]
-    steps.reverse()
-    pos = {v: i for i, (v, _) in enumerate(steps)}
-    pos[ti] = len(steps)
-    on_path = {edge for _, edge in steps}
+    path = [ti]  # v_k .. v_0, then reversed
+    while path[-1] != si:
+        path.append(prev[path[-1]])
+    path.reverse()
+    edges = list(map(via.__getitem__, path[1:]))  # e_0 .. e_{k-1}
+    pos = dict(zip(path, range(len(path))))
+    on_path = set(edges)
+    seen = bytearray(n)
     bridges = set()
-    seen = set()
-    furthest = 0
-    for i, (v, edge) in enumerate(steps):
-        if v not in seen:
-            seen.add(v)
-            stack = [v]
+    furthest = last = 0
+    branches = map((1).__lt__, map(len, map(out.__getitem__, path)))  # out-degree > 1
+    for i in compress(range(len(edges)), branches):
+        bridges.update(edges[max(last, furthest):i])
+        last = i
+        if not seen[path[i]]:
+            seen[path[i]] = 1
+            stack = [path[i]]
             while stack:
                 for f, w in out[stack.pop()]:
-                    if f not in on_path and w not in seen:
-                        seen.add(w)
+                    if not seen[w] and f not in on_path:
+                        seen[w] = 1
                         stack.append(w)
-                        furthest = max(furthest, pos.get(w, 0))
-        if furthest <= i:
-            bridges.add(edge)
+                        if pos.get(w, 0) > furthest:
+                            furthest = pos[w]
+    bridges.update(edges[max(last, furthest):])
     return bridges
 
 
-def survivors(g: Digraph, routes: dict, s, t) -> tuple:
-    """(connected, {edge: survivors}) for the labels of `routes` (from
-    `_routes`): the labels whose edges connect `s` to `t`, and the labels
-    still connected when an edge fails, for each edge of `g` whose failure
-    cuts one off.  Every other edge's failure leaves `connected`.
+def survivors(g: Digraph, plan: RecoveryPlan, s, t) -> tuple:
+    """(connected, {edge: survivors}) for the plan's labels over `g`: the
+    labels whose edges connect `s` to `t`, and the labels still connected
+    when an edge fails, for each edge of `g` whose failure cuts one off.
+    Every other edge's failure leaves `connected`.  Cached on the plan per
+    graph and endpoints.
 
     A label survives an edge's failure iff it is connected and the edge is
     not one of its s-t bridges; failing an edge removes all its copies, so
     bridges over the label's distinct edges are exact.  Each distinct
     survivor set is one shared frozenset."""
+    routes = _routes(g, plan)
+    cache = _index(g, plan).survivors
+    if (s, t) in cache:
+        return cache[s, t]
     index = g._index
     if s in index and t in index:
         bridges = {label: _bridges(out, index[s], index[t]) for label, out in routes.items()}
     else:
         bridges = dict.fromkeys(routes)
     connected = frozenset(label for label, cut in bridges.items() if cut is not None)
-    lost = {}  # edge -> bit i set for each i-th label its failure cuts off
+    lost = {}  # edge index -> bit i set for each i-th label its failure cuts off
     for i, cut in enumerate(bridges.values()):
-        for edge in cut or ():
-            lost[edge] = lost.get(edge, 0) | 1 << i
+        for e in cut or ():
+            lost[e] = lost.get(e, 0) | 1 << i
     labels = list(bridges)
     shared = {mask: connected.difference(
                   label for i, label in enumerate(labels) if mask >> i & 1)
               for mask in set(lost.values())}
-    return connected, {edge: shared[mask] for edge, mask in lost.items()}
+    ids = g._edge_ids
+    cache[s, t] = connected, {ids[e]: shared[mask] for e, mask in lost.items()}
+    return cache[s, t]
 
 
-def _role_violations(g: Digraph, plan: RecoveryPlan) -> list:
+def _role_violations(g: Digraph, arcs: dict, roles: tuple) -> list:
     """A violation for each role that is listed more than once, or that does
     not name a node with two or more out-arcs (splitter) or in-arcs (merger)
-    of its label, counted by `Digraph.degrees` as `assign_roles` counts."""
-    degrees = {label: g.degrees(arc.edge for arc in plan.subflows.get(label, ()))
-               for label in {role.label for role in plan.roles}}
+    of its label in `arcs` (sorted arc ints over `g`), counted by
+    `Digraph.degrees` as `assign_roles` counts."""
+    degrees = {label: g.degrees(arcs.get(label, ()))
+               for label in {role.label for role in roles}}
     violations = []
     listed = set()
-    for role in plan.roles:
+    for role in roles:
         side = list(Role).index(role.role) if isinstance(role.role, Role) else None
         v = g._index.get(role.node)
         degree = 0 if side is None or v is None else degrees[role.label][side][v]
@@ -160,39 +210,38 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     """Check disjointness, capacity usage, per-label connectivity, for every
     edge which labels survive its failure (`survivors`), and the roles
     (`_role_violations`; a plan may list none).  Failures, a missing label
-    among them, become report entries; only dangling references raise."""
+    among them, become report entries; only dangling references raise.
+
+    Runs on the plan's sorted arc ints over `cn.graph` (`_index`)."""
     g = cn.graph
     cap = cn.coding_cap
-    subflows = {label: plan.subflows.get(label, frozenset()) for label in LABELS}
-    bad = [arc for arcs in subflows.values() for arc in arcs
-           if not 0 <= arc.copy < cap.get(arc.edge, 0)]
-    if bad:  # name the smallest, whatever order the label sets iterate in
-        arc = sorted_ids(bad)[0]
-        if arc.edge not in cap:
-            raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
-        raise PlanReferenceError(f"copy {arc.copy} out of range for edge {arc.edge!r}")
-    routes = _routes(g, plan)
+    index = _index(g, plan)
+    arcs = {label: index.arcs.get(label, ()) for label in LABELS}
+    ids = g._edge_ids
 
-    violations = []
-    disjoint = True
-    for i in range(3):
-        for j in range(i + 1, 3):
-            shared = subflows[LABELS[i]] & subflows[LABELS[j]]
-            if shared:
-                disjoint = False
-                violations.append(Violation(
-                    "disjointness",
-                    f"{LABELS[i]} and {LABELS[j]} share arcs {sorted(shared, key=order_key)}"))
+    def view(ints):
+        return [Arc(ids[a >> 1], a & 1) for a in ints]
 
-    usage = Counter(arc.edge for arcs in subflows.values() for arc in arcs)
-    over = sorted((g._edge_index[edge], edge) for edge, used in usage.items()
-                  if used > cap[edge])
+    bad = index.bad + view(a for ints in arcs.values() for a in ints
+                           if a & 1 >= cap.get(ids[a >> 1], 0))
+    if bad:  # name the smallest, whatever order they were found in
+        _refuse(bad, cap.keys() & g._edge_index.keys())
+
+    # Every copy is below its edge's capacity and a label holds an arc once,
+    # so only arcs in two labels can put an edge over capacity.
+    violations = [Violation("disjointness",
+                            f"{x} and {y} share arcs {sorted(view(shared), key=order_key)}")
+                  for x, y in combinations(LABELS, 2)
+                  if (shared := set(arcs[x]).intersection(arcs[y]))]
+    disjoint = not violations
+    usage = Counter(a >> 1 for ints in arcs.values() for a in ints) if violations else {}
+    over = sorted(e for e, used in usage.items() if used > cap[ids[e]])
     capacity_ok = not over
-    violations += [Violation("capacity", f"edge {edge!r} uses {usage[edge]} arcs, "
-                                         f"capacity {cap[edge]}") for _, edge in over]
+    violations += [Violation("capacity", f"edge {ids[e]!r} uses {usage[e]} arcs, "
+                                         f"capacity {cap[ids[e]]}") for e in over]
 
-    connected, cut = survivors(g, routes, cn.source, cn.target)
-    survivability = dict.fromkeys(g.edge_ids, connected)
+    connected, cut = survivors(g, plan, cn.source, cn.target)
+    survivability = dict.fromkeys(ids, connected)
     survivability.update(cut)
     connectivity = {label: label in connected for label in LABELS}
     for label in LABELS:
@@ -205,7 +254,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
             violations.append(Violation(
                 "survivability",
                 f"edge {edge!r} failure leaves only {sorted(labels)}"))
-    violations += _role_violations(g, plan)
+    violations += _role_violations(g, arcs, plan.roles)
 
     return VerificationReport(
         disjointness_ok=disjoint,
@@ -219,19 +268,16 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
 
 def survivability_by_removal(cn: CodingNetwork, plan: RecoveryPlan) -> dict:
     """Reference implementation of the survivability map: one reachability
-    search per (edge, label) with the edge's arcs removed."""
+    search per (edge, label) over the label's `Arc`s with the edge's removed."""
     g = cn.graph
-    tails = {}
-    heads = {}
-    for label in LABELS:
-        for arc in plan.subflows[label]:
-            tails[arc], heads[arc] = g.ends(arc.edge)
-    out = {}
-    for edge in g.edge_ids:
-        survivors = []
-        for label in LABELS:
-            rest = [a for a in plan.subflows[label] if a.edge != edge]
-            if cn.target in reach(_adjacency(rest, tails, heads), cn.source):
-                survivors.append(label)
-        out[edge] = frozenset(survivors)
-    return out
+
+    def reaches(arcs):
+        out = {}
+        for arc in arcs:
+            tail, head = g.ends(arc.edge)
+            out.setdefault(tail, []).append((arc, head))
+        return cn.target in reach(out, cn.source)
+
+    return {edge: frozenset(label for label in LABELS
+                            if reaches(a for a in plan.subflows[label] if a.edge != edge))
+            for edge in g.edge_ids}

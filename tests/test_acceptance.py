@@ -14,6 +14,7 @@ from triflow import (CutKind, FeasibilityKind, GenParams, SegmentType,
                      Structure, build_auxiliary, classify_feasibility,
                      condition_network, decompose, derive_coding_capacities,
                      extract_segments, generate, residual_scc_condensation)
+from triflow.cutchain import reduced_capacities
 from triflow.errors import GenerationFailed
 from triflow.plan import LABELS
 from triflow.simulate import Generation, failure_sweep
@@ -51,8 +52,8 @@ def test_c2_ladder_demo_cut_chain():
     assert [k.name for k in chain.kinds] == [
         "THREE_ARC", "TWO_EDGE", "TWO_EDGE", "THREE_ARC", "TWO_EDGE"]
     net = cond.network
-    scc = residual_scc_condensation(net.graph, net.reduced_caps(), cond.flow,
-                                    net.source, net.target)
+    scc = residual_scc_condensation(net.graph, reduced_capacities(net.graph, net.coding_cap),
+                                    cond.flow, net.source, net.target)
     components = {frozenset(c) for c in scc.components}
     for part in chain.parts:
         assert part in components  # each difference set is one residual SCC

@@ -7,6 +7,7 @@ from triflow import (Digraph, FeasibilityKind, GenParams, Network, Structure,
                      classify_feasibility, condition_network, decompose,
                      derive_coding_capacities, generate)
 from triflow.conditioning import _classify
+from triflow.cutchain import reduced_capacities
 from triflow.errors import NotNetworkCodingClass
 
 from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
@@ -43,7 +44,7 @@ def test_derive_ladder15_thick_thin_pattern():
 
 def test_reduced_mapping_is_doubled_half_integers():
     cn = coding(ladder15())
-    reduced = cn.reduced_caps()
+    reduced = reduced_capacities(cn.graph, cn.coding_cap)
     assert all(reduced[e] == {1: 2, 2: 3}[cn.coding_cap[e]] for e in reduced)
 
 

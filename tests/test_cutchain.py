@@ -1,7 +1,7 @@
 import pytest
 
 from triflow import CutKind, Digraph, condition_network, residual_scc_condensation
-from triflow.cutchain import build_cut_chain
+from triflow.cutchain import build_cut_chain, reduced_capacities
 from triflow.errors import MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
@@ -66,7 +66,7 @@ def test_every_chain_cut_is_a_minimum_cut():
     for net in (diamond2(), tripath(), ladder15(), widefan()):
         cond = conditioned(net)
         g = cond.network.graph
-        reduced = cond.network.reduced_caps()
+        reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
         for cut in chain_cuts(cond.chain):
             assert cut_value(g, reduced, cut) == 6
 
@@ -75,7 +75,7 @@ def test_chain_length_matches_bruteforce_maximal_chain():
     for net in (diamond2(), tripath(), widefan()):
         cond = conditioned(net)
         g = cond.network.graph
-        reduced = cond.network.reduced_caps()
+        reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
         assert cond.chain.k == longest_min_cut_chain(
             g, reduced, cond.network.source, cond.network.target)
 
@@ -84,7 +84,7 @@ def test_chain_parts_are_residual_sccs():
     for net in (ladder15(), diamond2(), widefan()):
         cond = conditioned(net)
         g = cond.network.graph
-        reduced = cond.network.reduced_caps()
+        reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
         scc = residual_scc_condensation(g, reduced, cond.flow,
                                         cond.network.source, cond.network.target)
         groups = {frozenset(c) for c in scc.components}
@@ -141,7 +141,7 @@ def test_no_minimum_cut_between_consecutive_chain_cuts():
     for net in (diamond2(), tripath(), widefan()):
         cond = conditioned(net)
         g = cond.network.graph
-        reduced = cond.network.reduced_caps()
+        reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
         _, all_cuts = enumerate_min_cuts(g, reduced, cond.network.source,
                                          cond.network.target)
         cuts = chain_cuts(cond.chain)

@@ -193,7 +193,7 @@ def test_glue_single_segment_identity():
     sols = [solve_segment(s) for s in segments]
     sets, dominant = glue_segments(segments, sols)
     i = sols[0].dominant or 0
-    assert sets[i] == frozenset(map(aux.arc, sols[0].sets[i]))
+    assert sets[i] == sorted(sols[0].sets[i])
     assert dominant == sols[0].dominant
 
 
@@ -202,7 +202,8 @@ def test_glue_multi_segment_disjoint_and_connected():
         cond, aux, segments = pipeline(net)
         sols = [solve_segment(s) for s in segments]
         sets, dominant = glue_segments(segments, sols)
-        all_arcs = [a for s in sets for a in s]
+        assert all(s == sorted(s) for s in sets)
+        all_arcs = [aux.arc(a) for s in sets for a in s]
         assert len(all_arcs) == len(set(all_arcs))
         # virtual arcs are stripped: every arc is a copy of a real edge
         assert all(a.copy < cond.network.coding_cap.get(a.edge, 0) for a in all_arcs)
@@ -274,8 +275,10 @@ def test_roles_match_the_id_keyed_reference():
     # no decomposed label holds both copies of an edge; such a label counts both
     cn = CodingNetwork(graph=Digraph("sat", [("sa", "s", "a"), ("at", "a", "t")]),
                        coding_cap={"sa": 2, "at": 1}, source="s", target="t")
-    sets = [frozenset({Arc("sa", 0), Arc("sa", 1), Arc("at", 0)}), frozenset(), frozenset()]
+    sa, at = cn.graph._edge_index["sa"], cn.graph._edge_index["at"]
+    sets = [sorted((2 * sa, 2 * sa + 1, 2 * at)), [], []]
     plan = assign_roles(cn, sets, None, None)
+    assert plan.subflows["A"] == {Arc("sa", 0), Arc("sa", 1), Arc("at", 0)}
     assert plan.roles == reference_roles(cn.graph, plan.subflows) == (
         NodeRole("a", Role.MERGER, "A"), NodeRole("s", Role.SPLITTER, "A"))
 

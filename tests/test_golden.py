@@ -2,10 +2,14 @@
 
 A change that should leave behaviour alone must leave both digests alone.
 If a digest moves, the code changed what it computes: fix the code, never
-the pin.  Run `python tests/test_golden.py` to print both corpus digests.
+the pin.  Run `python tests/test_golden.py` to print both corpus digests,
+then the digests of the reports that `verify_plan` makes on the reloaded
+plans, which must not depend on PYTHONHASHSEED either.
 """
 
+import functools
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +17,8 @@ import sys
 import pytest
 
 import triflow
-from triflow import (Digraph, GenParams, Network, Structure, decompose, files,
-                     generate)
+from triflow import (LABELS, Digraph, GenParams, Network, RecoveryPlan, Structure,
+                     decompose, derive_coding_capacities, files, generate, verify_plan)
 from triflow.errors import GenerationFailed, Unprotectable
 
 # sha256 over the newline-joined per-input sha256 hex digests of CORPUS.
@@ -51,8 +55,8 @@ def mixed_ids(net: Network) -> Network:
                    source=node[net.source], target=node[net.target])
 
 
-def corpus_digest(corpus=CORPUS, relabel=None) -> str:
-    digests = []
+def _answers(corpus, relabel):
+    """(network, plan or `Unprotectable`) for each input of `corpus`."""
     for params in corpus:
         try:
             net = generate(params)
@@ -61,11 +65,42 @@ def corpus_digest(corpus=CORPUS, relabel=None) -> str:
         if relabel is not None:
             net = relabel(net)
         try:
-            text = files.dumps(files.plan_to_json(decompose(net)))
+            yield net, decompose(net)
         except Unprotectable as exc:
-            text = exc.feasibility.kind.value
-        digests.append(hashlib.sha256(text.encode()).hexdigest())
+            yield net, exc
+
+
+def _digest(texts) -> str:
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
+
+
+def _refusal(answer):
+    return answer.feasibility.kind.value if isinstance(answer, Unprotectable) else None
+
+
+def corpus_digest(corpus=CORPUS, relabel=None) -> str:
+    return _digest(_refusal(answer) or files.dumps(files.plan_to_json(answer))
+                   for _, answer in _answers(corpus, relabel))
+
+
+def _reverified(net, plan) -> str:
+    """The JSON of `verify_plan`'s report on `plan` reloaded from its file."""
+    loaded = files.plan_from_json(json.loads(files.dumps(files.plan_to_json(plan))), net)
+    report = verify_plan(derive_coding_capacities(net), loaded)
+    return files.dumps(files.report_to_json(report))
+
+
+def reverify_digest(corpus=CORPUS, relabel=None) -> str:
+    """The digest of `corpus_digest`'s shape over the reports that
+    `verify_plan` makes on the reloaded plans."""
+    return _digest(_refusal(answer) or _reverified(net, answer)
+                   for net, answer in _answers(corpus, relabel))
+
+
+@functools.cache
+def _reverify_digests() -> list:
+    return [reverify_digest(), reverify_digest(MIXED_CORPUS, mixed_ids)]
 
 
 def test_golden_plans_unchanged():
@@ -83,9 +118,39 @@ def test_golden_plans_independent_of_hash_seed(hash_seed):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == [GOLDEN_DIGEST, MIXED_DIGEST]
+    assert proc.stdout.split() == [GOLDEN_DIGEST, MIXED_DIGEST, *_reverify_digests()]
+
+
+def test_reloaded_plans_verify_as_decomposed():
+    """On both corpora, a plan reloaded from its file and a copy built from
+    its `Arc` view verify to the report that `decompose` made, and the view
+    holds exactly the plan's arc ints."""
+    plans = 0
+    for corpus, relabel in ((CORPUS, None), (MIXED_CORPUS, mixed_ids)):
+        for net, plan in _answers(corpus, relabel):
+            if _refusal(plan):
+                continue
+            cn = derive_coding_capacities(net)
+            assert _reverified(net, plan) == files.dumps(
+                files.report_to_json(plan.verification))
+            arc_built = RecoveryPlan(subflows=dict(plan.subflows), roles=plan.roles,
+                                     feasibility=plan.feasibility)
+            assert arc_built.subflows.ints is None
+            assert verify_plan(cn, arc_built) == plan.verification
+            assert files.plan_to_json(arc_built.with_verification(plan.verification)) == \
+                files.plan_to_json(plan)
+            index = plan.subflows.graph._edge_index
+            for label in LABELS:
+                ints = plan.subflows.ints[label]
+                assert list(ints) == sorted(set(ints))
+                view = plan.subflows[label]
+                assert len(view) == len(ints)
+                assert {2 * index[arc.edge] + arc.copy for arc in view} == set(ints)
+            plans += 1
+    assert plans > 200
 
 
 if __name__ == "__main__":
     print(corpus_digest())
     print(corpus_digest(MIXED_CORPUS, mixed_ids))
+    print(*_reverify_digests(), sep="\n")

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from triflow import Digraph, cancel_cycles, decompose_flow_to_paths, edge_disjoint_paths, max_flow
 from triflow.errors import InsufficientPaths, NotMaximum, UnknownNode
 from triflow import residual_scc_condensation
+from triflow.cutchain import reduced_capacities
 from triflow.graph import FlowResult, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
@@ -13,7 +14,7 @@ from oracles import (is_conserved, min_cut_value, reference_max_flow,
 
 def reduced(net):
     cn = coding(net)
-    return cn.graph, cn.reduced_caps(), cn.source, cn.target
+    return cn.graph, reduced_capacities(cn.graph, cn.coding_cap), cn.source, cn.target
 
 
 def test_digraph_rejects_self_loops_and_duplicates():

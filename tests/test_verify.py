@@ -203,10 +203,10 @@ def test_route_index_follows_the_plan_and_the_graph():
 def test_route_index_is_built_once_per_plan(monkeypatch):
     net = generate(GenParams(node_count=40, seed=1))
     cn = coding(net)
-    plan = decompose(net)
     builds = []
     build = verify._build_routes
     monkeypatch.setattr(verify, "_build_routes", lambda *a: builds.append(a) or build(*a))
+    plan = decompose(net)  # its own verification builds the index
     assert verify_plan(cn, plan) == plan.verification
     gen = Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02")
     edges = random.Random(13).sample(net.graph.edge_ids, 24)
@@ -389,3 +389,79 @@ def test_decompose_on_general_digraphs_agrees_with_classifier():
             protected += 1
             assert plan.verification.survivability == survivability_by_removal(cn, plan)
     assert protected >= 500
+
+
+def _ladder15_plan_data():
+    net = ladder15()
+    return net, files.plan_to_json(decompose(net))
+
+
+@pytest.mark.parametrize("corrupt,error,message", [
+    pytest.param(lambda a, b: a[0].update(edge="zz"), PlanReferenceError,
+                 "subflow A references unknown edge 'zz'", id="unknown-edge"),
+    pytest.param(lambda a, b: a[0].pop("copy"), files.FormatError,
+                 "subflows[A][0] must have an integer or string edge and an integer copy",
+                 id="entry-shape"),
+])
+def test_plan_loader_messages(corrupt, error, message):
+    net, data = _ladder15_plan_data()
+    corrupt(data["subflows"]["A"], data["subflows"]["B"])
+    with pytest.raises(error) as err:
+        files.plan_from_json(data, net)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("copy", [2, -1, 1])
+def test_copy_out_of_range_is_reported_by_the_verifier(copy):
+    net, data = _ladder15_plan_data()
+    cap = coding(net).coding_cap
+    arcs = data["subflows"]["A"]
+    # the smallest arc of A on a capacity-1 edge, so copy 1 is out of range too
+    arc = min((a for a in arcs if cap[a["edge"]] == 1), key=lambda a: a["edge"])
+    arc["copy"] = copy
+    plan = files.plan_from_json(data, net)
+    with pytest.raises(PlanReferenceError) as err:
+        verify_plan(coding(net), plan)
+    assert str(err.value) == f"copy {copy} out of range for edge {arc['edge']!r}"
+
+
+def test_arc_in_two_labels_is_reported_by_the_verifier():
+    net, data = _ladder15_plan_data()
+    shared = data["subflows"]["A"][0]
+    data["subflows"]["B"].append(dict(shared))
+    report = verify_plan(coding(net), files.plan_from_json(data, net))
+    arc = Arc(shared["edge"], shared["copy"])
+    assert not report.disjointness_ok and not report.capacity_ok
+    assert [(v.kind, v.detail) for v in report.violations[:2]] == [
+        ("disjointness", f"A and B share arcs [{arc!r}]"),
+        ("capacity", f"edge {arc.edge!r} uses 2 arcs, capacity 1")]
+
+
+def test_decomposed_plan_arrives_with_its_index(monkeypatch):
+    net = generate(GenParams(node_count=40, seed=2))
+    cn = coding(net)
+    plan = decompose(net)
+    assert list(plan._route_cache) == [cn.graph]
+    calls = []
+    for name in ("_build_routes", "_bridges"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    gen = Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02")
+    assert verify_plan(cn, plan) == plan.verification
+    failure_sweep(cn, plan, gen)
+    simulate_transmission(cn, plan, gen, failed_edge=net.graph.edge_ids[0])
+    assert calls == []
+
+
+def test_bridges_are_swept_once_per_plan_and_endpoints(monkeypatch):
+    net = generate(GenParams(node_count=40, seed=2))
+    cn = coding(net)
+    plan = dataclasses.replace(decompose(net))  # a fresh, empty cache
+    calls = []
+    bridges = verify._bridges
+    monkeypatch.setattr(verify, "_bridges", lambda *a: calls.append(a) or bridges(*a))
+    report = verify_plan(cn, plan)
+    sweep = failure_sweep(cn, plan, Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02"))
+    assert len(calls) == 3
+    assert {e: o.received_labels for e, o in sweep.items()} == report.survivability
