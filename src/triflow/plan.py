@@ -99,10 +99,9 @@ class RecoveryPlan:
     `subflows` is given as label -> `Arc` set, or as a `Subflows` (which
     `decompose` and `files.plan_from_json` build over arc ints), and read as
     a `Subflows`.  It is read-only, so what `verify._index` derives from it
-    for a graph (its arc ints there, the route index, the survivors and the
-    failure-free floods) is cached here.  `dataclasses.replace` starts a
-    fresh, empty cache; `with_verification`, which keeps the subflows,
-    keeps it.
+    for a graph (its arc ints there, the route index and the survivors) is
+    cached here.  `dataclasses.replace` starts a fresh, empty cache;
+    `with_verification`, which keeps the subflows, keeps it.
     """
 
     subflows: Mapping[str, frozenset]

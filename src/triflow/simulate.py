@@ -2,13 +2,14 @@
 labeled subflow with splitter/merger semantics, optionally fail one edge, and
 decode at the destination from whichever labels arrived.
 
-One failure floods each label that routes over the failed edge over the
-plan's route index (`verify._routes`: per node, the label's distinct
-out-edges with their heads' indices); the other labels reuse their
-failure-free floods, which the plan caches per graph with the index.  The
-failure sweep floods nothing: it reads every edge's surviving labels from
-the verifier's s-t bridge sweep (`verify.survivors`, also cached).  Any plan
-over the network's edges is simulated as it is: whether it is sound is
+One failure floods each label over the plan's route index (`verify._routes`:
+per node, the label's distinct out-edges with their heads' indices), which
+the plan caches per graph, so repeated simulations and the verifier build it
+once.  Every label floods, whether or not it routes over the failed edge, so
+a simulation's cost does not depend on which edge fails.  The failure sweep
+floods nothing: it reads every edge's surviving labels from the verifier's
+s-t bridge sweep (`verify.survivors`, also cached).  Any plan over the
+network's edges is simulated as it is: whether it is sound is
 `verify_plan`'s call, not the plan's own report's."""
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .conditioning import CodingNetwork
 from .errors import InsufficientLabels, LengthMismatch
 from .graph import sorted_ids
 from .plan import LABELS, RecoveryPlan
-from .verify import _index, _routes, survivors
+from .verify import _routes, survivors
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -104,7 +105,7 @@ def _recovery_rule(labels) -> tuple:
     return ("B", "XOR")
 
 
-def _forward_counts(out: list, source: int, failed: int = -1) -> bytearray:
+def _forward_counts(out: list, source: int, failed: int) -> bytearray:
     """Whether each node (by interned index) forwarded the packet, as 0 or 1:
     the first copy a node gets goes onto each of its out-edges in `out` (one
     label's `_routes` list) but the one of edge index `failed`."""
@@ -141,21 +142,14 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     subflow out-arcs (duplication at branch points, first-copy selection at
     joins, keyed by the generation number).  Arcs of `failed_edge` drop what
     is sent into them.  A plan arc on an edge that is not in `cn.graph`
-    raises `PlanReferenceError`.  A label that does not list `failed_edge`
-    among the out-edges of its tail forwards as with no failure.
+    raises `PlanReferenceError`.
     """
     g = cn.graph
     routes = _routes(g, plan)
     source = g._index[cn.source]
-    floods = _index(g, plan).floods
-    if source not in floods:
-        floods[source] = {label: bytes(_forward_counts(routes[label], source))
-                          for label in LABELS}
     failed = g._edge_index.get(failed_edge, -1)
-    tail = g._tail[failed] if failed >= 0 else None
     forwarded = {label: _forward_counts(routes[label], source, failed)
-                 if tail is not None and any(e == failed for e, _ in routes[label][tail])
-                 else sent for label, sent in floods[source].items()}
+                 for label in LABELS}
     arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
     return _outcome(arrived, encode(gen.payload_a, gen.payload_b),
                     (g, plan.subflows, forwarded))

@@ -7,7 +7,7 @@ A plan's subflows are read over a graph as sorted arc ints (`_Index`), and
 `_routes` indexes them once: for each label, the label's distinct out-edges
 of every node with their heads' node indices.  The verifier, the failure
 sweep and every single-failure simulation walk that index; the plan caches
-it per graph, with the survivors and the failure-free floods."""
+it per graph, with the survivors."""
 
 from __future__ import annotations
 
@@ -25,13 +25,13 @@ class _Index:
 
     `arcs` holds each label's sorted arc ints 2·e + copy over the graph's
     edges, and `bad` the plan's `Arc`s that have none (an edge the graph
-    lacks, or a copy other than 0 and 1).  Filled on first use: `routes`,
-    `survivors` per (source, target) and `floods` per source index."""
+    lacks, or a copy other than 0 and 1).  Filled on first use: `routes`
+    and `survivors` per (source, target)."""
 
-    __slots__ = ("arcs", "bad", "routes", "survivors", "floods")
+    __slots__ = ("arcs", "bad", "routes", "survivors")
 
     def __init__(self, g: Digraph, subflows):
-        self.bad, self.routes, self.survivors, self.floods = [], None, {}, {}
+        self.bad, self.routes, self.survivors = [], None, {}
         self.arcs = subflows.ints if subflows.graph is g else {}
         if subflows.graph is not g:  # `Arc`s given, or ints over another graph
             for label, arcs in subflows.items():

@@ -351,26 +351,3 @@ def test_bulk_random_roundtrip():
         drop = rng.choice(("A", "B", "XOR"))
         received = {k: v for k, v in packets.items() if k != drop}
         assert decode(received) == (a, b)
-
-
-def test_single_failure_refloods_only_the_labels_on_the_edge(monkeypatch):
-    from triflow import simulate
-    net = generate(GenParams(node_count=64, seed=4))
-    cn = coding(net)
-    plan = decompose(net)
-    floods = []
-    flood = simulate._forward_counts
-    monkeypatch.setattr(simulate, "_forward_counts",
-                        lambda *a: floods.append(a[2:]) or flood(*a))
-    gen = Generation(seq=1, payload_a=b"\x01", payload_b=b"\x02")
-    simulate_transmission(cn, plan, gen)
-    assert floods == [()] * 3  # the failure-free floods, kept for every failure
-    for edge in (*net.graph.edge_ids, "no-such-edge"):
-        floods.clear()
-        outcome = simulate_transmission(cn, plan, gen, failed_edge=edge)
-        users = sum(any(arc.edge == edge for arc in plan.subflows[label])
-                    for label in ("A", "B", "XOR"))
-        assert len(floods) == users, edge
-        want = reference_simulate_transmission(cn, plan, gen, failed_edge=edge)
-        assert outcome.received_labels == want.received_labels
-        assert outcome.arc_sends == want.arc_sends
