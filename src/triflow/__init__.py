@@ -10,12 +10,9 @@ from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
                            FeasibilityKind, Network, classify_feasibility,
                            condition_network, derive_coding_capacities)
 from .cutchain import CutChain, CutKind, build_cut_chain
-from .decompose import (AuxiliaryGraph, Segment, SegmentSolution, SegmentType,
-                        assign_roles, build_auxiliary, decompose,
-                        extract_segments, glue_segments, solve_segment)
+from .decompose import SegmentType, assign_roles, build_auxiliary, decompose
 from .graph import (CondensationDag, Digraph, FlowResult, cancel_cycles,
-                    decompose_flow_to_paths, edge_disjoint_paths, max_flow,
-                    residual_scc_condensation)
+                    edge_disjoint_paths, max_flow, residual_scc_condensation)
 from .netgen import GenParams, Structure, generate
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, VerificationReport
 from .simulate import (DeliveryOutcome, Generation, decode, encode,
@@ -24,15 +21,13 @@ from .verify import survivability_by_removal, verify_plan
 from . import errors
 
 __all__ = [
-    "Arc", "AuxiliaryGraph", "CodingNetwork", "CondensationDag",
-    "ConditionedNetwork", "CutChain", "CutKind", "DeliveryOutcome", "Digraph",
-    "Feasibility", "FeasibilityKind", "FlowResult", "GenParams", "Generation",
-    "LABELS", "Network", "NodeRole", "RecoveryPlan", "Role", "Segment",
-    "SegmentSolution", "SegmentType", "Structure", "VerificationReport",
+    "Arc", "CodingNetwork", "CondensationDag", "ConditionedNetwork", "CutChain",
+    "CutKind", "DeliveryOutcome", "Digraph", "Feasibility", "FeasibilityKind",
+    "FlowResult", "GenParams", "Generation", "LABELS", "Network", "NodeRole",
+    "RecoveryPlan", "Role", "SegmentType", "Structure", "VerificationReport",
     "assign_roles", "build_auxiliary", "build_cut_chain", "cancel_cycles",
-    "classify_feasibility", "condition_network", "decode",
-    "decompose", "decompose_flow_to_paths", "derive_coding_capacities",
-    "edge_disjoint_paths", "encode", "errors", "failure_sweep", "generate",
-    "glue_segments", "max_flow", "residual_scc_condensation", "simulate_transmission",
-    "solve_segment", "extract_segments", "survivability_by_removal", "verify_plan",
+    "classify_feasibility", "condition_network", "decode", "decompose",
+    "derive_coding_capacities", "edge_disjoint_paths", "encode", "errors",
+    "failure_sweep", "generate", "max_flow", "residual_scc_condensation",
+    "simulate_transmission", "survivability_by_removal", "verify_plan",
 ]

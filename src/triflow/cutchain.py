@@ -30,16 +30,15 @@ class CutKind(Enum):
 class CutChain:
     """Cuts C_1 c C_2 c ... c C_k stored as the partition they induce.
 
-    `parts[0]` is C_1, `parts[i]` is C_{i+1} \\ C_i, and `parts[k]` is the
-    remainder behind the last cut, so C_i is the union of the first i parts.
-    Storing parts rather than cuts keeps the representation linear-size.
     `node_part[v]` is the part of node index v of the graph the chain was
-    built on.
+    built on: part 0 is C_1, part i is C_{i+1} \\ C_i, and part k is the
+    remainder behind the last cut, so C_i is the nodes of the first i parts.
+    Storing parts rather than cuts keeps the representation linear-size.
+    `kinds[i]` is the kind of cut C_{i+1}.
     """
 
-    parts: tuple
     kinds: tuple
-    node_part: list = field(repr=False, compare=False)
+    node_part: list = field(repr=False)
 
     @property
     def k(self) -> int:
@@ -116,9 +115,7 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     for i, c in enumerate(order):
         part_of_comp[c] = i
     node_part = [part_of_comp[c] for c in comp_of]
-    parts = tuple(frozenset(nodes[v] for v in comps[c]) for c in order)
-    kinds = _sweep(g, caps, reduced, per_edge, node_part, len(parts))
-    return CutChain(parts=parts, kinds=kinds, node_part=node_part)
+    return CutChain(kinds=_sweep(g, caps, reduced, per_edge, node_part, n), node_part=node_part)
 
 
 def _sweep(g, caps, reduced, flow, node_part, count) -> tuple:

@@ -116,16 +116,17 @@ _TYPE_BY_KINDS = {
 
 @dataclass(frozen=True)
 class Segment:
-    """Chain part `index` of `aux` with its arcs, as ascending arc ints."""
+    """Chain part `index` of `aux`, bounded by the ascending arc ints that
+    cross its entry and exit cuts.  Consecutive segments share the tuple of
+    the cut between them; the part's own nodes are those `v` with
+    `aux.part[v] == index`."""
 
     index: int
     entry_kind: CutKind
     exit_kind: CutKind
     seg_type: SegmentType
-    interior: frozenset
     entry_arcs: tuple
     exit_arcs: tuple
-    arcs: tuple
     aux: AuxiliaryGraph = field(repr=False, compare=False)
 
 
@@ -141,45 +142,39 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
     """Cut the auxiliary graph along the chain.  Returns the k-1 segments
     between consecutive cuts, preceded/followed by a virtual-boundary segment
     whenever nodes sit before the first or after the last cut.  Records
-    each node's chain part in `aux.part`."""
-    chain = conditioned.chain
-    parts = chain.parts
-    k = chain.k
-    part = aux.part = chain.node_part + [-1, k + 1]
+    each node's chain part in `aux.part`.
 
-    pieces = []
-    if parts[0] != frozenset((conditioned.network.source,)):
-        pieces.append(0)
-    pieces.extend(range(1, k))
-    if parts[k] != frozenset((conditioned.network.target,)) or not pieces:
+    Cut c (1 <= c <= k) is crossed by the arcs from parts below c to parts
+    at or above it; cut 0 is the virtual source arcs and cut k + 1 the
+    virtual sink arcs.  Segment i enters on cut i and exits on cut i + 1."""
+    chain = conditioned.chain
+    k = chain.k
+    node_part = chain.node_part
+    part = aux.part = node_part + [-1, k + 1]
+
+    # part 0 holds s and part k holds t; a part with more nodes is a piece
+    pieces = list(range(0 if node_part.count(0) > 1 else 1, k))
+    if node_part.count(k) > 1 or not pieces:
         pieces.append(k)
 
-    arcs = [[] for _ in parts]
-    entry = [[] for _ in parts]
-    exit_ = [[] for _ in parts]
+    crossing = [[] for _ in range(k + 1)]  # by cut; cut 0 stays virtual
     tail, head = aux.tail, aux.head
     for a in aux.arcs:
         i, j = part[tail[a]], part[head[a]]
-        if i > j:
+        if i < j:
+            for c in range(i + 1, j + 1):
+                crossing[c].append(a)
+        elif i > j:
             raise BrokenChain(f"arc {aux.arc(a)} crosses the cut chain backward")
-        for x in range(i, j + 1):
-            arcs[x].append(a)
-            if x > i:
-                entry[x].append(a)
-            if x < j:
-                exit_[x].append(a)
-    entry[0] = aux.source_arcs
-    arcs[0] += aux.source_arcs
-    exit_[k] = aux.sink_arcs
-    arcs[k] += aux.sink_arcs
+    crossing = [aux.source_arcs, *map(tuple, crossing[1:]), aux.sink_arcs]
 
     segments = []
     for i in pieces:
         entry_kind = chain.kinds[i - 1] if i else CutKind.THREE_ARC
         exit_kind = chain.kinds[i] if i < k else CutKind.THREE_ARC
         segments.append(Segment(i, entry_kind, exit_kind,
-                                _TYPE_BY_KINDS[(entry_kind, exit_kind)], parts[i],
-                                tuple(entry[i]), tuple(exit_[i]), tuple(arcs[i]), aux))
+                                _TYPE_BY_KINDS[(entry_kind, exit_kind)],
+                                crossing[i], crossing[i + 1], aux))
     return segments
 
 

@@ -128,13 +128,16 @@ def network_to_json(net: Network) -> dict:
 
 
 def report_to_json(report: VerificationReport) -> dict:
+    survivability = report.survivability
+    # a few survivor sets repeat over every edge: sort each distinct one once
+    survivors = {labels: sorted(labels) for labels in set(survivability.values())}
     return {
         "overall": report.overall,
         "disjointness_ok": report.disjointness_ok,
         "capacity_ok": report.capacity_ok,
         "connectivity": {label: report.connectivity[label] for label in LABELS},
-        "survivability": [{"edge": edge, "survivors": sorted(report.survivability[edge])}
-                          for edge in sorted_ids(report.survivability)],
+        "survivability": [{"edge": edge, "survivors": survivors[survivability[edge]]}
+                          for edge in sorted_ids(survivability)],
         "violations": [{"kind": v.kind, "detail": v.detail} for v in report.violations],
     }
 

@@ -289,18 +289,19 @@ def _residual_sccs(g: Digraph, cap: list, flow: list, s, t) -> tuple:
         raise UnknownNode(s if s not in g else t)
     tails, heads = g._tail, g._head
     room = [c - f for c, f in zip(cap, flow)]
-    # Residual successors of each node, lowest node first.
+    # Residual successors of each node in move order, repeats kept: the
+    # components do not depend on the order the DFS takes them in.
     succ = []
     for ms in g._moves:
-        nxt = set()
+        nxt = []
         for m in ms:
             e = m >> 1
             if m & 1:
                 if flow[e] > 0:
-                    nxt.add(tails[e])
+                    nxt.append(tails[e])
             elif room[e] > 0:
-                nxt.add(heads[e])
-        succ.append(sorted(nxt))
+                nxt.append(heads[e])
+        succ.append(nxt)
     si, ti = g._index[s], g._index[t]
     seen = [False] * len(succ)
     seen[si] = True

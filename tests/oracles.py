@@ -5,12 +5,13 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, Digraph,
-                     SegmentSolution, SegmentType, build_cut_chain, cancel_cycles, decode,
-                     decompose_flow_to_paths, edge_disjoint_paths, encode, max_flow)
+                     SegmentType, build_cut_chain, cancel_cycles, decode,
+                     edge_disjoint_paths, encode, max_flow)
 from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
+from triflow.decompose import SegmentSolution
 from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
                             UnknownNode)
-from triflow.graph import FlowResult, order_key, reach, sorted_ids
+from triflow.graph import FlowResult, decompose_flow_to_paths, order_key, reach, sorted_ids
 from triflow.plan import LABELS, NodeRole, Role
 
 
@@ -103,7 +104,7 @@ def reference_condition_network(cn: CodingNetwork, flow=None) -> ConditionedNetw
     s, t = cn.source, cn.target
     graph, cap, flow = _reference_settle(cn.graph, dict(cn.coding_cap), s, t, flow)
     chain = build_cut_chain(graph, cap, flow, s, t)
-    part = part_of(chain)
+    part = part_of(chain, graph)
     demoted = [e for e, tail, head in graph.edges() if cap[e] == 2 and part[tail] == part[head]]
     if demoted:
         for e in demoted:
@@ -114,9 +115,32 @@ def reference_condition_network(cn: CodingNetwork, flow=None) -> ConditionedNetw
     return ConditionedNetwork(network=network, flow=flow, chain=chain)
 
 
-def part_of(chain: CutChain) -> dict:
+def chain_parts(chain: CutChain, graph: Digraph) -> tuple:
+    """The chain's parts as frozensets of the ids of `graph`, the graph it was
+    built on: C_1 first, then each C_{i+1} \\ C_i, then the rest."""
+    parts = [set() for _ in range(chain.k + 1)]
+    for v, i in zip(graph.nodes_sorted, chain.node_part):
+        parts[i].add(v)
+    return tuple(map(frozenset, parts))
+
+
+def part_of(chain: CutChain, graph: Digraph) -> dict:
     """{node id: index of its chain part}."""
-    return {v: i for i, part in enumerate(chain.parts) for v in part}
+    return {v: i for i, part in enumerate(chain_parts(chain, graph)) for v in part}
+
+
+def segment_arcs(seg) -> tuple:
+    """Every arc int of a segment: the arcs with an end in its part or
+    spanning it, in `aux.arcs` order, then the virtual arcs of the first and
+    last pieces."""
+    aux = seg.aux
+    part, i = aux.part, seg.index
+    arcs = [a for a in aux.arcs if part[aux.tail[a]] <= i <= part[aux.head[a]]]
+    if i == 0:
+        arcs += aux.source_arcs
+    if i == part[-1] - 1:  # the pseudo-sink sits in part k + 1
+        arcs += aux.sink_arcs
+    return tuple(arcs)
 
 
 def classify_cut(g: Digraph, coding_cap, cut) -> CutKind:
@@ -219,11 +243,12 @@ def support_is_acyclic(g: Digraph, flow) -> bool:
     return True
 
 
-def chain_cuts(chain: CutChain) -> list:
-    """All cuts C_1 .. C_k of a chain, materialized (quadratic size)."""
+def chain_cuts(chain: CutChain, graph: Digraph) -> list:
+    """All cuts C_1 .. C_k of a chain built on `graph`, materialized
+    (quadratic size)."""
     out = []
     acc = set()
-    for part in chain.parts[:-1]:
+    for part in chain_parts(chain, graph)[:-1]:
         acc |= part
         out.append(frozenset(acc))
     return out
@@ -426,9 +451,9 @@ def reference_segments(conditioned) -> list:
     cn = conditioned.network
     chain = conditioned.chain
     s, t = cn.source, cn.target
-    parts = chain.parts
+    parts = chain_parts(chain, cn.graph)
     k = chain.k
-    part = part_of(chain)
+    part = part_of(chain, cn.graph)
 
     pieces = []
     if parts[0] != frozenset((s,)):

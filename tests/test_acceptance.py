@@ -13,14 +13,15 @@ import pytest
 from triflow import (CutKind, FeasibilityKind, GenParams, SegmentType,
                      Structure, build_auxiliary, classify_feasibility,
                      condition_network, decompose, derive_coding_capacities,
-                     extract_segments, generate, residual_scc_condensation)
+                     generate, residual_scc_condensation)
 from triflow.cutchain import reduced_capacities
+from triflow.decompose import extract_segments
 from triflow.errors import GenerationFailed
 from triflow.plan import LABELS
 from triflow.simulate import Generation, failure_sweep
 
 from netfixtures import coding, ladder15
-from oracles import brute_force_feasible
+from oracles import brute_force_feasible, chain_parts
 
 
 def _pass(name):
@@ -55,7 +56,7 @@ def test_c2_ladder_demo_cut_chain():
     scc = residual_scc_condensation(net.graph, reduced_capacities(net.graph, net.coding_cap),
                                     cond.flow, net.source, net.target)
     components = {frozenset(c) for c in scc.components}
-    for part in chain.parts:
+    for part in chain_parts(chain, net.graph):
         assert part in components  # each difference set is one residual SCC
     _pass("C2 demo ladder: maximal chain of 5 cuts, kinds and parts pinned")
 

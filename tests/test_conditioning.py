@@ -88,7 +88,7 @@ def test_condition_ladder15_properties():
     assert is_conserved(net.graph, flow.per_edge, net.source, net.target)
     assert support_is_acyclic(net.graph, flow.per_edge)
     # every capacity-2 edge crosses some chain cut
-    part = part_of(cond.chain)
+    part = part_of(cond.chain, net.graph)
     for e in net.graph.edge_ids:
         if net.coding_cap[e] == 2:
             tail, head = net.graph.ends(e)
@@ -197,7 +197,7 @@ def test_condition_recomputed_reduced_flow_is_exactly_three():
 def test_no_backward_edges_across_chain_after_conditioning():
     for net in (ladder15(), diamond2(), widefan(), demotable5(), tripath()):
         cond = condition_network(coding(net))
-        part = part_of(cond.chain)
+        part = part_of(cond.chain, cond.network.graph)
         for e, tail, head in cond.network.graph.edges():
             assert part[tail] <= part[head]
 

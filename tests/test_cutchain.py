@@ -6,8 +6,8 @@ from triflow.errors import MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
 from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
-from oracles import (chain_cuts, classify_cut, cut_value, enumerate_min_cuts,
-                     longest_min_cut_chain)
+from oracles import (chain_cuts, chain_parts, classify_cut, cut_value,
+                     enumerate_min_cuts, longest_min_cut_chain)
 
 
 def conditioned(net):
@@ -17,35 +17,37 @@ def conditioned(net):
 def test_diamond_chain():
     cond = conditioned(diamond2())
     chain = cond.chain
-    assert chain_cuts(chain) == [frozenset("s"), frozenset(("s", "a")),
-                                 frozenset(("s", "a", "b"))]
+    assert chain_cuts(chain, cond.network.graph) == [
+        frozenset("s"), frozenset(("s", "a")), frozenset(("s", "a", "b"))]
     assert all(k is CutKind.TWO_EDGE for k in chain.kinds)
     # a, b, s, t relabelled 0, 1.5, 2, 3.5: the tie between a and b goes to
     # b, first in `order_key` order, although a has the lower node index
-    chain = conditioned(numeric_ids(diamond2())).chain
-    assert chain.parts == (frozenset([2]), frozenset([1.5]), frozenset([0]),
-                           frozenset([3.5]))
+    cond = conditioned(numeric_ids(diamond2()))
+    chain = cond.chain
+    assert chain_parts(chain, cond.network.graph) == (
+        frozenset([2]), frozenset([1.5]), frozenset([0]), frozenset([3.5]))
     assert all(k is CutKind.TWO_EDGE for k in chain.kinds)
 
 
 def test_tripath_chain_is_maximal():
     cond = conditioned(tripath())
     chain = cond.chain
+    cuts = chain_cuts(chain, cond.network.graph)
     assert chain.k == 4
-    assert chain_cuts(chain)[0] == frozenset("s")
-    assert chain_cuts(chain)[-1] == frozenset(("s", "m1", "m2", "m3"))
+    assert cuts[0] == frozenset("s")
+    assert cuts[-1] == frozenset(("s", "m1", "m2", "m3"))
     assert all(k is CutKind.THREE_ARC for k in chain.kinds)
     # m1, m2, m3, s, t relabelled 0, 1.5, 2, 3.5, 4: the floats come first
-    chain = conditioned(numeric_ids(tripath())).chain
-    assert chain.parts == (frozenset([3.5]), frozenset([1.5]), frozenset([0]),
-                           frozenset([2]), frozenset([4]))
+    cond = conditioned(numeric_ids(tripath()))
+    assert chain_parts(cond.chain, cond.network.graph) == (
+        frozenset([3.5]), frozenset([1.5]), frozenset([0]), frozenset([2]), frozenset([4]))
 
 
 def test_ladder15_chain_pinned():
     cond = conditioned(ladder15())
     chain = cond.chain
     assert chain.k == 5
-    cuts = chain_cuts(chain)
+    cuts = chain_cuts(chain, cond.network.graph)
     assert cuts[0] == frozenset(["s"])
     assert cuts[1] == frozenset(["s", "a0", "b0", "c0"])
     assert cuts[2] == frozenset(["s", "a0", "b0", "c0", "a1", "c1", "a2", "c2"])
@@ -59,7 +61,8 @@ def test_widefan_single_cut():
     cond = conditioned(widefan())
     assert cond.chain.k == 1
     assert cond.chain.kinds == (CutKind.TWO_EDGE,)
-    assert chain_cuts(cond.chain)[0] == frozenset(widefan().graph.nodes) - {"t"}
+    cut = chain_cuts(cond.chain, cond.network.graph)[0]
+    assert cut == frozenset(widefan().graph.nodes) - {"t"}
 
 
 def test_every_chain_cut_is_a_minimum_cut():
@@ -67,7 +70,7 @@ def test_every_chain_cut_is_a_minimum_cut():
         cond = conditioned(net)
         g = cond.network.graph
         reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
-        for cut in chain_cuts(cond.chain):
+        for cut in chain_cuts(cond.chain, g):
             assert cut_value(g, reduced, cut) == 6
 
 
@@ -88,7 +91,7 @@ def test_chain_parts_are_residual_sccs():
         scc = residual_scc_condensation(g, reduced, cond.flow,
                                         cond.network.source, cond.network.target)
         groups = {frozenset(c) for c in scc.components}
-        for part in cond.chain.parts:
+        for part in chain_parts(cond.chain, g):
             assert part in groups
 
 
@@ -100,7 +103,7 @@ def test_classify_cut_fixtures():
     assert classify_cut(tri.network.graph, tri.network.coding_cap,
                         frozenset("s")) is CutKind.THREE_ARC
     ladder = conditioned(ladder15())
-    c2 = chain_cuts(ladder.chain)[1]
+    c2 = chain_cuts(ladder.chain, ladder.network.graph)[1]
     assert classify_cut(ladder.network.graph, ladder.network.coding_cap,
                         c2) is CutKind.TWO_EDGE
     crossing = [(tl, hd) for e, tl, hd in ladder.network.graph.edges()
@@ -144,7 +147,7 @@ def test_no_minimum_cut_between_consecutive_chain_cuts():
         reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
         _, all_cuts = enumerate_min_cuts(g, reduced, cond.network.source,
                                          cond.network.target)
-        cuts = chain_cuts(cond.chain)
+        cuts = chain_cuts(cond.chain, g)
         for earlier, later in zip(cuts, cuts[1:]):
             for candidate in all_cuts:
                 assert not (earlier < candidate < later)

@@ -1,21 +1,23 @@
+import dataclasses
 import importlib
 import random
 
 import pytest
 
 from triflow import (Arc, CodingNetwork, Digraph, FeasibilityKind, GenParams, Network,
-                     NodeRole, Role, SegmentSolution, SegmentType, Structure,
-                     assign_roles, build_auxiliary, classify_feasibility,
-                     condition_network, decompose, extract_segments, generate,
-                     glue_segments, solve_segment)
-from triflow.errors import GenerationFailed, Unprotectable
+                     NodeRole, Role, SegmentType, Structure, assign_roles,
+                     build_auxiliary, classify_feasibility, condition_network,
+                     decompose, generate)
+from triflow.decompose import (SegmentSolution, extract_segments, glue_segments,
+                               solve_segment)
+from triflow.errors import BrokenChain, GenerationFailed, Unprotectable
 
 import netfixtures
 from netfixtures import (chain2, coding, demotable5, diamond2, ladder15, numeric_ids,
                          parallel_capacity2, quadpath, tripath, unit_chain,
                          widefan)
-from oracles import (reference_roles, reference_segments, reference_solve_segment,
-                     virtual_arc)
+from oracles import (chain_parts, reference_roles, reference_segments,
+                     reference_solve_segment, segment_arcs, virtual_arc)
 from test_golden import CORPUS, MIXED_CORPUS, mixed_ids
 
 # `triflow.decompose` is the function, so the module goes by full name
@@ -56,10 +58,11 @@ def test_auxiliary_counts():
 
 
 def test_segments_diamond():
-    _, _, segments = pipeline(diamond2())
+    cond, aux, segments = pipeline(diamond2())
+    parts = chain_parts(cond.chain, aux.graph)
     assert [s.seg_type for s in segments] == [SegmentType.II, SegmentType.II]
-    assert segments[0].interior == frozenset("a")
-    assert segments[1].interior == frozenset("b")
+    assert parts[segments[0].index] == frozenset("a")
+    assert parts[segments[1].index] == frozenset("b")
 
 
 def test_segments_tripath_all_type1():
@@ -69,14 +72,15 @@ def test_segments_tripath_all_type1():
 
 
 def test_segments_ladder15_cover_all_types():
-    _, _, segments = pipeline(ladder15())
+    cond, aux, segments = pipeline(ladder15())
+    parts = chain_parts(cond.chain, aux.graph)
     assert [s.seg_type.name for s in segments] == ["IV", "II", "III", "IV"]
-    assert segments[0].interior == frozenset(["a0", "b0", "c0"])
-    assert segments[2].interior == frozenset(["a3", "c3", "b3"])
+    assert parts[segments[0].index] == frozenset(["a0", "b0", "c0"])
+    assert parts[segments[2].index] == frozenset(["a3", "c3", "b3"])
 
 
 def test_segments_widefan_virtual_boundaries():
-    _, aux, segments = pipeline(widefan())
+    cond, aux, segments = pipeline(widefan())
     # everything up to the only cut is one piece entered via virtual arcs;
     # the exit arcs of that piece already end at the target
     assert [s.seg_type.name for s in segments] == ["IV"]
@@ -85,10 +89,45 @@ def test_segments_widefan_virtual_boundaries():
     assert lead.entry_arcs == aux.source_arcs
     assert all(a >= real for a in lead.entry_arcs)
     assert {local_ends(lead, a) for a in lead.entry_arcs} == {(SRC, aux.graph._index["s"])}
-    assert lead.interior == frozenset(widefan().graph.nodes) - {"t"}
+    lead_part = chain_parts(cond.chain, aux.graph)[lead.index]
+    assert lead_part == frozenset(widefan().graph.nodes) - {"t"}
     assert all(a < real for a in lead.exit_arcs)
     assert {local_ends(lead, a)[1] for a in lead.exit_arcs} == {SNK}
     assert {aux.graph.nodes_sorted[aux.head[a]] for a in lead.exit_arcs} == {"t"}
+
+
+def test_consecutive_segments_share_their_boundary_tuple():
+    # each cut's crossing arcs are one tuple: the exit of the segment before
+    # it and the entry of the segment after it
+    nets = [ladder15()]
+    for params in CORPUS:
+        if params.structure is Structure.LADDER:
+            try:
+                nets.append(generate(params))
+            except GenerationFailed:
+                continue
+    pairs = 0
+    for net in nets:
+        if classify_feasibility(coding(net)).kind is not FeasibilityKind.NETWORK_CODING:
+            continue
+        _, _, segments = pipeline(net)
+        for seg, nxt in zip(segments, segments[1:]):
+            assert nxt.index == seg.index + 1
+            assert seg.exit_arcs is nxt.entry_arcs
+            pairs += 1
+    assert pairs > len(nets)
+
+
+def test_extract_segments_rejects_an_arc_crossing_the_chain_backward():
+    cond = condition_network(coding(ladder15()))
+    index = cond.network.graph._index
+    node_part = list(cond.chain.node_part)
+    a0, a1 = index["a0"], index["a1"]  # edge a0 -> a1 crosses the second cut
+    assert node_part[a0] < node_part[a1]
+    node_part[a0], node_part[a1] = node_part[a1], node_part[a0]
+    broken = dataclasses.replace(cond, chain=dataclasses.replace(cond.chain, node_part=node_part))
+    with pytest.raises(BrokenChain, match="backward"):
+        extract_segments(broken, build_auxiliary(broken.network))
 
 
 def local_connects(seg, arcs, drop=frozenset()):
@@ -118,7 +157,7 @@ def assert_locally_feasible(seg, sol):
     for s in sets:
         assert local_connects(seg, s)
     by_edge = {}
-    for a in seg.arcs:
+    for a in segment_arcs(seg):
         by_edge.setdefault(a >> 1, []).append(a)
     for edge, arcs in by_edge.items():
         drop = frozenset(arcs)
@@ -351,7 +390,7 @@ def assert_solver_matches_reference(net):
     refs = reference_segments(cond)
     assert [(s.index, s.seg_type) for s in segments] == [(r.index, r.seg_type) for r in refs]
     for seg, ref in zip(segments, refs):
-        assert tuple(named(seg, seg.arcs)) == ref.arcs
+        assert tuple(named(seg, segment_arcs(seg))) == ref.arcs
         assert tuple(named(seg, seg.entry_arcs)) == ref.entry_arcs
         assert tuple(named(seg, seg.exit_arcs)) == ref.exit_arcs
         sol = solve_segment(seg)
@@ -407,8 +446,9 @@ def test_segment_solver_matches_reference_with_ids_sorting_after_virtual_names()
         cond = condition_network(coding(relabeled))
         segments = extract_segments(cond, build_auxiliary(cond.network))
         for seg, ref in zip(segments, reference_segments(cond)):
-            assert set(named(seg, seg.arcs)) == set(ref.arcs)
-            reordered += tuple(named(seg, seg.arcs)) != ref.arcs
+            arcs = named(seg, segment_arcs(seg))
+            assert set(arcs) == set(ref.arcs)
+            reordered += tuple(arcs) != ref.arcs
             sol = solve_segment(seg)
             got = SegmentSolution(sets=tuple(frozenset(named(seg, s)) for s in sol.sets),
                                   dominant=sol.dominant, merger=sol.merger,

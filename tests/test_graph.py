@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triflow import Digraph, cancel_cycles, decompose_flow_to_paths, edge_disjoint_paths, max_flow
+from triflow import Digraph, cancel_cycles, edge_disjoint_paths, max_flow
 from triflow.errors import InsufficientPaths, NotMaximum, UnknownNode
 from triflow import residual_scc_condensation
 from triflow.cutchain import reduced_capacities
-from triflow.graph import FlowResult, reach
+from triflow.graph import FlowResult, decompose_flow_to_paths, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
 from oracles import (is_conserved, min_cut_value, reference_max_flow,

@@ -2,8 +2,8 @@ import pytest
 
 from triflow import (FeasibilityKind, GenParams, SegmentType, Structure,
                      build_auxiliary, classify_feasibility, condition_network,
-                     decompose, derive_coding_capacities, extract_segments,
-                     generate)
+                     decompose, derive_coding_capacities, generate)
+from triflow.decompose import extract_segments
 from triflow.errors import GenerationFailed
 
 from netfixtures import coding
