@@ -11,8 +11,8 @@ from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
                            condition_network, derive_coding_capacities)
 from .cutchain import CutChain, CutKind, build_cut_chain
 from .decompose import SegmentType, assign_roles, build_auxiliary, decompose
-from .graph import (CondensationDag, Digraph, FlowResult, cancel_cycles,
-                    edge_disjoint_paths, max_flow, residual_scc_condensation)
+from .graph import (Digraph, FlowResult, cancel_cycles, edge_disjoint_paths,
+                    max_flow)
 from .netgen import GenParams, Structure, generate
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, VerificationReport
 from .simulate import (DeliveryOutcome, Generation, decode, encode,
@@ -21,13 +21,12 @@ from .verify import survivability_by_removal, verify_plan
 from . import errors
 
 __all__ = [
-    "Arc", "CodingNetwork", "CondensationDag", "ConditionedNetwork", "CutChain",
-    "CutKind", "DeliveryOutcome", "Digraph", "Feasibility", "FeasibilityKind",
-    "FlowResult", "GenParams", "Generation", "LABELS", "Network", "NodeRole",
-    "RecoveryPlan", "Role", "SegmentType", "Structure", "VerificationReport",
-    "assign_roles", "build_auxiliary", "build_cut_chain", "cancel_cycles",
-    "classify_feasibility", "condition_network", "decode", "decompose",
-    "derive_coding_capacities", "edge_disjoint_paths", "encode", "errors",
-    "failure_sweep", "generate", "max_flow", "residual_scc_condensation",
-    "simulate_transmission", "survivability_by_removal", "verify_plan",
+    "Arc", "CodingNetwork", "ConditionedNetwork", "CutChain", "CutKind",
+    "DeliveryOutcome", "Digraph", "Feasibility", "FeasibilityKind", "FlowResult",
+    "GenParams", "Generation", "LABELS", "Network", "NodeRole", "RecoveryPlan",
+    "Role", "SegmentType", "Structure", "VerificationReport", "assign_roles",
+    "build_auxiliary", "build_cut_chain", "cancel_cycles", "classify_feasibility",
+    "condition_network", "decode", "decompose", "derive_coding_capacities",
+    "edge_disjoint_paths", "encode", "errors", "failure_sweep", "generate",
+    "max_flow", "simulate_transmission", "survivability_by_removal", "verify_plan",
 ]

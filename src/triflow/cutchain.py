@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import BrokenChain, MalformedCut
-from .graph import Digraph, FlowResult, _one_plain_type, _residual_sccs, order_key
+from .graph import Digraph, FlowResult, residual_scc_condensation
 
 REDUCED_DOUBLED = {1: 2, 2: 3}  # coding capacity -> reduced capacity, doubled
 FLOW_TARGET_DOUBLED = 6         # a 3-unit flow in doubled units
@@ -65,13 +65,14 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
 
     Expects zero-flow edges already removed and an acyclic flow support.  Each
     step of the chain adds exactly one residual SCC, successors first; ties are
-    broken by the smallest node id inside the component, in `order_key` order.
+    broken by the smallest node id inside the component, which is its
+    smallest node index.
     """
     ids = g._edge_ids
     caps = [coding_cap[e] for e in ids]
     reduced = [REDUCED_DOUBLED[c] for c in caps]
     per_edge = [flow.per_edge[e] for e in ids]
-    comps, comp_of, succs = _residual_sccs(g, reduced, per_edge, s, t)
+    comps, comp_of, succs = residual_scc_condensation(g, reduced, per_edge, s, t)
     n = len(comps)
     s_comp = comp_of[g._index[s]]
     t_comp = comp_of[g._index[t]]
@@ -87,12 +88,7 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
         raise BrokenChain("residual arcs enter the target component; support "
                           "is cyclic or zero-flow edges remain")
 
-    nodes = g._nodes_sorted
-    # node-index order is `order_key` order only when all ids share one plain type
-    if _one_plain_type(nodes):
-        min_key = list(map(min, comps))
-    else:
-        min_key = [min(order_key(nodes[v]) for v in comp) for comp in comps]
+    min_key = list(map(min, comps))
     pending = [len(succs[i]) for i in range(n)]
     ready = [(min_key[i], i) for i in range(n) if pending[i] == 0 and i != t_comp]
     heapq.heapify(ready)

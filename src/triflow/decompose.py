@@ -37,7 +37,7 @@ from .cutchain import CutKind
 from .errors import (BrokenChain, GlueMismatch, SegmentInfeasible, Unprotectable,
                      VerificationFailed)
 # unused `max_flow` stays bound: perfbench's tracer tests look it up here
-from .graph import edge_disjoint_paths, max_flow, order_key, reach  # noqa: F401
+from .graph import edge_disjoint_paths, max_flow, reach  # noqa: F401
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, Subflows
 
 
@@ -479,12 +479,12 @@ def assign_roles(cn: CodingNetwork, sets: list, dominant: int | None,
     else:
         labeled = {"A": sets[order[0]], "B": sets[order[1]], "XOR": sets[dominant]}
 
-    nodes = cn.graph.nodes_sorted
+    nodes, index = cn.graph.nodes_sorted, cn.graph._index
     roles = []
     for label in LABELS:
         for role, degree in zip(Role, cn.graph.degrees(labeled[label])):
             roles += [NodeRole(nodes[v], role, label) for v, d in degree.items() if d >= 2]
-    roles.sort(key=lambda r: (order_key(r.node), r.role.value, r.label))
+    roles.sort(key=lambda r: (index[r.node], r.role.value, r.label))  # index order is id order
     return RecoveryPlan(subflows=Subflows(labeled, cn.graph),
                         roles=tuple(roles), feasibility=feasibility)
 

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from .conditioning import Feasibility, FeasibilityKind, Network
 from .errors import PlanReferenceError, TriflowError, UnknownNode
-from .graph import Digraph, _one_plain_type, order_key, sorted_ids
+from .graph import Digraph, sorted_ids
 from .plan import (LABELS, Arc, NodeRole, RecoveryPlan, Role, Subflows,
                    VerificationReport)
 
@@ -118,7 +118,7 @@ def load_network(path) -> Network:
 
 def network_to_json(net: Network) -> dict:
     return {
-        "nodes": sorted(net.graph.nodes, key=order_key),
+        "nodes": list(net.graph.nodes_sorted),
         "edges": [{"id": eid, "tail": tail, "head": head,
                    "capacity": net.free_cap[eid]}
                   for eid, tail, head in net.graph.edges()],
@@ -144,10 +144,9 @@ def report_to_json(report: VerificationReport) -> dict:
 
 def plan_to_json(plan: RecoveryPlan) -> dict:
     """The plan file's object.  Each label's arcs are listed in `sorted_ids`
-    order, which is their int order when the edge ids share one plain type;
-    only plans without ints, or with mixed ids, sort their `Arc`s."""
+    order, which is their int order; only plans built from `Arc`s sort."""
     subflows = plan.subflows
-    if subflows.graph is not None and _one_plain_type(subflows.graph.edge_ids):
+    if subflows.graph is not None:
         ids = subflows.graph.edge_ids
         arcs = {label: [{"edge": ids[a >> 1], "copy": a & 1} for a in ints]
                 for label, ints in subflows.ints.items()}
@@ -311,7 +310,7 @@ def plan_to_dot(net: Network, plan: RecoveryPlan) -> str:
         role_marks.setdefault(r.node, []).append(f"{mark}:{r.label}")
 
     lines = ["digraph plan {", "  rankdir=LR;"]
-    for node in sorted(net.graph.nodes, key=order_key):
+    for node in net.graph.nodes_sorted:
         attrs = []
         if node in (net.source, net.target):
             attrs.append("shape=doublecircle")

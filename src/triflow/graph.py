@@ -22,35 +22,30 @@ def order_key(value):
 
 
 def sorted_ids(values):
-    """Sort identifiers deterministically.
+    """Sort a collection of identifiers in `order_key` order.
 
-    Homogeneous collections (the normal case) sort natively, which matches
-    `order_key` order exactly; mixed types fall back to the explicit key.
+    Ids that share one type other than tuple (the normal case) sort
+    natively, which is the same order, only faster.  Since the order is one
+    total order, any subset of a sorted collection is already in its own
+    sorted order.
     """
-    try:
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and not issubclass(kinds.pop(), tuple):
         return sorted(values)
-    except TypeError:
-        return sorted(values, key=order_key)
-
-
-def _one_plain_type(ids) -> bool:
-    """Whether `ids` share one type other than tuple.  Then their native order
-    is their `order_key` order, so any subsequence of a `sorted_ids` order
-    that holds only such ids is already in its own `sorted_ids` order."""
-    kinds = set(map(type, ids))
-    return len(kinds) <= 1 and tuple not in kinds
+    return sorted(values, key=order_key)
 
 
 class Digraph:
     """Immutable directed multigraph. Edges carry unique ids; parallel edges
     between the same node pair are allowed, self-loops are not.
 
-    Ids are interned once, here: node i is `nodes_sorted[i]`, edge e is
-    `edge_ids[e]` and `_edge_index[edge_ids[e]]`, `_tail[e]` and `_head[e]`
-    are node indices, and `_moves[i]` lists the residual moves out of node i
-    as 2*e (forward along e) and 2*e + 1 (backward along e).  Ascending ints
-    are ascending edge ids, forward before backward.  Everything below runs
-    on these lists and translates an edge id once, through `_edge_index`."""
+    Ids are interned once, here, in `sorted_ids` order: node i is
+    `nodes_sorted[i]`, edge e is `edge_ids[e]` and `_edge_index[edge_ids[e]]`,
+    `_tail[e]` and `_head[e]` are node indices, and `_moves[i]` lists the
+    residual moves out of node i as 2*e (forward along e) and 2*e + 1
+    (backward along e).  Ascending ints are ascending edge ids, forward
+    before backward.  Everything below runs on these lists and translates an
+    edge id once, through `_edge_index`."""
 
     __slots__ = ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_edge_index",
                  "_tail", "_head", "_moves")
@@ -132,9 +127,8 @@ class Digraph:
         """Restriction to `keep_edges`; nodes are their endpoints plus extras.
 
         Raises KeyError for an unknown edge id or extra node.  The kept
-        edges and nodes are filtered from this graph's interning by index, in
-        their order here, which is their sorted order whenever
-        `_one_plain_type` holds for each; otherwise they are sorted afresh.
+        edges and nodes are filtered from this graph's interning by index:
+        their order here is their sorted order, as in every subset.
         """
         keep = set(keep_edges)
         unknown = keep - self._edge_index.keys()
@@ -150,8 +144,6 @@ class Digraph:
         old = [v for v, u in enumerate(used) if u]
         nodes_sorted = tuple(self._nodes_sorted[v] for v in old)
         edge_ids = tuple(ids[e] for e in kept)
-        if not (_one_plain_type(nodes_sorted) and _one_plain_type(edge_ids)):
-            return Digraph(nodes_sorted, [(eid, *self.ends(eid)) for eid in edge_ids])
         new = [0] * len(used)
         for i, v in enumerate(old):
             new[v] = i
@@ -176,17 +168,6 @@ class FlowResult:
 
     def support(self):
         return [e for e, f in self.per_edge.items() if f > 0]
-
-
-@dataclass(frozen=True)
-class CondensationDag:
-    """SCCs of a residual graph in topological order: every residual arc goes
-    within one component or from an earlier to a later one.  `successors[i]`
-    holds the other components that residual arcs out of component i enter."""
-
-    components: tuple
-    component_of: Mapping
-    successors: tuple
 
 
 def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowResult:
@@ -261,29 +242,15 @@ def reach(out: Mapping, start) -> dict:
     return parent
 
 
-def residual_scc_condensation(g: Digraph, cap: Mapping, flow: FlowResult, s, t) -> CondensationDag:
+def residual_scc_condensation(g: Digraph, cap: list, flow: list, s, t) -> tuple:
     """Condense the residual graph of a maximum flow into its SCC DAG.
 
-    Raises NotMaximum if the residual graph still has an s-t path.  Components
-    come out in a topological order (residual arcs go earlier -> later), so the
+    `cap` and `flow` are indexed by edge.  Raises NotMaximum if the residual
+    graph still has an s-t path.  Returns (components as lists of node
+    indices, the component of each node index, the set of other components
+    that residual arcs out of each component enter).  Components come out in
+    a topological order (residual arcs go earlier -> later), so the
     target-side component is first and the source-side component last.
-    """
-    ids, per_edge = g._edge_ids, flow.per_edge
-    comps, comp_of, successors = _residual_sccs(
-        g, [cap[e] for e in ids], [per_edge[e] for e in ids], s, t)
-    nodes = g._nodes_sorted
-    return CondensationDag(
-        components=tuple(frozenset(nodes[v] for v in comp) for comp in comps),
-        component_of={v: comp_of[i] for i, v in enumerate(nodes)},
-        successors=tuple(map(frozenset, successors)))
-
-
-def _residual_sccs(g: Digraph, cap: list, flow: list, s, t) -> tuple:
-    """`residual_scc_condensation` on the interned ints.
-
-    `cap` and `flow` are indexed by edge.  Returns (components as lists of
-    node indices in topological order, the component of each node index, the
-    set of other components that residual arcs out of each component enter).
     """
     if s not in g or t not in g:
         raise UnknownNode(s if s not in g else t)

@@ -19,9 +19,8 @@ from functools import cached_property
 
 from .conditioning import CodingNetwork
 from .errors import InsufficientLabels, LengthMismatch
-from .graph import sorted_ids
-from .plan import LABELS, RecoveryPlan
-from .verify import _routes, survivors
+from .plan import LABELS, Arc, RecoveryPlan
+from .verify import _index, _routes, survivors
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -53,26 +52,28 @@ class DeliveryOutcome:
     `arc_sends` maps each `(label, arc)` that carried the generation to how
     many times it did.  A single-failure `simulate_transmission` keeps only
     how many times each node forwarded each label; `arc_sends` is built from
-    those counts on its first read (labels in order, then arcs in `sorted_ids`
-    order) and cached.  Outcomes from `failure_sweep` carry `{}`, which keeps
-    a sweep's memory linear in the number of edges.
+    those counts and the label's sorted arc ints on its first read (labels
+    in order, then arcs in id order) and cached.  Outcomes from
+    `failure_sweep` carry `{}`, which keeps a sweep's memory linear in the
+    number of edges.
     """
 
     received_labels: frozenset
     decoded: tuple | None
     recovered_via: tuple | None
-    # (graph, subflows, {label: per-node send counts}), or None from a sweep
+    # (graph, {label: sorted arc ints}, {label: per-node send counts}), or
+    # None from a sweep
     _forwarded: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def arc_sends(self) -> dict:
         if self._forwarded is None:
             return {}
-        graph, subflows, forwarded = self._forwarded
-        index, tails = graph._edge_index, graph._tail
-        return {(label, arc): sent
-                for label in LABELS for arc in sorted_ids(subflows[label])
-                if (sent := forwarded[label][tails[index[arc.edge]]])}
+        graph, arcs, forwarded = self._forwarded
+        ids, tails = graph._edge_ids, graph._tail
+        return {(label, Arc(ids[a >> 1], a & 1)): sent
+                for label in LABELS for a in arcs.get(label, ())
+                if (sent := forwarded[label][tails[a >> 1]])}
 
 
 def encode(a: bytes, b: bytes) -> dict:
@@ -152,7 +153,7 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
                  for label in LABELS}
     arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
     return _outcome(arrived, encode(gen.payload_a, gen.payload_b),
-                    (g, plan.subflows, forwarded))
+                    (g, _index(g, plan).arcs, forwarded))
 
 
 def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dict:

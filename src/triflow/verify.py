@@ -16,7 +16,7 @@ from itertools import combinations, compress
 
 from .conditioning import CodingNetwork
 from .errors import PlanReferenceError
-from .graph import Digraph, order_key, reach, sorted_ids
+from .graph import Digraph, reach, sorted_ids
 from .plan import LABELS, Arc, RecoveryPlan, Role, VerificationReport, Violation
 
 
@@ -230,7 +230,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     # Every copy is below its edge's capacity and a label holds an arc once,
     # so only arcs in two labels can put an edge over capacity.
     violations = [Violation("disjointness",
-                            f"{x} and {y} share arcs {sorted(view(shared), key=order_key)}")
+                            f"{x} and {y} share arcs {view(sorted(shared))}")
                   for x, y in combinations(LABELS, 2)
                   if (shared := set(arcs[x]).intersection(arcs[y]))]
     disjoint = not violations

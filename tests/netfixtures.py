@@ -102,7 +102,7 @@ def coding(net: Network):
 def numeric_ids(net: Network) -> Network:
     """Relabel the nodes by sorted position i: even positions become the int
     i, odd ones the float i + 0.5.  Native order is by value, but `order_key`
-    order puts every float before every int."""
+    order, the one `Digraph` interns by, puts every float before every int."""
     node = {v: i if i % 2 == 0 else i + 0.5 for i, v in enumerate(net.graph.nodes_sorted)}
     graph = Digraph(node.values(),
                     [(e, node[tail], node[head]) for e, tail, head in net.graph.edges()])

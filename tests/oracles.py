@@ -11,7 +11,8 @@ from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
 from triflow.decompose import SegmentSolution
 from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
                             UnknownNode)
-from triflow.graph import FlowResult, decompose_flow_to_paths, order_key, reach, sorted_ids
+from triflow.graph import (FlowResult, decompose_flow_to_paths, order_key, reach,
+                           residual_scc_condensation, sorted_ids)
 from triflow.plan import LABELS, NodeRole, Role
 
 
@@ -19,10 +20,30 @@ class TooLarge(Exception):
     """Instance exceeds the size bound of an exhaustive oracle."""
 
 
+class Condensation(NamedTuple):
+    """`residual_scc_condensation` read by id: node-id sets in topological
+    order, each node's component and each component's successors."""
+
+    components: tuple
+    component_of: dict
+    successors: tuple
+
+
+def condensation(g: Digraph, cap, flow: FlowResult, s, t) -> Condensation:
+    """`residual_scc_condensation` called with id-keyed capacities and a
+    `FlowResult`, its node indices translated back to ids."""
+    comps, comp_of, successors = residual_scc_condensation(
+        g, [cap[e] for e in g.edge_ids], [flow.per_edge[e] for e in g.edge_ids], s, t)
+    nodes = g.nodes_sorted
+    return Condensation(tuple(frozenset(nodes[v] for v in comp) for comp in comps),
+                        {v: comp_of[i] for i, v in enumerate(nodes)},
+                        tuple(map(frozenset, successors)))
+
+
 def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:
     """The dict-keyed max flow that the interned `max_flow` replaced: the
     same BFS augmenting paths, over residual moves sorted node by node
-    (lowest edge id first, forward before backward)."""
+    (lowest edge id in `order_key` order first, forward before backward)."""
     if s not in g:
         raise UnknownNode(s)
     if t not in g:
@@ -34,10 +55,7 @@ def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:
         moves[tail].append((e, 0))
         moves[head].append((e, 1))
     for cand in moves.values():
-        try:
-            cand.sort()
-        except TypeError:
-            cand.sort(key=lambda m: (order_key(m[0]), m[1]))
+        cand.sort(key=lambda m: (order_key(m[0]), m[1]))
 
     flow = {e: 0 for e in g.edge_ids}
     value = 0

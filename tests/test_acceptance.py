@@ -13,7 +13,7 @@ import pytest
 from triflow import (CutKind, FeasibilityKind, GenParams, SegmentType,
                      Structure, build_auxiliary, classify_feasibility,
                      condition_network, decompose, derive_coding_capacities,
-                     generate, residual_scc_condensation)
+                     generate)
 from triflow.cutchain import reduced_capacities
 from triflow.decompose import extract_segments
 from triflow.errors import GenerationFailed
@@ -21,7 +21,7 @@ from triflow.plan import LABELS
 from triflow.simulate import Generation, failure_sweep
 
 from netfixtures import coding, ladder15
-from oracles import brute_force_feasible, chain_parts
+from oracles import brute_force_feasible, chain_parts, condensation
 
 
 def _pass(name):
@@ -53,8 +53,8 @@ def test_c2_ladder_demo_cut_chain():
     assert [k.name for k in chain.kinds] == [
         "THREE_ARC", "TWO_EDGE", "TWO_EDGE", "THREE_ARC", "TWO_EDGE"]
     net = cond.network
-    scc = residual_scc_condensation(net.graph, reduced_capacities(net.graph, net.coding_cap),
-                                    cond.flow, net.source, net.target)
+    scc = condensation(net.graph, reduced_capacities(net.graph, net.coding_cap),
+                       cond.flow, net.source, net.target)
     components = {frozenset(c) for c in scc.components}
     for part in chain_parts(chain, net.graph):
         assert part in components  # each difference set is one residual SCC

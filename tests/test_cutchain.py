@@ -1,12 +1,12 @@
 import pytest
 
-from triflow import CutKind, Digraph, condition_network, residual_scc_condensation
+from triflow import CutKind, Digraph, condition_network
 from triflow.cutchain import build_cut_chain, reduced_capacities
 from triflow.errors import MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
 from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
-from oracles import (chain_cuts, chain_parts, classify_cut, cut_value,
+from oracles import (chain_cuts, chain_parts, classify_cut, condensation, cut_value,
                      enumerate_min_cuts, longest_min_cut_chain)
 
 
@@ -21,7 +21,7 @@ def test_diamond_chain():
         frozenset("s"), frozenset(("s", "a")), frozenset(("s", "a", "b"))]
     assert all(k is CutKind.TWO_EDGE for k in chain.kinds)
     # a, b, s, t relabelled 0, 1.5, 2, 3.5: the tie between a and b goes to
-    # b, first in `order_key` order, although a has the lower node index
+    # b, first in `order_key` order (floats before ints) and so in node index
     cond = conditioned(numeric_ids(diamond2()))
     chain = cond.chain
     assert chain_parts(chain, cond.network.graph) == (
@@ -37,7 +37,8 @@ def test_tripath_chain_is_maximal():
     assert cuts[0] == frozenset("s")
     assert cuts[-1] == frozenset(("s", "m1", "m2", "m3"))
     assert all(k is CutKind.THREE_ARC for k in chain.kinds)
-    # m1, m2, m3, s, t relabelled 0, 1.5, 2, 3.5, 4: the floats come first
+    # m1, m2, m3, s, t relabelled 0, 1.5, 2, 3.5, 4: the floats come first,
+    # in `order_key` order as in node index order
     cond = conditioned(numeric_ids(tripath()))
     assert chain_parts(cond.chain, cond.network.graph) == (
         frozenset([3.5]), frozenset([1.5]), frozenset([0]), frozenset([2]), frozenset([4]))
@@ -88,8 +89,8 @@ def test_chain_parts_are_residual_sccs():
         cond = conditioned(net)
         g = cond.network.graph
         reduced = reduced_capacities(cond.network.graph, cond.network.coding_cap)
-        scc = residual_scc_condensation(g, reduced, cond.flow,
-                                        cond.network.source, cond.network.target)
+        scc = condensation(g, reduced, cond.flow,
+                           cond.network.source, cond.network.target)
         groups = {frozenset(c) for c in scc.components}
         for part in chain_parts(cond.chain, g):
             assert part in groups

@@ -34,8 +34,8 @@ CORPUS = (
 )
 
 # The same digest over MIXED_CORPUS, each network passed through `mixed_ids`
-# (21 plans and 7 refusals).  Mixed id types make every id sort fall back to
-# `order_key`, which CORPUS (int edges, str nodes) never reaches.
+# (21 plans and 7 refusals).  Mixed id types make every id sort take
+# `order_key` explicitly, which CORPUS (int edges, str nodes) never does.
 MIXED_DIGEST = "fc6d8be8d0ccc73099ed5f1a5f5fa91e5e3f68796ac16b44e49bef277397999d"
 
 MIXED_CORPUS = (

@@ -1,14 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triflow import Digraph, cancel_cycles, edge_disjoint_paths, max_flow
 from triflow.errors import InsufficientPaths, NotMaximum, UnknownNode
-from triflow import residual_scc_condensation
 from triflow.cutchain import reduced_capacities
 from triflow.graph import FlowResult, decompose_flow_to_paths, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
-from oracles import (is_conserved, min_cut_value, reference_max_flow,
+from oracles import (condensation, is_conserved, min_cut_value, reference_max_flow,
                      support_is_acyclic)
 
 
@@ -71,7 +70,7 @@ def test_max_flow_unknown_node():
 def test_condensation_tripath_orders_target_side_first():
     g, caps, s, t = reduced(tripath())
     flow = max_flow(g, caps, s, t)
-    cond = residual_scc_condensation(g, caps, flow, s, t)
+    cond = condensation(g, caps, flow, s, t)
     # all edges saturated: only reversal arcs remain, every node is its own SCC
     assert len(cond.components) == 5
     assert cond.component_of[t] < cond.component_of[s]
@@ -82,14 +81,14 @@ def test_condensation_tripath_orders_target_side_first():
 def test_condensation_diamond_all_singletons():
     g, caps, s, t = reduced(diamond2())
     flow = max_flow(g, caps, s, t)
-    cond = residual_scc_condensation(g, caps, flow, s, t)
+    cond = condensation(g, caps, flow, s, t)
     assert sorted(len(c) for c in cond.components) == [1, 1, 1, 1]
 
 
 def test_condensation_ladder15_components_are_the_rungs():
     g, caps, s, t = reduced(ladder15())
     flow = max_flow(g, caps, s, t)
-    cond = residual_scc_condensation(g, caps, flow, s, t)
+    cond = condensation(g, caps, flow, s, t)
     groups = {frozenset(c) for c in cond.components}
     assert frozenset(["a0", "b0", "c0"]) in groups
     assert frozenset(["a1", "c1", "a2", "c2"]) in groups
@@ -102,7 +101,7 @@ def test_condensation_requires_maximum_flow():
     g, caps, s, t = reduced(tripath())
     zero = FlowResult(value=0, per_edge={e: 0 for e in g.edge_ids})
     with pytest.raises(NotMaximum):
-        residual_scc_condensation(g, caps, zero, s, t)
+        condensation(g, caps, zero, s, t)
 
 
 def residual_arc_pairs(g, caps, flow):
@@ -116,7 +115,7 @@ def residual_arc_pairs(g, caps, flow):
 def test_condensation_topological_order_is_valid():
     g, caps, s, t = reduced(ladder15())
     flow = max_flow(g, caps, s, t)
-    cond = residual_scc_condensation(g, caps, flow, s, t)
+    cond = condensation(g, caps, flow, s, t)
     for u, v in residual_arc_pairs(g, caps, flow):
         assert cond.component_of[u] <= cond.component_of[v]
 
@@ -199,7 +198,7 @@ def test_max_flow_properties(instance):
     assert is_conserved(g, flow.per_edge, s, t)
     assert all(0 <= flow.per_edge[e] <= caps[e] for e in g.edge_ids)
     assert flow.value == min_cut_value(g, caps, s, t)
-    cond = residual_scc_condensation(g, caps, flow, s, t)
+    cond = condensation(g, caps, flow, s, t)
     entered = [set() for _ in cond.components]
     for e, tail, head in g.edges():
         if flow.per_edge[e] < caps[e]:
@@ -250,7 +249,7 @@ def test_cancel_cycles_still_rejects_flows_that_are_not_path_sums():
 
 
 # Ids of three types that never compare with each other, so every sort of a
-# mixed set falls back to `order_key`.
+# mixed set needs `order_key`.
 MIXED_IDS = st.one_of(st.integers(-3, 30), st.sampled_from("abcdefgh"),
                       st.tuples(st.integers(0, 3), st.sampled_from("xy")))
 
@@ -272,7 +271,8 @@ def mixed_multigraphs(draw, id_values=MIXED_IDS):
 
 
 # Ids mixing natively comparable types (int and float) with incomparable ones
-# (str and tuple), so a subset can sort natively although its parent could not.
+# (str and tuple): int and float sort by value natively but not in
+# `order_key` order, which is the one order that every sort must follow.
 NUMERIC_AND_MIXED_IDS = st.one_of(MIXED_IDS, st.sampled_from([0.5, 1.5, 2.5, 7.5]))
 
 
@@ -287,8 +287,17 @@ def test_subgraph_matches_a_fresh_build(instance, data):
         assert getattr(sub, attr) == getattr(fresh, attr), attr
 
 
+# Int and float edge ids between s and t, with and without an unrelated str
+# edge: which of them one unit takes may not depend on the str edge.
+TWO_PARALLEL = Digraph(["s", "t"], [(0, "s", "t"), (0.5, "s", "t")])
+WITH_STR_EDGE = Digraph(["s", "t", "u", "v"],
+                        [(0, "s", "t"), (0.5, "s", "t"), ("a", "u", "v")])
+
+
 @settings(max_examples=300, deadline=None)
-@given(mixed_multigraphs())
+@given(mixed_multigraphs(NUMERIC_AND_MIXED_IDS))
+@example((TWO_PARALLEL, dict.fromkeys(TWO_PARALLEL.edge_ids, 1), "s", "t", 1))
+@example((WITH_STR_EDGE, dict.fromkeys(WITH_STR_EDGE.edge_ids, 1), "s", "t", 1))
 def test_max_flow_matches_reference(instance):
     g, caps, s, t, limit = instance
     for lim in (None, limit):
