@@ -17,6 +17,10 @@ shapes occur, keyed by the bounding cut kinds:
   on both edges.
 * IV  (3-arc / 2-edge): type III on the arc-reversed segment.
 
+A segment's solution is three arc lists, the dominant set first for types
+II-IV; gluing takes them in chain order, as they are made, and labels arcs
+in one owner array.
+
 When the first cut is bigger than {s} (or the last smaller than V minus t)
 the stretch between the real terminal and the outermost cut behaves exactly
 like a segment whose outer boundary is a synthetic 3-arc cut; three virtual
@@ -25,7 +29,6 @@ unit arcs represent it and are stripped after gluing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
@@ -128,14 +131,6 @@ class Segment:
     entry_arcs: tuple
     exit_arcs: tuple
     aux: AuxiliaryGraph = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class SegmentSolution:
-    sets: tuple               # three frozensets of arc ints
-    dominant: int | None      # index of the set crossing 2-edge cuts twice
-    merger: object = None     # type III/IV junction node, if any
-    splitter: object = None
 
 
 def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> list:
@@ -281,7 +276,8 @@ def _merge(seg, entry, tail, head):
     """Type III construction: entry is a 2-edge cut (four arcs over edges f
     and g), exit side is anything reachable from the merger walk.
 
-    Returns (sets, merger node index).
+    Returns three arc lists, the dominant one first: it joins at the merger
+    node.
     """
     piece, part = seg.index, seg.aux.part
     paths = _paths(seg, entry, tail, head)
@@ -357,14 +353,12 @@ def _merge(seg, entry, tail, head):
     if q_merge is None:
         raise SegmentInfeasible("regrown flow lost its merger path")
 
-    e1 = frozenset(mpath).union((g_other,), q_merge)
-    e2 = frozenset(other)
-    e3 = frozenset(q_exit).union((g_used,))
-    return (e1, e2, e3), m
+    return mpath + [g_other] + q_merge, other, [g_used] + q_exit
 
 
-def solve_segment(seg: Segment) -> SegmentSolution:
-    """Three arc-disjoint terminal-connecting sets for one segment."""
+def solve_segment(seg: Segment) -> tuple:
+    """Three arc-disjoint terminal-connecting arc lists for one segment; for
+    types II-IV the dominant set comes first."""
     aux = seg.aux
     if seg.seg_type in (SegmentType.I, SegmentType.II):
         want = 3 if seg.seg_type is SegmentType.I else 4
@@ -373,97 +367,72 @@ def solve_segment(seg: Segment) -> SegmentSolution:
             raise SegmentInfeasible(f"type {seg.seg_type.value} segment has only "
                                     f"{len(paths)} paths")
         if want == 3:
-            return SegmentSolution(sets=tuple(map(frozenset, paths)), dominant=None)
+            return tuple(paths)
         for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
             union = paths[a] + paths[b]
-            edges = {arc >> 1 for arc in union}
-            if len(edges) != len(union):
-                continue  # pair holds both copies of one capacity-2 edge
-            rest = [paths[i] for i in range(4) if i not in (a, b)]
-            sets = (frozenset(union), frozenset(rest[0]), frozenset(rest[1]))
-            return SegmentSolution(sets=sets, dominant=0)
+            if len({arc >> 1 for arc in union}) == len(union):  # never both copies of an edge
+                return (union, *(paths[i] for i in range(4) if i not in (a, b)))
         raise SegmentInfeasible("no valid dominant pair among the four paths")
 
     if seg.seg_type is SegmentType.III:
-        sets, m = _merge(seg, seg.entry_arcs, aux.tail, aux.head)
-        return SegmentSolution(sets=sets, dominant=0, merger=aux.graph.nodes_sorted[m])
-
+        return _merge(seg, seg.entry_arcs, aux.tail, aux.head)
     # Type IV: run the merge construction on the reversed segment.
-    sets, m = _merge(seg, seg.exit_arcs, aux.head, aux.tail)
-    return SegmentSolution(sets=sets, dominant=0, splitter=aux.graph.nodes_sorted[m])
+    return _merge(seg, seg.exit_arcs, aux.head, aux.tail)
 
 
-def glue_segments(segments: list, solutions: list):
-    """Join local solutions along shared boundary arcs.
+def glue_segments(segments, solutions):
+    """Join the local solutions of one chain's segments, taken in chain
+    order, along their shared boundary arcs.
 
-    At a 3-arc boundary the three crossing arcs pair the sets one to one.  At
-    a 2-edge boundary the copy indices of the next segment are renamed (the
-    two copies of an edge are interchangeable) so that its dominant set enters
-    exactly where the previous dominant exited.
+    `owner[a]` is the global set that holds arc a.  A segment's local sets
+    take the owners of the entry arcs they hold.  At a 2-edge boundary the
+    copies of the next segment's edges are renamed first (the two copies of
+    an edge are interchangeable) so that its dominant set enters exactly
+    where the previous dominant exited.
 
-    Returns (three sorted lists of arc ints over the segments' auxiliary
-    graph, index of the globally dominant set or None), with virtual boundary
-    arcs already stripped.
+    Returns (three ascending lists of real arc ints over the segments'
+    auxiliary graph, index of the globally dominant set or None).
     """
-    global_sets = [set(), set(), set()]
-    dominant_global = None
-    prev_owner = None  # exit arc of the previous segment -> its global set
-
-    for seg, sol in zip(segments, solutions):
-        local = sol.sets
-        if prev_owner is not None:
-            boundary = seg.entry_arcs
-            if boundary != prev_exit:
-                raise GlueMismatch(f"boundary arcs disagree at segment {seg.index}")
-            if seg.entry_kind is CutKind.TWO_EDGE:
-                dom_owner = _two_edge_dominant_owner(prev_owner)
-                if sol.dominant is None:
-                    raise GlueMismatch("2-edge boundary without a dominant set")
-                flip = {a >> 1 for a in local[sol.dominant].intersection(boundary)
-                        if prev_owner[a] != dom_owner}
-                if flip:
-                    local = [frozenset(a ^ 1 if a >> 1 in flip else a for a in s)
-                             for s in local]
-        where = {a: li for li, arcs in enumerate(local) for a in arcs}  # arc -> its set
-        if prev_owner is None:
+    owner = dominant = None
+    for seg, sets in zip(segments, solutions):
+        entry = seg.entry_arcs
+        if owner is None:
+            aux = seg.aux
+            owner = [None] * len(aux.tail)
             mapping = [0, 1, 2]
         else:
-            mapping = [None, None, None]
-            for a in boundary:
-                li = where.get(a)
-                if li is None:
-                    continue
-                if mapping[li] is None:
-                    mapping[li] = prev_owner[a]
-                elif mapping[li] != prev_owner[a]:
+            entered = [owner[a] for a in entry]
+            if None in entered:
+                raise GlueMismatch(f"segment {seg.index} enters on arcs no earlier segment holds")
+            if seg.entry_kind is CutKind.TWO_EDGE:  # type II or III: sets[0] dominates
+                if sorted(map(entered.count, entered)) != [1, 1, 2, 2]:
+                    raise GlueMismatch(f"segment {seg.index}'s 2-edge entry is not crossed 2+1+1")
+                dom = max(entered, key=entered.count)
+                flip = {a >> 1 for a in sets[0] if a in entry and owner[a] != dom}
+                sets = [[a ^ 1 if a >> 1 in flip else a for a in arcs] for arcs in sets]
+            mapping = []
+            for li, arcs in enumerate(sets):
+                labels = {owner[a] for a in arcs if a in entry}
+                if len(labels) != 1:
                     raise GlueMismatch(f"set {li} of segment {seg.index} enters on arcs "
-                                       f"owned by more than one global set")
-            if None in mapping:
-                raise GlueMismatch(f"set {mapping.index(None)} of segment {seg.index} "
-                                   f"does not enter through the boundary")
+                                       f"of {len(labels)} global sets, not one")
+                mapping += labels
             if len(set(mapping)) != 3:
-                raise GlueMismatch(f"label matching at segment {seg.index} "
-                                   f"is not a bijection")
+                raise GlueMismatch(f"label matching at segment {seg.index} is not a bijection")
 
-        for arcs, owner in zip(local, mapping):
-            global_sets[owner] |= arcs
-        if sol.dominant is not None and dominant_global is None:
-            dominant_global = mapping[sol.dominant]
-
-        prev_exit = seg.exit_arcs
-        if not all(map(where.__contains__, prev_exit)):
+        for arcs, label in zip(sets, mapping):
+            for a in arcs:
+                owner[a] = label
+        if None in [owner[a] for a in seg.exit_arcs]:
             raise GlueMismatch(f"segment {seg.index} leaves exit arcs unused")
-        prev_owner = {a: mapping[where[a]] for a in prev_exit}
+        if dominant is None and seg.seg_type is not SegmentType.I:
+            dominant = mapping[0]
 
-    real = 2 * len(segments[0].aux.graph.edge_ids) if segments else 0
-    return [sorted(a for a in s if a < real) for s in global_sets], dominant_global
-
-
-def _two_edge_dominant_owner(prev_owner):
-    doms = [o for o, c in Counter(prev_owner.values()).items() if c == 2]
-    if len(doms) != 1:
-        raise GlueMismatch("previous segment does not cross the 2-edge cut 2+1+1")
-    return doms[0]
+    glued = [[], [], []]
+    for a in aux.arcs:  # ascending, real arcs only
+        if owner[a] is not None:
+            glued[owner[a]].append(a)
+    return glued, dominant
 
 
 def assign_roles(cn: CodingNetwork, sets: list, dominant: int | None,
@@ -508,11 +477,11 @@ def decompose(net: Network) -> RecoveryPlan:
         conditioned = condition_network(cn, probe)
         aux = build_auxiliary(conditioned.network)
         segments = extract_segments(conditioned, aux)
-        solutions = [solve_segment(seg) for seg in segments]
-        sets, dominant = glue_segments(segments, solutions)
-        # the conditioned graph is a pruned copy: map its edge indices back
+        # each solution is glued, then dropped, as `map` makes it
+        sets, dominant = glue_segments(segments, map(solve_segment, segments))
+        # map the pruned copy's edge indices back; `Digraph.subgraph` keeps their order
         back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
-        sets = [sorted(2 * back[a >> 1] | a & 1 for a in s) for s in sets]
+        sets = [[2 * back[a >> 1] | a & 1 for a in s] for s in sets]
         plan = assign_roles(cn, sets, dominant, feas)
     else:
         raise Unprotectable(feas)

@@ -8,7 +8,6 @@ from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, 
                      SegmentType, build_cut_chain, cancel_cycles, decode,
                      edge_disjoint_paths, encode, max_flow)
 from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
-from triflow.decompose import SegmentSolution
 from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
                             UnknownNode)
 from triflow.graph import (FlowResult, decompose_flow_to_paths, order_key, reach,
@@ -686,9 +685,11 @@ def _reverse_maps(seg: ReferenceSegment):
     return tails, heads
 
 
-def reference_solve_segment(seg: ReferenceSegment) -> SegmentSolution:
+def reference_solve_segment(seg: ReferenceSegment) -> tuple:
     """The per-segment `Digraph` solver: `max_flow` and the path peel on the
-    segment's own small graph, sets of `Arc`s."""
+    segment's own small graph.  Returns (three frozensets of `Arc`s, the
+    dominant one first for types II-IV; the merger node of type III or the
+    splitter node of type IV, else None)."""
     if seg.seg_type in (SegmentType.I, SegmentType.II):
         want = 3 if seg.seg_type is SegmentType.I else 4
         local = _local_digraph(seg.arcs, seg.tails, seg.heads)
@@ -698,7 +699,7 @@ def reference_solve_segment(seg: ReferenceSegment) -> SegmentSolution:
             raise SegmentInfeasible(f"type {seg.seg_type.value} segment has only "
                                     f"{exc.found} paths") from exc
         if want == 3:
-            return SegmentSolution(sets=tuple(frozenset(p) for p in paths), dominant=None)
+            return tuple(frozenset(p) for p in paths), None
         for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
             union = paths[a] + paths[b]
             edges = [arc.edge for arc in union]
@@ -706,12 +707,10 @@ def reference_solve_segment(seg: ReferenceSegment) -> SegmentSolution:
                 continue
             rest = [paths[i] for i in range(4) if i not in (a, b)]
             sets = (frozenset(union), frozenset(rest[0]), frozenset(rest[1]))
-            return SegmentSolution(sets=sets, dominant=0)
+            return sets, None
         raise SegmentInfeasible("no valid dominant pair among the four paths")
 
     if seg.seg_type is SegmentType.III:
-        sets, m = _solve_merge(seg.arcs, seg.tails, seg.heads)
-        return SegmentSolution(sets=sets, dominant=0, merger=m)
+        return _solve_merge(seg.arcs, seg.tails, seg.heads)
     tails, heads = _reverse_maps(seg)
-    sets, m = _solve_merge(seg.arcs, tails, heads)
-    return SegmentSolution(sets=sets, dominant=0, splitter=m)
+    return _solve_merge(seg.arcs, tails, heads)

@@ -30,7 +30,11 @@ def test_traced_spans_see_the_protect_path(monkeypatch):
     finally:
         tracer.uninstall()
     _, counts = tracer.take()
+    # ladder15's segments are of types IV, II, III and IV
     for span in ("graph.max_flow", "graph.residual_scc_condensation",
-                 "cutchain.build_cut_chain", "decompose.extract_segments",
-                 "decompose.glue_segments", "verify.verify_plan"):
+                 "cutchain.build_cut_chain", "decompose.build_auxiliary",
+                 "decompose.extract_segments", "decompose.solve_segment.II",
+                 "decompose.solve_segment.III", "decompose.solve_segment.IV",
+                 "decompose.glue_segments", "decompose.assign_roles",
+                 "verify.verify_plan"):
         assert counts[f"{span}.calls"] > 0, span

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,9 +9,8 @@ from triflow import (Arc, CodingNetwork, Digraph, FeasibilityKind, GenParams, Ne
                      NodeRole, Role, SegmentType, Structure, assign_roles,
                      build_auxiliary, classify_feasibility, condition_network,
                      decompose, generate)
-from triflow.decompose import (SegmentSolution, extract_segments, glue_segments,
-                               solve_segment)
-from triflow.errors import BrokenChain, GenerationFailed, Unprotectable
+from triflow.decompose import extract_segments, glue_segments, solve_segment
+from triflow.errors import BrokenChain, GenerationFailed, GlueMismatch, Unprotectable
 from triflow.graph import order_key
 
 import netfixtures
@@ -97,9 +97,9 @@ def test_segments_widefan_virtual_boundaries():
     assert {aux.graph.nodes_sorted[aux.head[a]] for a in lead.exit_arcs} == {"t"}
 
 
-def test_consecutive_segments_share_their_boundary_tuple():
-    # each cut's crossing arcs are one tuple: the exit of the segment before
-    # it and the entry of the segment after it
+def golden_ladders():
+    """ladder15 and the golden corpus's LADDER networks that reach segment
+    solving."""
     nets = [ladder15()]
     for params in CORPUS:
         if params.structure is Structure.LADDER:
@@ -107,10 +107,16 @@ def test_consecutive_segments_share_their_boundary_tuple():
                 nets.append(generate(params))
             except GenerationFailed:
                 continue
+    return [net for net in nets
+            if classify_feasibility(coding(net)).kind is FeasibilityKind.NETWORK_CODING]
+
+
+def test_consecutive_segments_share_their_boundary_tuple():
+    # each cut's crossing arcs are one tuple: the exit of the segment before
+    # it and the entry of the segment after it
+    nets = golden_ladders()
     pairs = 0
     for net in nets:
-        if classify_feasibility(coding(net)).kind is not FeasibilityKind.NETWORK_CODING:
-            continue
         _, _, segments = pipeline(net)
         for seg, nxt in zip(segments, segments[1:]):
             assert nxt.index == seg.index + 1
@@ -150,8 +156,8 @@ def local_connects(seg, arcs, drop=frozenset()):
     return False
 
 
-def assert_locally_feasible(seg, sol):
-    sets = sol.sets
+def assert_locally_feasible(seg, sets):
+    sets = list(map(frozenset, sets))
     for i in range(3):
         for j in range(i + 1, 3):
             assert not (sets[i] & sets[j])
@@ -177,9 +183,7 @@ def test_solve_segment_local_feasibility_on_fixtures():
 def test_solve_type2_dominant_pair_valid():
     _, _, segments = pipeline(diamond2())
     for seg in segments:
-        sol = solve_segment(seg)
-        assert sol.dominant == 0
-        dominant = sol.sets[0]
+        dominant = solve_segment(seg)[0]
         edges = [a >> 1 for a in dominant]
         assert len(edges) == len(set(edges))  # never both copies of one edge
         # dominant crosses each bounding cut once per capacity-2 edge
@@ -203,17 +207,31 @@ def test_solve_type2_exhaustive_pair_count():
         assert valid >= 2
 
 
+def junction(seg, dominant):
+    """The node id where a type III segment's dominant set joins (two in-arcs
+    inside the segment) or a type IV segment's forks (two out-arcs); None
+    for types I and II."""
+    if seg.seg_type not in (SegmentType.III, SegmentType.IV):
+        return None
+    aux = seg.aux
+    ends = aux.head if seg.seg_type is SegmentType.III else aux.tail
+    degree = Counter(ends[a] for a in dominant)
+    nodes = [v for v, d in degree.items() if d >= 2 and aux.part[v] == seg.index]
+    assert len(nodes) == 1, f"segment {seg.index} has junctions {nodes}"
+    return aux.graph.nodes_sorted[nodes[0]]
+
+
 def test_solve_type3_merger_structure_in_ladder15():
     cond, _, segments = pipeline(ladder15())
     seg = segments[2]
     assert seg.seg_type is SegmentType.III
-    sol = solve_segment(seg)
-    assert sol.merger == "b3"
+    sets = solve_segment(seg)
+    assert junction(seg, sets[0]) == "b3"
     # exits of the three sets are pairwise distinct
-    exits = [next(a for a in s if a in seg.exit_arcs) for s in sol.sets]
+    exits = [next(a for a in s if a in seg.exit_arcs) for s in sets]
     assert len({a >> 1 for a in exits}) == 3
     # dominant set enters through both capacity-2 edges
-    dom_entries = {a >> 1 for a in sol.sets[0] if a in seg.entry_arcs}
+    dom_entries = {a >> 1 for a in sets[0] if a in seg.entry_arcs}
     assert len(dom_entries) == 2
 
 
@@ -221,9 +239,9 @@ def test_solve_type4_splitter_structure_in_ladder15():
     _, _, segments = pipeline(ladder15())
     seg = segments[3]
     assert seg.seg_type is SegmentType.IV
-    sol = solve_segment(seg)
-    assert sol.splitter == "a4"
-    dom_exits = {a >> 1 for a in sol.sets[0] if a in seg.exit_arcs}
+    sets = solve_segment(seg)
+    assert junction(seg, sets[0]) == "a4"
+    dom_exits = {a >> 1 for a in sets[0] if a in seg.exit_arcs}
     assert len(dom_exits) == 2
 
 
@@ -232,9 +250,9 @@ def test_glue_single_segment_identity():
     assert len(segments) == 1
     sols = [solve_segment(s) for s in segments]
     sets, dominant = glue_segments(segments, sols)
-    i = sols[0].dominant or 0
-    assert sets[i] == sorted(sols[0].sets[i])
-    assert dominant == sols[0].dominant
+    # types II-IV put the dominant set first
+    assert dominant == (None if segments[0].seg_type is SegmentType.I else 0)
+    assert sets[0] == sorted(sols[0][0])
 
 
 def test_glue_multi_segment_disjoint_and_connected():
@@ -247,6 +265,64 @@ def test_glue_multi_segment_disjoint_and_connected():
         assert len(all_arcs) == len(set(all_arcs))
         # virtual arcs are stripped: every arc is a copy of a real edge
         assert all(a.copy < cond.network.coding_cap.get(a.edge, 0) for a in all_arcs)
+
+
+def test_glue_takes_solutions_as_a_one_shot_iterator():
+    # `decompose` streams the solutions, so each is glued as it is made
+    for net in golden_ladders():
+        _, _, segments = pipeline(net)
+        glued = glue_segments(segments, [solve_segment(s) for s in segments])
+        assert glue_segments(segments, map(solve_segment, segments)) == glued
+
+
+# ladder15's segments 1-4 (types IV, II, III, IV) solve to these arc sets,
+# dominant first; boundaries are (0, 2, 4), (10, 11, 12, 13),
+# (22, 23, 24, 25), (30, 32, 38) and (40, 41, 42, 43)
+LADDER15_SOLUTIONS = [
+    [[2, 6, 8, 11, 13], [0, 10], [4, 12]],
+    [[10, 12, 14, 18, 22, 25], [11, 16, 24], [13, 20, 23]],
+    [[22, 25, 26, 28, 32], [23, 30], [24, 38]],
+    [[30, 34, 36, 40, 43], [38, 41], [32, 42]],
+]
+
+
+def move(sets, arc, to=None):
+    """Take `arc` out of its set and add it to set `to` (None drops it)."""
+    next(s for s in sets if arc in s).remove(arc)
+    if to is not None:
+        sets[to].append(arc)
+
+
+@pytest.mark.parametrize("tamper, refusal", [
+    pytest.param(lambda segs, sols: move(sols[0], 10), "segment 1 leaves exit arcs unused",
+                 id="exit-arc-dropped"),
+    pytest.param(lambda segs, sols: move(sols[3], 38, 0),
+                 "set 0 of segment 4 enters on arcs of 2 global sets, not one",
+                 id="set-enters-on-two-labels"),
+    pytest.param(lambda segs, sols: move(sols[3], 38),
+                 "set 1 of segment 4 enters on arcs of 0 global sets, not one",
+                 id="set-does-not-enter"),
+    # segment 3 leaves two exit arcs on one label, which segment 4's sets
+    # then enter on separately
+    pytest.param(lambda segs, sols: move(sols[2], 38, 1),
+                 "label matching at segment 4 is not a bijection", id="not-a-bijection"),
+    # segment 1 crosses the 2-edge cut with labels 0, 1, 1, 0
+    pytest.param(lambda segs, sols: move(sols[0], 12, 1),
+                 "segment 2's 2-edge entry is not crossed 2\\+1\\+1",
+                 id="two-edge-cut-crossed-2+2"),
+    pytest.param(lambda segs, sols: segs.__setitem__(
+                     1, dataclasses.replace(segs[1], entry_arcs=segs[1].exit_arcs)),
+                 "segment 2 enters on arcs no earlier segment holds",
+                 id="entry-arcs-never-held"),
+])
+def test_glue_refuses_mismatched_solutions(tamper, refusal):
+    _, _, segments = pipeline(ladder15())
+    sols = [[list(s) for s in solve_segment(seg)] for seg in segments]
+    assert [[sorted(s) for s in sets] for sets in sols] == LADDER15_SOLUTIONS
+    glue_segments(segments, sols)
+    tamper(segments, sols)
+    with pytest.raises(GlueMismatch, match=refusal):
+        glue_segments(segments, sols)
 
 
 def test_decompose_tripath_plain_paths():
@@ -370,8 +446,7 @@ def test_merge_type_segments_have_distinct_exits_across_ladders():
         for seg in segments:
             if seg.seg_type not in (SegmentType.III, SegmentType.IV):
                 continue
-            sol = solve_segment(seg)
-            exits = [{a >> 1 for a in s if a in seg.exit_arcs} for s in sol.sets]
+            exits = [{a >> 1 for a in s if a in seg.exit_arcs} for s in solve_segment(seg)]
             if seg.seg_type is SegmentType.III:
                 # one-to-one correspondence with the three exit arcs
                 assert [len(x) for x in exits] == [1, 1, 1]
@@ -417,12 +492,17 @@ def assert_solver_matches_reference(net):
         assert tuple(named(seg, segment_arcs(seg))) == ref.arcs
         assert tuple(named(seg, seg.entry_arcs)) == ref.entry_arcs
         assert tuple(named(seg, seg.exit_arcs)) == ref.exit_arcs
-        sol = solve_segment(seg)
-        got = SegmentSolution(sets=tuple(frozenset(named(seg, s)) for s in sol.sets),
-                              dominant=sol.dominant, merger=sol.merger,
-                              splitter=sol.splitter)
-        assert got == reference_solve_segment(ref), f"segment {seg.index}"
+        assert_solution_matches(seg, ref)
     return segments
+
+
+def assert_solution_matches(seg, ref):
+    """The segment's sets equal the reference's, and so does the merger or
+    splitter node, read from the dominant set's arcs."""
+    sets = solve_segment(seg)
+    ref_sets, ref_node = reference_solve_segment(ref)
+    assert tuple(frozenset(named(seg, s)) for s in sets) == ref_sets, f"segment {seg.index}"
+    assert junction(seg, sets[0]) == ref_node, f"segment {seg.index}"
 
 
 def network_coding_corpus():
@@ -444,8 +524,8 @@ def network_coding_corpus():
 
 
 def test_segment_solver_matches_per_segment_digraph_reference():
-    # every segment's sets, dominant, merger and splitter equal those of the
-    # reference that builds a Digraph per segment and runs max_flow on it
+    # every segment's sets, merger and splitter equal those of the reference
+    # that builds a Digraph per segment and runs max_flow on it
     seen = {t: 0 for t in SegmentType}
     for net in network_coding_corpus():
         for seg in assert_solver_matches_reference(net):
@@ -473,11 +553,7 @@ def test_segment_solver_matches_reference_with_ids_sorting_after_virtual_names()
             arcs = named(seg, segment_arcs(seg))
             assert set(arcs) == set(ref.arcs)
             reordered += tuple(arcs) != ref.arcs
-            sol = solve_segment(seg)
-            got = SegmentSolution(sets=tuple(frozenset(named(seg, s)) for s in sol.sets),
-                                  dominant=sol.dominant, merger=sol.merger,
-                                  splitter=sol.splitter)
-            assert got == reference_solve_segment(ref)
+            assert_solution_matches(seg, ref)
     assert reordered == 7  # every segment with a virtual boundary
 
 
