@@ -4,7 +4,8 @@ A minimum cut is exactly a node set containing the source, avoiding the
 target, and closed under outgoing residual arcs.  Those sets form a lattice
 whose maximal chains all add one residual SCC per step, so the chain is built
 by consuming the SCC condensation in reverse topological order (successors
-before predecessors), starting from the source's own component.
+before predecessors), starting from the source's own component.  One pass
+over the edges then lists the edges crossing each cut, which fixes its kind.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ class CutChain:
     built on: part 0 is C_1, part i is C_{i+1} \\ C_i, and part k is the
     remainder behind the last cut, so C_i is the nodes of the first i parts.
     Storing parts rather than cuts keeps the representation linear-size.
-    `kinds[i]` is the kind of cut C_{i+1}.
+    `crossing[i]` lists, ascending, the indices of the edges crossing cut
+    C_{i+1}, and `kinds[i]` is its kind: two or three edges, since every
+    cut is minimum, so the lists stay linear-size too.
     """
 
     kinds: tuple
     node_part: list = field(repr=False)
+    crossing: list = field(repr=False, compare=False)  # follows from node_part
 
     @property
     def k(self) -> int:
@@ -66,7 +70,8 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     Expects zero-flow edges already removed and an acyclic flow support.  Each
     step of the chain adds exactly one residual SCC, successors first; ties are
     broken by the smallest node id inside the component, which is its
-    smallest node index.
+    smallest node index.  Raises BrokenChain for an edge that crosses a cut
+    backward or unsaturated, and MalformedCut for a cut that is neither kind.
     """
     ids = g._edge_ids
     caps = [coding_cap[e] for e in ids]
@@ -111,41 +116,25 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     for i, c in enumerate(order):
         part_of_comp[c] = i
     node_part = [part_of_comp[c] for c in comp_of]
-    return CutChain(kinds=_sweep(g, caps, reduced, per_edge, node_part, n), node_part=node_part)
 
-
-def _sweep(g, caps, reduced, flow, node_part, count) -> tuple:
-    """Kind of every cut of a chain of `count` parts, after checking that the
-    cut is saturated forward and carries no backward flow.  `caps`,
-    `reduced` and `flow` are indexed by edge, `node_part` by node.
-
-    Cut i+1 is crossed forward by the edges from parts <= i to parts > i and
-    backward by the reverse, so per-part deltas summed in one prefix sweep
-    give every cut's crossing counts in linear time.
-    """
-    delta = [[0, 0, 0, 0] for _ in range(count)]  # ones, twos, forward slack, backward flow
-    for e, (tail, head) in enumerate(zip(g._tail, g._head)):
-        a, b = node_part[tail], node_part[head]
+    # Edge e from part a to part b > a crosses cuts a+1..b, each a minimum
+    # cut, so it must be saturated; one from a later part to an earlier one
+    # is flow crossing a minimum cut backward, since every edge carries flow.
+    crossing = [[] for _ in range(n - 1)]  # crossing[i] crosses cut i + 1
+    for e, (a, b) in enumerate(zip(map(node_part.__getitem__, g._tail),
+                                   map(node_part.__getitem__, g._head))):
         if a < b:
-            col = 0 if caps[e] == 1 else 1
-            delta[a][col] += 1
-            delta[b][col] -= 1
-            slack = reduced[e] - flow[e]
-            delta[a][2] += slack
-            delta[b][2] -= slack
+            if reduced[e] != per_edge[e]:
+                raise BrokenChain(f"cut {a + 1} is not saturated: edge {ids[e]!r} "
+                                  f"carries {per_edge[e]} of {reduced[e]}")
+            crossing[a].append(e)
+            if b - a > 1:
+                for i in range(a + 1, b):
+                    crossing[i].append(e)
         elif a > b:
-            delta[b][3] += flow[e]
-            delta[a][3] -= flow[e]
-    ones = twos = slack = backward = 0
+            raise BrokenChain(f"edge {ids[e]!r} crosses the cut chain backward")
     kinds = []
-    for i in range(count - 1):
-        d_ones, d_twos, d_slack, d_backward = delta[i]
-        ones += d_ones
-        twos += d_twos
-        slack += d_slack
-        backward += d_backward
-        if slack or backward:
-            raise BrokenChain(f"cut {i + 1} is not saturated "
-                              f"(slack={slack}, backward flow={backward})")
-        kinds.append(_kind(ones, twos, f"cut {i + 1}"))
-    return tuple(kinds)
+    for i, edges in enumerate(crossing):
+        twos = sum(map(caps.__getitem__, edges)) - len(edges)
+        kinds.append(_kind(len(edges) - twos, twos, f"cut {i + 1}"))
+    return CutChain(kinds=tuple(kinds), node_part=node_part, crossing=crossing)

@@ -37,11 +37,10 @@ from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
                            FeasibilityKind, Network, _classify, condition_network,
                            derive_coding_capacities)
 from .cutchain import CutKind
-from .errors import (BrokenChain, GlueMismatch, SegmentInfeasible, Unprotectable,
-                     VerificationFailed)
+from .errors import GlueMismatch, SegmentInfeasible, Unprotectable, VerificationFailed
 # unused `max_flow` stays bound: perfbench's tracer tests look it up here
 from .graph import edge_disjoint_paths, max_flow, reach  # noqa: F401
-from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, Subflows
+from .plan import LABELS, NodeRole, RecoveryPlan, Role, Subflows
 
 
 class AuxiliaryGraph:
@@ -54,11 +53,13 @@ class AuxiliaryGraph:
     pseudo-source (node n) into s, then three from t into a pseudo-sink
     (node n + 1).
 
-    `tail[a]` and `head[a]` are node indices and `arcs_at[v]` lists the arcs
-    touching node v in ascending order.  `extract_segments` sets `part[v]`,
-    v's chain part (-1 and k + 1 for the pseudo nodes).  `seen`, `via` and
-    `flow` are scratch arrays that segment solves share: an entry counts only
-    while it holds the current stamp, so no solve clears them.
+    `arcs` lists the real arcs in ascending order, `tail[a]` and `head[a]`
+    are node indices and `arcs_at[v]` lists the arcs touching node v in
+    ascending order.  `extract_segments` sets `part[v]`, v's chain part (-1
+    and k + 1 for the pseudo nodes); segment boundaries come from the chain's
+    crossing lists.  `seen`, `via` and `flow` are scratch arrays that segment
+    solves share: an entry counts only while it holds the current stamp, so
+    no solve clears them.
     """
 
     __slots__ = ("graph", "arcs", "source_arcs", "sink_arcs", "tail", "head",
@@ -94,9 +95,6 @@ class AuxiliaryGraph:
     def __len__(self):
         return len(self.arcs)
 
-    def arc(self, a) -> Arc:
-        return Arc(self.graph.edge_ids[a >> 1], a & 1)
-
 
 def build_auxiliary(cn: CodingNetwork) -> AuxiliaryGraph:
     return AuxiliaryGraph(cn)
@@ -125,8 +123,6 @@ class Segment:
     `aux.part[v] == index`."""
 
     index: int
-    entry_kind: CutKind
-    exit_kind: CutKind
     seg_type: SegmentType
     entry_arcs: tuple
     exit_arcs: tuple
@@ -139,38 +135,34 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
     whenever nodes sit before the first or after the last cut.  Records
     each node's chain part in `aux.part`.
 
-    Cut c (1 <= c <= k) is crossed by the arcs from parts below c to parts
-    at or above it; cut 0 is the virtual source arcs and cut k + 1 the
-    virtual sink arcs.  Segment i enters on cut i and exits on cut i + 1."""
+    Cut c (1 <= c <= k) is crossed by the arcs of the edges in
+    `chain.crossing[c - 1]`: both copies of the two edges of a 2-edge cut,
+    copy 0 of the three edges of a 3-arc cut.  Cut 0 is the virtual source
+    arcs and cut k + 1 the virtual sink arcs.  Segment i enters on cut i and
+    exits on cut i + 1."""
     chain = conditioned.chain
     k = chain.k
     node_part = chain.node_part
-    part = aux.part = node_part + [-1, k + 1]
+    aux.part = node_part + [-1, k + 1]
 
     # part 0 holds s and part k holds t; a part with more nodes is a piece
     pieces = list(range(0 if node_part.count(0) > 1 else 1, k))
     if node_part.count(k) > 1 or not pieces:
         pieces.append(k)
 
-    crossing = [[] for _ in range(k + 1)]  # by cut; cut 0 stays virtual
-    tail, head = aux.tail, aux.head
-    for a in aux.arcs:
-        i, j = part[tail[a]], part[head[a]]
-        if i < j:
-            for c in range(i + 1, j + 1):
-                crossing[c].append(a)
-        elif i > j:
-            raise BrokenChain(f"arc {aux.arc(a)} crosses the cut chain backward")
-    crossing = [aux.source_arcs, *map(tuple, crossing[1:]), aux.sink_arcs]
+    crossing = [aux.source_arcs]
+    for edges, kind in zip(chain.crossing, chain.kinds):
+        if kind is CutKind.TWO_EDGE:
+            e, f = edges
+            crossing.append((2 * e, 2 * e + 1, 2 * f, 2 * f + 1))
+        else:
+            e, f, g = edges
+            crossing.append((2 * e, 2 * f, 2 * g))
+    crossing.append(aux.sink_arcs)
 
-    segments = []
-    for i in pieces:
-        entry_kind = chain.kinds[i - 1] if i else CutKind.THREE_ARC
-        exit_kind = chain.kinds[i] if i < k else CutKind.THREE_ARC
-        segments.append(Segment(i, entry_kind, exit_kind,
-                                _TYPE_BY_KINDS[(entry_kind, exit_kind)],
-                                crossing[i], crossing[i + 1], aux))
-    return segments
+    kinds = (CutKind.THREE_ARC, *chain.kinds, CutKind.THREE_ARC)
+    return [Segment(i, _TYPE_BY_KINDS[kinds[i], kinds[i + 1]], crossing[i], crossing[i + 1], aux)
+            for i in pieces]
 
 
 def _paths(seg, entry, tail, head, limit=None):
@@ -404,7 +396,7 @@ def glue_segments(segments, solutions):
             entered = [owner[a] for a in entry]
             if None in entered:
                 raise GlueMismatch(f"segment {seg.index} enters on arcs no earlier segment holds")
-            if seg.entry_kind is CutKind.TWO_EDGE:  # type II or III: sets[0] dominates
+            if seg.seg_type in (SegmentType.II, SegmentType.III):  # a 2-edge entry
                 if sorted(map(entered.count, entered)) != [1, 1, 2, 2]:
                     raise GlueMismatch(f"segment {seg.index}'s 2-edge entry is not crossed 2+1+1")
                 dom = max(entered, key=entered.count)

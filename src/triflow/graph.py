@@ -47,7 +47,7 @@ class Digraph:
     before backward.  Everything below runs on these lists and translates an
     edge id once, through `_edge_index`."""
 
-    __slots__ = ("_nodes", "_nodes_sorted", "_index", "_edge_ids", "_edge_index",
+    __slots__ = ("_nodes_sorted", "_index", "_edge_ids", "_edge_index",
                  "_tail", "_head", "_moves")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]):
@@ -73,7 +73,6 @@ class Digraph:
         for e, (u, v) in enumerate(zip(tails, heads)):
             moves[u].append(2 * e)
             moves[v].append(2 * e + 1)
-        self._nodes = frozenset(nodes_sorted)
         self._nodes_sorted = nodes_sorted
         self._index = index
         self._edge_ids = edge_ids
@@ -84,7 +83,7 @@ class Digraph:
 
     @property
     def nodes(self) -> frozenset:
-        return self._nodes
+        return frozenset(self._nodes_sorted)
 
     @property
     def nodes_sorted(self) -> tuple:
@@ -154,7 +153,7 @@ class Digraph:
         return sub
 
     def __repr__(self):
-        return f"Digraph(|V|={len(self._nodes)}, |E|={len(self._edge_ids)})"
+        return f"Digraph(|V|={len(self._nodes_sorted)}, |E|={len(self._edge_ids)})"
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,11 @@ def part_of(chain: CutChain, graph: Digraph) -> dict:
     return {v: i for i, part in enumerate(chain_parts(chain, graph)) for v in part}
 
 
+def aux_arc(aux, a) -> Arc:
+    """Arc int `a` of an auxiliary graph as the `Arc(edge id, copy)` it is."""
+    return Arc(aux.graph.edge_ids[a >> 1], a & 1)
+
+
 def segment_arcs(seg) -> tuple:
     """Every arc int of a segment: the arcs with an end in its part or
     spanning it, in `aux.arcs` order, then the virtual arcs of the first and

@@ -1,13 +1,18 @@
+from collections import Counter
+
 import pytest
 
-from triflow import CutKind, Digraph, condition_network
+from triflow import (CutKind, Digraph, FeasibilityKind, classify_feasibility,
+                     condition_network, generate)
 from triflow.cutchain import build_cut_chain, reduced_capacities
-from triflow.errors import MalformedCut, NotMaximum
+from triflow.errors import BrokenChain, GenerationFailed, MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
 from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
 from oracles import (chain_cuts, chain_parts, classify_cut, condensation, cut_value,
                      enumerate_min_cuts, longest_min_cut_chain)
+from test_decompose import random_network_coding_digraphs
+from test_golden import CORPUS
 
 
 def conditioned(net):
@@ -129,8 +134,6 @@ def test_build_chain_requires_maximum_flow():
 
 
 def test_build_chain_rejects_unpruned_zero_flow_edges():
-    from triflow.errors import BrokenChain
-
     # maximum flow, but a dangling zero-flow edge breaks the chain structure
     g = Digraph(["s", "a", "b", "t"],
                 [(0, "s", "a"), (1, "a", "t"), (2, "a", "b")])
@@ -152,3 +155,43 @@ def test_no_minimum_cut_between_consecutive_chain_cuts():
         for earlier, later in zip(cuts, cuts[1:]):
             for candidate in all_cuts:
                 assert not (earlier < candidate < later)
+
+
+def test_build_chain_rejects_an_edge_crossing_the_chain_backward():
+    # a maximum flow whose cuts {s} and {s, a} are saturated 3-arc cuts, but
+    # the unpruned zero-flow edge t -> s crosses both from behind
+    g = Digraph(["s", "a", "t"],
+                [(0, "s", "a"), (1, "s", "a"), (2, "s", "a"),
+                 (3, "a", "t"), (4, "a", "t"), (5, "a", "t"), (6, "t", "s")])
+    caps = dict.fromkeys(range(7), 1)
+    flow = FlowResult(value=6, per_edge={**dict.fromkeys(range(6), 2), 6: 0})
+    with pytest.raises(BrokenChain, match="edge 6 crosses the cut chain backward"):
+        build_cut_chain(g, caps, flow, "s", "t")
+
+
+def test_crossing_lists_each_cuts_edges():
+    # the golden corpus's and the general-digraph corpus's network-coding
+    # networks; edges that cross several cuts sit in each of their lists
+    nets = []
+    for params in CORPUS:
+        try:
+            nets.append(generate(params))
+        except GenerationFailed:
+            continue
+    nets = [net for net in nets
+            if classify_feasibility(coding(net)).kind is FeasibilityKind.NETWORK_CODING]
+    nets += random_network_coding_digraphs(400, 20143)
+    spanning = 0
+    for net in nets:
+        cond = conditioned(net)
+        chain, g, caps = cond.chain, cond.network.graph, cond.network.coding_cap
+        edges = list(g.edges())
+        assert len(chain.crossing) == chain.k
+        for cut, crossing, kind in zip(chain_cuts(chain, g), chain.crossing, chain.kinds):
+            assert crossing == [e for e, (_, tail, head) in enumerate(edges)
+                                if tail in cut and head not in cut]
+            widths = [caps[edges[e][0]] for e in crossing]
+            assert widths == {CutKind.TWO_EDGE: [2, 2], CutKind.THREE_ARC: [1, 1, 1]}[kind]
+        assert sum(map(len, chain.crossing)) <= 3 * chain.k
+        spanning += sum(n > 1 for n in Counter(e for c in chain.crossing for e in c).values())
+    assert spanning > len(nets)
