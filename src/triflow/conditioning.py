@@ -2,11 +2,12 @@
 
 The conditioning pipeline starts from a 3-unit maximum flow against the
 reduced capacities (capacity 2 counts as 1.5, capacity 1 as 1, both stored
-doubled).  `decompose` hands over the classify probe's flow, which for this
-class is that flow, so the whole graph's max flow is computed once.  It then
-cancels flow cycles, prunes zero-flow edges once, builds the minimum-cut
-chain, demotes capacity-2 edges buried inside one chain part, and if any
-were, settles once more from a fresh max flow.  The result satisfies:
+doubled).  `classify_feasibility` keeps its probe on `Feasibility.probe`,
+which for this class is that flow, and `decompose` hands it over, so the
+whole graph's max flow is computed once.  Conditioning then cancels flow
+cycles, prunes zero-flow edges once, builds the minimum-cut chain, demotes
+capacity-2 edges buried inside one chain part, and if any were, settles
+once more from a fresh max flow.  The result satisfies:
 
 1. the reduced max flow is exactly 3,
 2. every retained edge carries doubled flow in {1, 2, 3},
@@ -15,7 +16,7 @@ were, settles once more from a fresh max flow.  The result satisfies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -64,6 +65,8 @@ PROTECTABLE = (FeasibilityKind.DIVERSITY_CODING, FeasibilityKind.NETWORK_CODING)
 class Feasibility:
     kind: FeasibilityKind
     reduced_value: int  # doubled units; probe-limited for diversity coding
+    # the reduced flow `classify_feasibility` measured; None on a plan's copy
+    probe: FlowResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def protectable(self) -> bool:
@@ -99,34 +102,30 @@ def derive_coding_capacities(net: Network) -> CodingNetwork:
 
 def classify_feasibility(cn: CodingNetwork) -> Feasibility:
     """Classify protectability from the reduced max-flow value; max_flow
-    raises UnknownNode for a source or target outside the graph."""
-    return _classify(cn)[0]
-
-
-def _classify(cn: CodingNetwork) -> tuple:
-    """(`classify_feasibility(cn)`, the probe's reduced flow).
+    raises UnknownNode for a source or target outside the graph.
 
     For the network-coding class the probe's value, 6, stays below its limit,
-    so `max_flow` ran until no augmenting path was left: the flow is the
+    so `max_flow` ran until no augmenting path was left: `probe` is the
     unlimited maximum flow of `cn`, which `condition_network` accepts.
     """
     reduced = reduced_capacities(cn.graph, cn.coding_cap)
     probe = max_flow(cn.graph, reduced, cn.source, cn.target, limit=_DIVERSITY_PROBE)
     if probe.value >= _DIVERSITY_PROBE:
-        return Feasibility(FeasibilityKind.DIVERSITY_CODING, probe.value), probe
-    if probe.value == FLOW_TARGET_DOUBLED:
-        return Feasibility(FeasibilityKind.NETWORK_CODING, probe.value), probe
-    integral = max_flow(cn.graph, dict(cn.coding_cap), cn.source, cn.target, limit=2)
-    if integral.value >= 2:
-        return Feasibility(FeasibilityKind.UNPROTECTED_2FLOW, probe.value), probe
-    return Feasibility(FeasibilityKind.INFEASIBLE, probe.value), probe
+        kind = FeasibilityKind.DIVERSITY_CODING
+    elif probe.value == FLOW_TARGET_DOUBLED:
+        kind = FeasibilityKind.NETWORK_CODING
+    elif max_flow(cn.graph, dict(cn.coding_cap), cn.source, cn.target, limit=2).value >= 2:
+        kind = FeasibilityKind.UNPROTECTED_2FLOW
+    else:
+        kind = FeasibilityKind.INFEASIBLE
+    return Feasibility(kind, probe.value, probe)
 
 
 def _settle(graph: Digraph, coding_cap: Mapping, s, t, flow: FlowResult | None = None):
     """Cycle cancellation and one zero-flow pruning of a maximum flow.
 
-    `flow` must be `max_flow(graph, reduced capacities, s, t)`, as the
-    classify probe's flow is for a network-coding-class network; without it
+    `flow` must be `max_flow(graph, reduced capacities, s, t)`, as
+    `Feasibility.probe` is for a network-coding-class network; without it
     that flow is computed here.  Returns (graph, coding_cap, flow), pruned to
     the support of the cancelled flow.
 
@@ -168,8 +167,8 @@ def condition_network(cn: CodingNetwork, flow: FlowResult | None = None) -> Cond
     the three structural properties above; only a demotion settles twice.
 
     `flow`, when given, is the maximum reduced flow of `cn` that `max_flow`
-    computes without a limit (the classify probe's flow for this class); the
-    result is the same as without it.
+    computes without a limit (`classify_feasibility(cn).probe` for this
+    class); the result is the same as without it.
     """
     s, t = cn.source, cn.target
     graph, cap, flow = _settle(cn.graph, dict(cn.coding_cap), s, t, flow)

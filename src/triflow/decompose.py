@@ -29,13 +29,13 @@ unit arcs represent it and are stripped after gluing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
 
 from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
-                           FeasibilityKind, Network, _classify, condition_network,
-                           derive_coding_capacities)
+                           FeasibilityKind, Network, classify_feasibility,
+                           condition_network, derive_coding_capacities)
 from .cutchain import CutKind
 from .errors import GlueMismatch, SegmentInfeasible, Unprotectable, VerificationFailed
 # unused `max_flow` stays bound: perfbench's tracer tests look it up here
@@ -459,14 +459,15 @@ def decompose(net: Network) -> RecoveryPlan:
     from .verify import verify_plan  # local import to keep module layering flat
 
     cn = derive_coding_capacities(net)
-    feas, probe = _classify(cn)
+    feas = classify_feasibility(cn)
+    kept = replace(feas, probe=None)  # plans drop the probe: 0.56 MB on an 8k ladder
     if feas.kind is FeasibilityKind.DIVERSITY_CODING:
         paths = edge_disjoint_paths(cn.graph, cn.source, cn.target, 3)
         index = cn.graph._edge_index
         sets = [sorted(2 * index[e] for e in p) for p in paths]
-        plan = assign_roles(cn, sets, None, feas)
+        plan = assign_roles(cn, sets, None, kept)
     elif feas.kind is FeasibilityKind.NETWORK_CODING:
-        conditioned = condition_network(cn, probe)
+        conditioned = condition_network(cn, feas.probe)
         aux = build_auxiliary(conditioned.network)
         segments = extract_segments(conditioned, aux)
         # each solution is glued, then dropped, as `map` makes it
@@ -474,7 +475,7 @@ def decompose(net: Network) -> RecoveryPlan:
         # map the pruned copy's edge indices back; `Digraph.subgraph` keeps their order
         back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
         sets = [[2 * back[a >> 1] | a & 1 for a in s] for s in sets]
-        plan = assign_roles(cn, sets, dominant, feas)
+        plan = assign_roles(cn, sets, dominant, kept)
     else:
         raise Unprotectable(feas)
 

@@ -103,12 +103,6 @@ class Digraph:
         e = self._edge_index[eid]
         return self._nodes_sorted[self._tail[e]], self._nodes_sorted[self._head[e]]
 
-    def tail(self, eid):
-        return self._nodes_sorted[self._tail[self._edge_index[eid]]]
-
-    def head(self, eid):
-        return self._nodes_sorted[self._head[self._edge_index[eid]]]
-
     def edges(self):
         """Iterate (eid, tail, head) in edge-id order."""
         node = self._nodes_sorted.__getitem__
@@ -385,10 +379,9 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
                 amount = min(map(remaining.__getitem__, cyc))
                 for c in cyc:
                     remaining[c] -= amount
+                for c in seq[at[head]:]:  # the cut arcs' heads leave the walk
+                    del at[heads[c]]
                 del seq[at[head]:]
-                for v in list(at):
-                    if at[v] > len(seq):
-                        del at[v]
                 node = head
                 if not emit_paths and not seq:
                     return True  # circulation removed

@@ -197,21 +197,17 @@ def generate(params: GenParams) -> Network:
         net = builder(rng, params.node_count)
         if params.target_class is None:
             return net
-        if _classify(net).kind is params.target_class:
+        if classify_feasibility(derive_coding_capacities(net)).kind is params.target_class:
             return net
     raise GenerationFailed(
         f"no {params.target_class.name} instance in {attempts} attempts "
         f"({params.structure.value}, n={params.node_count}, seed={params.seed})")
 
 
-def _classify(net: Network):
-    return classify_feasibility(derive_coding_capacities(net))
-
-
 def _check_target(net: Network, params: GenParams):
     if params.target_class is None:
         return
-    got = _classify(net).kind
+    got = classify_feasibility(derive_coding_capacities(net)).kind
     if got is not params.target_class:
         raise GenerationFailed(
             f"parallel-path instance classified {got.name}, "

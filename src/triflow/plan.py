@@ -9,10 +9,7 @@ from enum import Enum
 from typing import NamedTuple
 
 
-LABEL_A = "A"
-LABEL_B = "B"
-LABEL_XOR = "XOR"
-LABELS = (LABEL_A, LABEL_B, LABEL_XOR)
+LABELS = ("A", "B", "XOR")
 
 
 class Arc(NamedTuple):

@@ -40,10 +40,6 @@ class Generation:
             raise LengthMismatch(
                 f"halves differ: {len(self.payload_a)} vs {len(self.payload_b)} bytes")
 
-    @property
-    def payload_xor(self) -> bytes:
-        return _xor(self.payload_a, self.payload_b)
-
 
 @dataclass(frozen=True)
 class DeliveryOutcome:

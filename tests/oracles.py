@@ -67,11 +67,11 @@ def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:
             u = queue.popleft()
             for e, bw in moves[u]:
                 if bw:
-                    v = g.tail(e)
+                    v = g.ends(e)[0]
                     if v in parent or flow[e] <= 0:
                         continue
                 else:
-                    v = g.head(e)
+                    v = g.ends(e)[1]
                     if v in parent or flow[e] >= cap[e]:
                         continue
                 parent[v] = (u, e, bw)

@@ -31,7 +31,8 @@ def test_traced_spans_see_the_protect_path(monkeypatch):
         tracer.uninstall()
     _, counts = tracer.take()
     # ladder15's segments are of types IV, II, III and IV
-    for span in ("graph.max_flow", "graph.residual_scc_condensation",
+    for span in ("graph.max_flow", "conditioning.classify_feasibility",
+                 "graph.residual_scc_condensation",
                  "cutchain.build_cut_chain", "decompose.build_auxiliary",
                  "decompose.extract_segments", "decompose.solve_segment.II",
                  "decompose.solve_segment.III", "decompose.solve_segment.IV",

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from triflow import (Digraph, FeasibilityKind, GenParams, Network, Structure,
                      classify_feasibility, condition_network, decompose,
                      derive_coding_capacities, generate)
-from triflow.conditioning import _classify
 from triflow.cutchain import reduced_capacities
-from triflow.errors import NotNetworkCodingClass
+from triflow.errors import NotNetworkCodingClass, Unprotectable
 
 from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
                          quadpath, tripath, unit_chain, widefan)
@@ -48,7 +47,7 @@ def test_reduced_mapping_is_doubled_half_integers():
     assert all(reduced[e] == {1: 2, 2: 3}[cn.coding_cap[e]] for e in reduced)
 
 
-@pytest.mark.parametrize("net,kind", [
+CLASSES = [
     (ladder15(), FeasibilityKind.NETWORK_CODING),
     (tripath(), FeasibilityKind.NETWORK_CODING),
     (diamond2(), FeasibilityKind.NETWORK_CODING),
@@ -56,9 +55,28 @@ def test_reduced_mapping_is_doubled_half_integers():
     (quadpath(), FeasibilityKind.DIVERSITY_CODING),
     (chain2(), FeasibilityKind.UNPROTECTED_2FLOW),
     (unit_chain(), FeasibilityKind.INFEASIBLE),
-])
+]
+
+
+@pytest.mark.parametrize("net,kind", CLASSES)
 def test_classification(net, kind):
     assert classify_feasibility(coding(net)).kind is kind
+
+
+@pytest.mark.parametrize("net,kind", CLASSES)
+def test_classification_carries_its_probe(net, kind):
+    # the probe measured the reduced value; a refusal keeps it, a plan does not
+    feas = classify_feasibility(coding(net))
+    assert feas.probe.value == feas.reduced_value
+    if feas.protectable:
+        plan = decompose(net)
+        assert plan.feasibility == feas and plan.feasibility.probe is None
+        return
+    with pytest.raises(Unprotectable) as refused:
+        decompose(net)
+    kept = refused.value.feasibility
+    assert kept == feas
+    assert (kept.probe.value, kept.probe.per_edge) == (feas.probe.value, feas.probe.per_edge)
 
 
 def test_classification_values():
@@ -142,10 +160,10 @@ def test_condition_matches_the_fixed_point_reference():
     for net in [*general_digraph_networks(), *random_network_coding_digraphs(400, 20143),
                 *_seeded_networks()]:
         cn = coding(net)
-        feas, probe = _classify(cn)
+        feas = classify_feasibility(cn)
         if feas.kind is not FeasibilityKind.NETWORK_CODING:
             continue
-        cond = condition_network(cn, probe)
+        cond = condition_network(cn, feas.probe)
         for other in (reference_condition_network(cn), condition_network(cn)):
             assert cond.network.graph.edge_ids == other.network.graph.edge_ids
             assert cond.network.coding_cap == other.network.coding_cap

@@ -338,7 +338,7 @@ def test_generation_checks_lengths():
     with pytest.raises(LengthMismatch):
         Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00\x01")
     gen = Generation(seq=0, payload_a=b"\x12", payload_b=b"\x25")
-    assert gen.payload_xor == b"\x37"
+    assert encode(gen.payload_a, gen.payload_b)["XOR"] == b"\x37"
 
 
 def test_bulk_random_roundtrip():
