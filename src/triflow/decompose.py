@@ -1,14 +1,17 @@
-"""Split a conditioned network into segments between consecutive minimum
-cuts, solve each segment locally, and glue the local arc sets into three
+"""Split a conditioned network into segments between the minimum cuts of its
+chain, solve each segment locally, and glue the local arc sets into three
 global subflows.
 
 Each edge of capacity c contributes c parallel arcs to an auxiliary graph;
-the subflows are arc sets there.  A segment lives between two consecutive
-chain cuts: every node outside its part stands for the segment's source side
-when an arc leaves it and for its sink side when an arc enters it.  Four
-shapes occur, keyed by the bounding cut kinds:
+the subflows are arc sets there.  A segment lives between two chain cuts:
+every node outside its part stands for the segment's source side when an arc
+leaves it and for its sink side when an arc enters it.  Four shapes occur,
+keyed by the bounding cut kinds:
 
-* I   (3-arc / 3-arc): three arc-disjoint terminal paths.
+* I   (3-arc / 3-arc): three arc-disjoint terminal paths.  A maximal run of
+  type-I pieces is one segment: its cuts are s-t cuts of three arcs or more,
+  so by Menger's theorem three arc-disjoint paths cross the whole run, each
+  arc of an inner 3-arc cut on exactly one of them; nothing is glued there.
 * II  (2-edge / 2-edge): four arc-disjoint paths; one pair whose union never
   holds both copies of a capacity-2 edge becomes the dominant set.
 * III (2-edge / 3-arc): two paths enter through one capacity-2 edge; the
@@ -55,11 +58,11 @@ class AuxiliaryGraph:
 
     `arcs` lists the real arcs in ascending order, `tail[a]` and `head[a]`
     are node indices and `arcs_at[v]` lists the arcs touching node v in
-    ascending order.  `extract_segments` sets `part[v]`, v's chain part (-1
-    and k + 1 for the pseudo nodes); segment boundaries come from the chain's
-    crossing lists.  `seen`, `via` and `flow` are scratch arrays that segment
-    solves share: an entry counts only while it holds the current stamp, so
-    no solve clears them.
+    ascending order.  `extract_segments` sets `part[v]`, the index of v's
+    segment or chain part (-1 and k + 1 for the pseudo nodes); segment
+    boundaries come from the chain's crossing lists.  `seen`, `via` and
+    `flow` are scratch arrays that segment solves share: an entry counts
+    only while it holds the current stamp, so no solve clears them.
     """
 
     __slots__ = ("graph", "arcs", "source_arcs", "sink_arcs", "tail", "head",
@@ -107,20 +110,16 @@ class SegmentType(Enum):
     IV = "IV"
 
 
-_TYPE_BY_KINDS = {
-    (CutKind.THREE_ARC, CutKind.THREE_ARC): SegmentType.I,
-    (CutKind.TWO_EDGE, CutKind.TWO_EDGE): SegmentType.II,
-    (CutKind.TWO_EDGE, CutKind.THREE_ARC): SegmentType.III,
-    (CutKind.THREE_ARC, CutKind.TWO_EDGE): SegmentType.IV,
-}
+# [entry cut is 3-arc][exit cut is 3-arc]
+_TYPES = ((SegmentType.II, SegmentType.III), (SegmentType.IV, SegmentType.I))
 
 
 @dataclass(frozen=True)
 class Segment:
-    """Chain part `index` of `aux`, bounded by the ascending arc ints that
-    cross its entry and exit cuts.  Consecutive segments share the tuple of
-    the cut between them; the part's own nodes are those `v` with
-    `aux.part[v] == index`."""
+    """Chain part `index` of `aux`, or the run of type-I parts it starts,
+    bounded by the ascending arc ints that cross its entry and exit cuts.
+    Consecutive segments share the tuple of the cut between them; its own
+    nodes are those `v` with `aux.part[v] == index`."""
 
     index: int
     seg_type: SegmentType
@@ -130,20 +129,21 @@ class Segment:
 
 
 def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> list:
-    """Cut the auxiliary graph along the chain.  Returns the k-1 segments
-    between consecutive cuts, preceded/followed by a virtual-boundary segment
-    whenever nodes sit before the first or after the last cut.  Records
-    each node's chain part in `aux.part`.
+    """Cut the auxiliary graph along the chain.  The pieces are the k-1
+    parts between consecutive cuts, preceded/followed by a virtual-boundary
+    piece whenever nodes sit before the first or after the last cut.  A
+    maximal run of consecutive type-I pieces is one segment, indexed by its
+    first piece; each other piece is a segment.  Sets `aux.part[v]` to v's
+    chain part, or to its run's first piece.
 
     Cut c (1 <= c <= k) is crossed by the arcs of the edges in
     `chain.crossing[c - 1]`: both copies of the two edges of a 2-edge cut,
     copy 0 of the three edges of a 3-arc cut.  Cut 0 is the virtual source
-    arcs and cut k + 1 the virtual sink arcs.  Segment i enters on cut i and
+    arcs and cut k + 1 the virtual sink arcs.  Piece i enters on cut i and
     exits on cut i + 1."""
     chain = conditioned.chain
     k = chain.k
     node_part = chain.node_part
-    aux.part = node_part + [-1, k + 1]
 
     # part 0 holds s and part k holds t; a part with more nodes is a piece
     pieces = list(range(0 if node_part.count(0) > 1 else 1, k))
@@ -160,9 +160,17 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
             crossing.append((2 * e, 2 * f, 2 * g))
     crossing.append(aux.sink_arcs)
 
-    kinds = (CutKind.THREE_ARC, *chain.kinds, CutKind.THREE_ARC)
-    return [Segment(i, _TYPE_BY_KINDS[kinds[i], kinds[i + 1]], crossing[i], crossing[i + 1], aux)
-            for i in pieces]
+    three = (True, *[kind is CutKind.THREE_ARC for kind in chain.kinds], True)
+    rename = list(range(k + 1))
+    runs = []  # [index, type, entry, exit] per segment
+    for i in pieces:  # consecutive, so runs[-1] ends at piece i - 1
+        if three[i + 1] and runs and runs[-1][1] is SegmentType.I:
+            runs[-1][3] = crossing[i + 1]
+            rename[i] = runs[-1][0]
+        else:
+            runs.append([i, _TYPES[three[i]][three[i + 1]], crossing[i], crossing[i + 1]])
+    aux.part = [*map(rename.__getitem__, node_part), -1, k + 1]
+    return [Segment(*run, aux) for run in runs]
 
 
 def _paths(seg, entry, tail, head, limit=None):

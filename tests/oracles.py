@@ -153,14 +153,14 @@ def aux_arc(aux, a) -> Arc:
 
 def segment_arcs(seg) -> tuple:
     """Every arc int of a segment: the arcs with an end in its part or
-    spanning it, in `aux.arcs` order, then the virtual arcs of the first and
-    last pieces."""
+    spanning it, in `aux.arcs` order, then the virtual arcs that bound it,
+    if any."""
     aux = seg.aux
     part, i = aux.part, seg.index
     arcs = [a for a in aux.arcs if part[aux.tail[a]] <= i <= part[aux.head[a]]]
-    if i == 0:
+    if seg.entry_arcs is aux.source_arcs:
         arcs += aux.source_arcs
-    if i == part[-1] - 1:  # the pseudo-sink sits in part k + 1
+    if seg.exit_arcs is aux.sink_arcs:
         arcs += aux.sink_arcs
     return tuple(arcs)
 
@@ -469,13 +469,14 @@ class ReferenceSegment(NamedTuple):
 
 def reference_segments(conditioned) -> list:
     """The segments of a conditioned network as dict-keyed local graphs on
-    `Arc`s, cut straight from the network's edges and the chain parts."""
+    `Arc`s, cut straight from the network's edges and the chain parts.  A
+    run of consecutive pieces bounded by 3-arc cuts on both sides is one
+    type-I segment, named by its first piece."""
     cn = conditioned.network
     chain = conditioned.chain
     s, t = cn.source, cn.target
     parts = chain_parts(chain, cn.graph)
     k = chain.k
-    part = part_of(chain, cn.graph)
 
     pieces = []
     if parts[0] != frozenset((s,)):
@@ -483,30 +484,38 @@ def reference_segments(conditioned) -> list:
     pieces.extend(range(1, k))
     if parts[k] != frozenset((t,)) or not pieces:
         pieces.append(k)
-    piece_set = set(pieces)
 
-    entry = {i: [] for i in pieces}
-    exit_ = {i: [] for i in pieces}
-    interior = {i: [] for i in pieces}
+    def kind(c):  # cut c; cuts 0 and k + 1 are the virtual 3-arc boundaries
+        return CutKind.THREE_ARC if c in (0, k + 1) else chain.kinds[c - 1]
+
+    # group[p]: the first piece of the segment that holds part p
+    group = list(range(k + 1))
+    for i in pieces:
+        if i - 1 in pieces and kind(i - 1) is kind(i) is kind(i + 1) is CutKind.THREE_ARC:
+            group[i] = group[i - 1]
+    last = {group[i]: i for i in pieces}  # first piece -> last piece
+    part = {v: group[i] for i, nodes in enumerate(parts) for v in nodes}
+
+    entry = {i: [] for i in last}
+    exit_ = {i: [] for i in last}
+    interior = {i: [] for i in last}
     ends = {}
     for eid, tail, head in cn.graph.edges():
         for arc in (Arc(eid, c) for c in range(cn.coding_cap[eid])):
             ends[arc] = (tail, head)
             a, b = part[tail], part[head]
             if a == b:
-                if a in piece_set:
+                if a in last:
                     interior[a].append(arc)
                 continue
-            for i in range(a, b + 1):
-                if i not in piece_set:
-                    continue
+            for i in sorted({group[p] for p in range(a, b + 1)} & last.keys()):
                 if i != b:
                     exit_[i].append(arc)
                 if i != a:
                     entry[i].append(arc)
 
     segments = []
-    for i in pieces:
+    for i, end in last.items():
         tails = {}
         heads = {}
         ent = sorted_ids(set(entry[i]))
@@ -525,22 +534,16 @@ def reference_segments(conditioned) -> list:
             for arc in ent:
                 tails[arc] = SRC
                 heads[arc] = s
-            entry_kind = CutKind.THREE_ARC
-        else:
-            entry_kind = chain.kinds[i - 1]
-        if i == k:
+        if end == k:
             exi = [virtual_arc(j) for j in range(3, 6)]
             for arc in exi:
                 tails[arc] = t
                 heads[arc] = SNK
-            exit_kind = CutKind.THREE_ARC
-        else:
-            exit_kind = chain.kinds[i]
         seg_type = {(CutKind.THREE_ARC, CutKind.THREE_ARC): SegmentType.I,
                     (CutKind.TWO_EDGE, CutKind.TWO_EDGE): SegmentType.II,
                     (CutKind.TWO_EDGE, CutKind.THREE_ARC): SegmentType.III,
                     (CutKind.THREE_ARC, CutKind.TWO_EDGE): SegmentType.IV,
-                    }[(entry_kind, exit_kind)]
+                    }[(kind(i), kind(end + 1))]
         segments.append(ReferenceSegment(i, seg_type, tuple(ent), tuple(exi),
                                          tuple(sorted_ids(tails)), tails, heads))
     return segments

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from triflow import (Arc, CodingNetwork, Digraph, FeasibilityKind, GenParams, Network,
-                     NodeRole, Role, SegmentType, Structure, assign_roles,
+from triflow import (Arc, CodingNetwork, CutKind, Digraph, FeasibilityKind, GenParams,
+                     Network, NodeRole, Role, SegmentType, Structure, assign_roles,
                      build_auxiliary, classify_feasibility, condition_network,
                      decompose, generate)
 from triflow.decompose import extract_segments, glue_segments, solve_segment
@@ -44,6 +44,11 @@ def local_ends(seg, a):
             head if aux.part[head] == seg.index else SNK)
 
 
+def last_piece(cond, aux, seg):
+    """The last chain piece that `seg` spans: its own, or its run's last."""
+    return max(p for p, q in zip(cond.chain.node_part, aux.part) if q == seg.index)
+
+
 def edge_by_ends(net, tail, head):
     return next(e for e, tl, hd in net.graph.edges() if (tl, hd) == (tail, head))
 
@@ -67,9 +72,14 @@ def test_segments_diamond():
 
 
 def test_segments_tripath_all_type1():
-    _, _, segments = pipeline(tripath())
-    assert all(s.seg_type is SegmentType.I for s in segments)
-    assert len(segments) == 3
+    # three type-I pieces, one run: a single segment from the arcs out of s
+    # to the arcs into t
+    _, aux, segments = pipeline(tripath())
+    assert [s.seg_type for s in segments] == [SegmentType.I]
+    (seg,) = segments
+    index = aux.graph._index
+    assert [aux.tail[a] for a in seg.entry_arcs] == [index["s"]] * 3
+    assert [aux.head[a] for a in seg.exit_arcs] == [index["t"]] * 3
 
 
 def test_segments_ladder15_cover_all_types():
@@ -113,13 +123,14 @@ def golden_ladders():
 
 def test_consecutive_segments_share_their_boundary_tuple():
     # each cut's crossing arcs are one tuple: the exit of the segment before
-    # it and the entry of the segment after it
+    # it and the entry of the segment after it, which starts at the first
+    # piece after the segment's last one
     nets = golden_ladders()
     pairs = 0
     for net in nets:
-        _, _, segments = pipeline(net)
+        cond, aux, segments = pipeline(net)
         for seg, nxt in zip(segments, segments[1:]):
-            assert nxt.index == seg.index + 1
+            assert nxt.index == last_piece(cond, aux, seg) + 1
             assert seg.exit_arcs is nxt.entry_arcs
             pairs += 1
     assert pairs > len(nets)
@@ -568,3 +579,44 @@ def test_segment_solver_matches_reference_on_general_digraphs():
         for seg in assert_solver_matches_reference(net):
             seen[seg.seg_type] += 1
     assert all(seen.values()), seen
+
+
+def test_type1_run_paths_cross_every_inner_cut_once():
+    # a type-I segment spans a run of pieces; its three paths are
+    # arc-disjoint and share out each inner 3-arc cut's arcs, one per path
+    runs = inner = 0
+    for net in golden_ladders() + random_network_coding_digraphs(200, 20144):
+        cond, aux, segments = pipeline(net)
+        for seg in segments:
+            if seg.seg_type is not SegmentType.I:
+                continue
+            paths = solve_segment(seg)
+            used = [a for p in paths for a in p]
+            assert len(paths) == 3 and len(used) == len(set(used))
+            last = last_piece(cond, aux, seg)
+            for c in range(seg.index + 1, last + 1):  # cut c lies between parts c - 1 and c
+                assert cond.chain.kinds[c - 1] is CutKind.THREE_ARC
+                cut = [2 * e for e in cond.chain.crossing[c - 1]]
+                assert sorted(sum(a in p for p in paths) for a in cut) == [1, 1, 1]
+                assert all(len(set(p) & set(cut)) == 1 for p in paths)
+                inner += 1
+            runs += last > seg.index
+    assert runs and inner > runs
+
+
+def test_parallel_paths_network_is_one_segment():
+    for n in (5, 12, 200):
+        net = generate(GenParams(n, 1, Structure.PARALLEL_PATHS))
+        _, _, segments = pipeline(net)
+        assert [s.seg_type for s in segments] == [SegmentType.I]
+        assert_locally_feasible(segments[0], solve_segment(segments[0]))
+
+
+def test_no_two_consecutive_segments_are_type1():
+    pairs = 0
+    for net in golden_ladders() + random_network_coding_digraphs(200, 20144):
+        _, _, segments = pipeline(net)
+        for seg, nxt in zip(segments, segments[1:]):
+            assert not seg.seg_type is nxt.seg_type is SegmentType.I
+            pairs += 1
+    assert pairs

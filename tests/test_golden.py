@@ -22,7 +22,7 @@ from triflow import (LABELS, Digraph, GenParams, Network, RecoveryPlan, Structur
 from triflow.errors import GenerationFailed, Unprotectable
 
 # sha256 over the newline-joined per-input sha256 hex digests of CORPUS.
-GOLDEN_DIGEST = "6ddc1be915ce8499f7d6486b734b76758a9749959d1d87a7aae40a8824a16e31"
+GOLDEN_DIGEST = "a675d9e2b86e616ba3747a73046ad5580a06c9f7716bbd2d8a2d9c5bd49b23c8"
 
 CORPUS = (
     [GenParams(n, seed, Structure.LADDER)
