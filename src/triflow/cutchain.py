@@ -64,6 +64,10 @@ def _kind(ones: int, twos: int, where: str) -> CutKind:
     raise MalformedCut(f"{where} crosses {twos} capacity-2 and {ones} capacity-1 edges")
 
 
+# (crossing edges, sum of their coding capacities) -> the kind `_kind` gives
+_KINDS = {(2, 4): CutKind.TWO_EDGE, (3, 3): CutKind.THREE_ARC}
+
+
 def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> CutChain:
     """Maximal chain of minimum cuts for a maximum reduced flow of value 3.
 
@@ -133,8 +137,9 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
                     crossing[i].append(e)
         elif a > b:
             raise BrokenChain(f"edge {ids[e]!r} crosses the cut chain backward")
-    kinds = []
-    for i, edges in enumerate(crossing):
-        twos = sum(map(caps.__getitem__, edges)) - len(edges)
-        kinds.append(_kind(len(edges) - twos, twos, f"cut {i + 1}"))
+    kinds = [_KINDS.get((len(edges), sum(map(caps.__getitem__, edges)))) for edges in crossing]
+    if None in kinds:  # the first cut of neither kind raises, with its counts
+        i = kinds.index(None)
+        twos = sum(map(caps.__getitem__, crossing[i])) - len(crossing[i])
+        _kind(len(crossing[i]) - twos, twos, f"cut {i + 1}")
     return CutChain(kinds=tuple(kinds), node_part=node_part, crossing=crossing)

@@ -150,27 +150,27 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
     if node_part.count(k) > 1 or not pieces:
         pieces.append(k)
 
-    crossing = [aux.source_arcs]
-    for edges, kind in zip(chain.crossing, chain.kinds):
-        if kind is CutKind.TWO_EDGE:
-            e, f = edges
-            crossing.append((2 * e, 2 * e + 1, 2 * f, 2 * f + 1))
-        else:
-            e, f, g = edges
-            crossing.append((2 * e, 2 * f, 2 * g))
-    crossing.append(aux.sink_arcs)
-
     three = (True, *[kind is CutKind.THREE_ARC for kind in chain.kinds], True)
     rename = list(range(k + 1))
-    runs = []  # [index, type, entry, exit] per segment
+    runs = []  # [index, type, entry cut, exit cut] per segment
     for i in pieces:  # consecutive, so runs[-1] ends at piece i - 1
         if three[i + 1] and runs and runs[-1][1] is SegmentType.I:
-            runs[-1][3] = crossing[i + 1]
+            runs[-1][3] = i + 1
             rename[i] = runs[-1][0]
         else:
-            runs.append([i, _TYPES[three[i]][three[i + 1]], crossing[i], crossing[i + 1]])
+            runs.append([i, _TYPES[three[i]][three[i + 1]], i, i + 1])
     aux.part = [*map(rename.__getitem__, node_part), -1, k + 1]
-    return [Segment(*run, aux) for run in runs]
+
+    # one arc tuple per boundary cut, shared by the segments on either side
+    crossing = {0: aux.source_arcs, k + 1: aux.sink_arcs}
+    for c in {runs[0][2], *[run[3] for run in runs]}.difference(crossing):
+        if three[c]:
+            e, f, g = chain.crossing[c - 1]
+            crossing[c] = (2 * e, 2 * f, 2 * g)
+        else:
+            e, f = chain.crossing[c - 1]
+            crossing[c] = (2 * e, 2 * e + 1, 2 * f, 2 * f + 1)
+    return [Segment(i, seg_type, crossing[a], crossing[b], aux) for i, seg_type, a, b in runs]
 
 
 def _paths(seg, entry, tail, head, limit=None):

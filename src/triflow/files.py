@@ -226,8 +226,11 @@ def load_plan(path, net: Network) -> RecoveryPlan:
 def dumps(data) -> str:
     """`json.dumps(data, indent=2, sort_keys=True)` plus a newline, byte for
     byte.  `indent` forces `json`'s pure-Python encoder, so the layout is
-    added here by hand around runs of values that the C encoder writes in
-    one call.  Any other shape (non-str keys, tuples, other types) goes to
+    written here instead.  A dict becomes its sorted `"key": value` lines,
+    and a key or a scalar is encoded by `json`'s own string and number
+    primitives.  A column of eight or more scalars (a list, or one key of a
+    list of like records) takes one call of a prebuilt C encoder.  Any other
+    shape (non-str keys, tuples, subclasses of the scalar types) goes to
     `json` itself."""
     try:
         return _emit(data, "\n") + "\n"
@@ -239,7 +242,13 @@ class _Fallback(Exception):
     """A value outside the shapes `_emit` lays out itself."""
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+_encode_str = json.encoder.encode_basestring_ascii
+_ENCODE = {str: _encode_str, int: int.__repr__, float: json.dumps,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+_SCALARS = frozenset(_ENCODE)
+# a raw newline is never part of an encoded scalar, only a separator
+_encode_column = json.JSONEncoder(separators=("\n", ":")).encode
 
 
 def _emit(value, nl):
@@ -247,14 +256,19 @@ def _emit(value, nl):
     begun by `nl` (a newline and the indent)."""
     kind = type(value)
     if kind is dict:
-        return _records([value], sorted(value, key=_str_key), nl)[0] if value else "{}"
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = f",{inner}".join([f"{_encode_str(k)}: {_emit(value[k], inner)}"
+                                  for k in sorted(value, key=_str_key)])
+        return f"{{{inner}{items}{nl}}}"
     if kind is list:
         if not value:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + f",{inner}".join(_values(value, inner)) + nl + "]"
+        return f"[{inner}{f',{inner}'.join(_values(value, inner))}{nl}]"
     if kind in _SCALARS:
-        return json.dumps(value)
+        return _ENCODE[kind](value)
     raise _Fallback
 
 
@@ -269,8 +283,9 @@ def _values(values, nl) -> list:
     allows."""
     types = set(map(type, values))
     if types <= _SCALARS:
-        # a raw newline is never part of an encoded scalar, only a separator
-        return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+        if len(values) < 8:  # cheaper than the encoder's set-up per call
+            return [_ENCODE[type(v)](v) for v in values]
+        return _encode_column(values)[1:-1].split("\n")
     if types == {dict}:
         keys = values[0].keys()
         if keys and set(map(len, values)) == {len(keys)} and \
@@ -288,8 +303,8 @@ def _records(records, keys, nl) -> list:
     """Dicts that all have the sorted `keys`, laid out column by column."""
     inner = nl + "  "
     columns = [_values(list(map(itemgetter(k), records)), inner) for k in keys]
-    form = "{" + inner + f",{inner}".join(
-        json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
+    fields = f",{inner}".join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys)
+    form = f"{{{inner}{fields}{nl}}}"
     return [form % row for row in zip(*columns)]
 
 

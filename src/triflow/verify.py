@@ -188,17 +188,19 @@ def _role_violations(g: Digraph, arcs: dict, roles: tuple) -> list:
     violations = []
     listed = set()
     for role in roles:
-        side = list(Role).index(role.role) if isinstance(role.role, Role) else None
+        side = 0 if role.role is Role.SPLITTER else 1 if role.role is Role.MERGER else None
+        # a role outside `Role` keys on itself, in a 1-tuple no 3-tuple equals
+        key = (role,) if side is None else (role.node, side, role.label)
         v = g._index.get(role.node)
         degree = 0 if side is None or v is None else degrees[role.label][side][v]
-        if role in listed:
+        if key in listed:
             problem = "is listed more than once"
         elif degree < 2:
             kind = "arcs" if side is None else ("out-arcs", "in-arcs")[side]
             problem = f"has {degree} {kind} of its label"
         else:
             problem = None
-        listed.add(role)
+        listed.add(key)
         if problem:
             name = getattr(role.role, "value", role.role)
             violations.append(Violation(

@@ -1,6 +1,7 @@
 """`files.dumps` writes exactly what `json.dumps(indent=2, sort_keys=True)`
 writes, on every shape the program emits and on arbitrary JSON values."""
 
+import enum
 import json
 import math
 
@@ -97,6 +98,11 @@ def test_dumps_matches_json_on_empty_and_irregular_shapes():
         [1, "a", None, [2], {"b": 3}],
         # shapes `json` handles alone: tuples and non-str keys
         {"t": (1, 2)}, {1: "a", 2: "b"}, [{"a": (1,)}, {"a": (2,)}],
+        # subclasses of the scalar types, alone, in a column or as a key
+        Level.HIGH, [Level.LOW] * 9, Text("x"), [Text("y")] * 9, {Text("k"): 1},
+        # columns and record lists on both sides of the whole-column encoder
+        *([[1, True, 2.5, None, "a%s"][i % 5] for i in range(n)] for n in (7, 8, 9)),
+        *([{"edge": i, "copy": i % 2} for i in range(n)] for n in (7, 8, 9)),
     ]
     for data in cases:
         assert files.dumps(data) == reference(data), data
@@ -104,19 +110,31 @@ def test_dumps_matches_json_on_empty_and_irregular_shapes():
     assert nan == reference([{"v": math.nan}, {"v": 0.1}])
 
 
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class Text(str):
+    pass
+
+
 texts = st.lists(st.sampled_from(ODD_TEXT + ["a", "b", "A"]), max_size=3).map("".join)
 scalars = st.none() | st.booleans() | st.integers() | st.floats() | texts
+# subclasses of the scalar types go to `json`; `True` among ints does not
+subclassed = st.sampled_from(Level) | texts.map(Text)
 
 
 def record_lists(children):
     # lists of dicts over one key set, the shape laid out column by column
     return st.lists(texts, min_size=1, max_size=3, unique=True).flatmap(
-        lambda ks: st.lists(st.fixed_dictionaries({k: children for k in ks}), max_size=4))
+        lambda ks: st.lists(st.fixed_dictionaries({k: children for k in ks}), max_size=12))
 
 
+# up to 12 items, so lists and record columns reach the whole-column encoder
 json_values = st.recursive(
     scalars,
-    lambda children: (st.lists(children, max_size=4)
+    lambda children: (st.lists(children, max_size=12) | st.lists(scalars | subclassed, max_size=12)
                       | st.dictionaries(texts, children, max_size=4)
                       | record_lists(children)),
     max_leaves=30)

@@ -170,6 +170,26 @@ def test_roles_count_both_copies_of_an_edge():
     assert roles == ["A splitter at node 'a' has 1 out-arcs of its label"]
 
 
+def test_a_role_outside_role_is_checked_apart():
+    net = ladder15()
+    cn = coding(net)
+    plan = decompose(net)
+    # a plain string role, listed twice: no degree to read, then a duplicate
+    bogus = NodeRole("s", "splitter", "XOR")
+    report = verify_plan(cn, dataclasses.replace(plan, roles=(bogus, bogus)))
+    assert [v.detail for v in report.violations] == [
+        "XOR splitter at node 's' has 0 arcs of its label",
+        "XOR splitter at node 's' is listed more than once"]
+    # nor is it a duplicate of a `Role` role at the same place, whatever it is
+    role = plan.roles[0]
+    for other in (0, 1, role.role.value):
+        mixed = (role, NodeRole(role.node, other, role.label))
+        details = [v.detail for v in verify_plan(
+            cn, dataclasses.replace(plan, roles=mixed)).violations]
+        assert details == [f"{role.label} {other} at node {role.node!r} "
+                           "has 0 arcs of its label"]
+
+
 def test_route_index_follows_the_plan_and_the_graph():
     net, plan = handmade_ladder15_plan()
     cn = coding(net)
