@@ -11,8 +11,7 @@ from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
                            condition_network, derive_coding_capacities)
 from .cutchain import CutChain, CutKind, build_cut_chain
 from .decompose import SegmentType, assign_roles, build_auxiliary, decompose
-from .graph import (Digraph, FlowResult, cancel_cycles, edge_disjoint_paths,
-                    max_flow)
+from .graph import Digraph, FlowResult, cancel_cycles, max_flow
 from .netgen import GenParams, Structure, generate
 from .plan import LABELS, Arc, NodeRole, RecoveryPlan, Role, VerificationReport
 from .simulate import (DeliveryOutcome, Generation, decode, encode,
@@ -27,6 +26,6 @@ __all__ = [
     "Role", "SegmentType", "Structure", "VerificationReport", "assign_roles",
     "build_auxiliary", "build_cut_chain", "cancel_cycles", "classify_feasibility",
     "condition_network", "decode", "decompose", "derive_coding_capacities",
-    "edge_disjoint_paths", "encode", "errors", "failure_sweep", "generate",
-    "max_flow", "simulate_transmission", "survivability_by_removal", "verify_plan",
+    "encode", "errors", "failure_sweep", "generate", "max_flow",
+    "simulate_transmission", "survivability_by_removal", "verify_plan",
 ]

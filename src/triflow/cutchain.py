@@ -54,17 +54,7 @@ def reduced_capacities(g: Digraph, coding_cap: Mapping) -> dict:
     return {e: REDUCED_DOUBLED[coding_cap[e]] for e in g.edge_ids}
 
 
-def _kind(ones: int, twos: int, where: str) -> CutKind:
-    # Coding capacities are 1 or 2; `twos` counts the crossing edges that are
-    # not capacity 1.
-    if ones == 0 and twos == 2:
-        return CutKind.TWO_EDGE
-    if ones == 3 and twos == 0:
-        return CutKind.THREE_ARC
-    raise MalformedCut(f"{where} crosses {twos} capacity-2 and {ones} capacity-1 edges")
-
-
-# (crossing edges, sum of their coding capacities) -> the kind `_kind` gives
+# (crossing edges, their coding capacity) -> kind: {2, 2} or {1, 1, 1}
 _KINDS = {(2, 4): CutKind.TWO_EDGE, (3, 3): CutKind.THREE_ARC}
 
 
@@ -141,5 +131,6 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     if None in kinds:  # the first cut of neither kind raises, with its counts
         i = kinds.index(None)
         twos = sum(map(caps.__getitem__, crossing[i])) - len(crossing[i])
-        _kind(len(crossing[i]) - twos, twos, f"cut {i + 1}")
+        raise MalformedCut(f"cut {i + 1} crosses {twos} capacity-2 and "
+                           f"{len(crossing[i]) - twos} capacity-1 edges")
     return CutChain(kinds=tuple(kinds), node_part=node_part, crossing=crossing)

@@ -1,6 +1,7 @@
-"""Split a conditioned network into segments between the minimum cuts of its
+"""Split a protectable network into segments between the minimum cuts of its
 chain, solve each segment locally, and glue the local arc sets into three
-global subflows.
+global subflows.  A diversity-coding network is a chain with no cuts over
+unit arcs, so one type-I segment.
 
 Each edge of capacity c contributes c parallel arcs to an auxiliary graph;
 the subflows are arc sets there.  A segment lives between two chain cuts:
@@ -36,13 +37,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
 
-from .conditioning import (CodingNetwork, ConditionedNetwork, Feasibility,
-                           FeasibilityKind, Network, classify_feasibility,
-                           condition_network, derive_coding_capacities)
-from .cutchain import CutKind
+from .conditioning import (CodingNetwork, Feasibility, FeasibilityKind, Network,
+                           classify_feasibility, condition_network,
+                           derive_coding_capacities)
+from .cutchain import CutChain, CutKind
 from .errors import GlueMismatch, SegmentInfeasible, Unprotectable, VerificationFailed
 # unused `max_flow` stays bound: perfbench's tracer tests look it up here
-from .graph import edge_disjoint_paths, max_flow, reach  # noqa: F401
+from .graph import max_flow, reach  # noqa: F401
 from .plan import LABELS, NodeRole, RecoveryPlan, Role, Subflows
 
 
@@ -128,7 +129,7 @@ class Segment:
     aux: AuxiliaryGraph = field(repr=False, compare=False)
 
 
-def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> list:
+def extract_segments(chain: CutChain, aux: AuxiliaryGraph) -> list:
     """Cut the auxiliary graph along the chain.  The pieces are the k-1
     parts between consecutive cuts, preceded/followed by a virtual-boundary
     piece whenever nodes sit before the first or after the last cut.  A
@@ -140,8 +141,7 @@ def extract_segments(conditioned: ConditionedNetwork, aux: AuxiliaryGraph) -> li
     `chain.crossing[c - 1]`: both copies of the two edges of a 2-edge cut,
     copy 0 of the three edges of a 3-arc cut.  Cut 0 is the virtual source
     arcs and cut k + 1 the virtual sink arcs.  Piece i enters on cut i and
-    exits on cut i + 1."""
-    chain = conditioned.chain
+    exits on cut i + 1, so a chain with no cuts is one type-I segment."""
     k = chain.k
     node_part = chain.node_part
 
@@ -178,7 +178,8 @@ def _paths(seg, entry, tail, head, limit=None):
     `entry` and oriented by `tail` and `head` (swapped for type IV), as
     `edge_disjoint_paths` finds them: unit-capacity BFS augmenting paths
     with the moves at each node tried lowest arc first, then a peel that
-    takes the lowest flow-carrying arc out of each node."""
+    takes the lowest flow-carrying arc out of each node and drops any flow
+    cycle it closes."""
     aux = seg.aux
     piece, part, arcs_at, seen, via, flow = (
         seg.index, aux.part, aux.arcs_at, aux.seen, aux.via, aux.flow)
@@ -228,9 +229,11 @@ def _paths(seg, entry, tail, head, limit=None):
             v = tail[a] if forward else head[a]
         found += 1
 
-    # Conditioning leaves every edge on an acyclic flow, so the graph is a
-    # DAG and no walk meets a node twice.  Unmarking each arc as it is taken
-    # keeps a walk finite even if that ever failed.
+    # Augmentations keep flow conserved inside the part, so a walk can leave
+    # each node it enters, and unmarking arcs as they are taken ends it at
+    # the exit.  The diversity-coding segment, unlike a conditioned one, may
+    # hold a flow cycle (an antiparallel pair, say): a walk back to a node of
+    # its own drops the cycle, as `decompose_flow_to_paths` does.
     paths = []
     for first in entry:
         if flow[first] != mark:
@@ -238,15 +241,21 @@ def _paths(seg, entry, tail, head, limit=None):
         flow[first] = 0
         path = [first]
         v = head[first]
+        walk = next(aux.stamps)  # seen[v] == walk: v is on the path
         while part[v] == piece:
+            seen[v] = walk
             for a in arcs_at[v]:
                 if tail[a] == v and flow[a] == mark:
                     break
             else:
                 raise AssertionError("flow conservation violated during peel")
             flow[a] = 0
-            path.append(a)
             v = head[a]
+            if seen[v] != walk:
+                path.append(a)
+                continue
+            while head[path[-1]] != v:
+                seen[head[path.pop()]] = 0
         paths.append(path)
     return paths
 
@@ -459,33 +468,33 @@ def assign_roles(cn: CodingNetwork, sets: list, dominant: int | None,
 
 
 def decompose(net: Network) -> RecoveryPlan:
-    """End-to-end pipeline: classify, then either route three edge-disjoint
-    paths (plain diversity coding) or condition the network and run the
-    segment constructions.  The returned plan carries a fresh verification
-    report, made on the graph its arc ints index; a failing report is an
-    internal error, not a result."""
+    """End-to-end pipeline: classify, then run the segment constructions on
+    the conditioned network and its chain, or, for plain diversity coding,
+    on unit arcs and a chain with no cuts.  The returned plan carries a fresh
+    verification report, made on the graph its arc ints index; a failing
+    report is an internal error, not a result."""
     from .verify import verify_plan  # local import to keep module layering flat
 
     cn = derive_coding_capacities(net)
     feas = classify_feasibility(cn)
     kept = replace(feas, probe=None)  # plans drop the probe: 0.56 MB on an 8k ladder
     if feas.kind is FeasibilityKind.DIVERSITY_CODING:
-        paths = edge_disjoint_paths(cn.graph, cn.source, cn.target, 3)
-        index = cn.graph._edge_index
-        sets = [sorted(2 * index[e] for e in p) for p in paths]
-        plan = assign_roles(cn, sets, None, kept)
+        network = replace(cn, coding_cap=dict.fromkeys(cn.graph.edge_ids, 1))
+        chain = CutChain((), [0] * len(cn.graph.nodes_sorted), [])
     elif feas.kind is FeasibilityKind.NETWORK_CODING:
         conditioned = condition_network(cn, feas.probe)
-        aux = build_auxiliary(conditioned.network)
-        segments = extract_segments(conditioned, aux)
-        # each solution is glued, then dropped, as `map` makes it
-        sets, dominant = glue_segments(segments, map(solve_segment, segments))
-        # map the pruned copy's edge indices back; `Digraph.subgraph` keeps their order
-        back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
-        sets = [[2 * back[a >> 1] | a & 1 for a in s] for s in sets]
-        plan = assign_roles(cn, sets, dominant, kept)
+        network, chain = conditioned.network, conditioned.chain
     else:
         raise Unprotectable(feas)
+
+    aux = build_auxiliary(network)
+    segments = extract_segments(chain, aux)
+    # each solution is glued, then dropped, as `map` makes it
+    sets, dominant = glue_segments(segments, map(solve_segment, segments))
+    # map the pruned copy's edge indices back; `Digraph.subgraph` keeps their order
+    back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
+    sets = [[2 * back[a >> 1] | a & 1 for a in s] for s in sets]
+    plan = assign_roles(cn, sets, dominant, kept)
 
     report = verify_plan(cn, plan)
     if not report.overall:

@@ -29,6 +29,18 @@ def quadpath() -> Network:
          ("s", "m4", 1), ("m4", "t", 1)])
 
 
+def antiparallel_detour() -> Network:
+    """Diversity-coding network of capacity-2 edges whose unit augmenting
+    paths leave flow on both edges of the pair a <-> b: the third path,
+    s p q b a c d t, takes b -> a forward while the second, s a b t, holds
+    a -> b.  A peel that kept the cycle would route a subflow a -> b -> a."""
+    return _net(
+        ["s", "p", "q", "a", "b", "c", "d", "t"],
+        [("b", "t", 2), ("b", "a", 2), ("c", "d", 2), ("s", "p", 2),
+         ("a", "b", 2), ("c", "t", 2), ("p", "q", 2), ("s", "c", 2),
+         ("s", "a", 2), ("q", "b", 2), ("a", "c", 2), ("d", "t", 2)])
+
+
 def diamond2() -> Network:
     """Four capacity-2 edges around a diamond."""
     return _net(["s", "a", "b", "t"],

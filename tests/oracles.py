@@ -1,17 +1,19 @@
 """Brute-force and reference computations for small instances."""
 
 from collections import deque
+from dataclasses import replace
 from itertools import combinations, product
 from typing import NamedTuple
 
 from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, Digraph,
-                     SegmentType, build_cut_chain, cancel_cycles, decode,
-                     edge_disjoint_paths, encode, max_flow)
-from triflow.cutchain import FLOW_TARGET_DOUBLED, _kind, reduced_capacities
-from triflow.errors import (InsufficientPaths, NotNetworkCodingClass, SegmentInfeasible,
-                            UnknownNode)
-from triflow.graph import (FlowResult, decompose_flow_to_paths, order_key, reach,
-                           residual_scc_condensation, sorted_ids)
+                     FeasibilityKind, Network, RecoveryPlan, SegmentType, assign_roles,
+                     build_cut_chain, cancel_cycles, classify_feasibility, decode,
+                     derive_coding_capacities, encode, max_flow, verify_plan)
+from triflow.cutchain import FLOW_TARGET_DOUBLED, reduced_capacities
+from triflow.errors import (InsufficientPaths, MalformedCut, NotNetworkCodingClass,
+                            SegmentInfeasible, UnknownNode)
+from triflow.graph import (FlowResult, decompose_flow_to_paths, edge_disjoint_paths,
+                           order_key, reach, residual_scc_condensation, sorted_ids)
 from triflow.plan import LABELS, NodeRole, Role
 
 
@@ -163,6 +165,16 @@ def segment_arcs(seg) -> tuple:
     if seg.exit_arcs is aux.sink_arcs:
         arcs += aux.sink_arcs
     return tuple(arcs)
+
+
+def _kind(ones: int, twos: int, where: str) -> CutKind:
+    # Coding capacities are 1 or 2; `twos` counts the crossing edges that are
+    # not capacity 1.
+    if ones == 0 and twos == 2:
+        return CutKind.TWO_EDGE
+    if ones == 3 and twos == 0:
+        return CutKind.THREE_ARC
+    raise MalformedCut(f"{where} crosses {twos} capacity-2 and {ones} capacity-1 edges")
 
 
 def classify_cut(g: Digraph, coding_cap, cut) -> CutKind:
@@ -338,6 +350,21 @@ def brute_force_decomposition_exists(cn: CodingNetwork) -> bool:
         if ok:
             return True
     return False
+
+
+def reference_diversity_plan(net: Network) -> RecoveryPlan:
+    """Plain diversity coding, built apart from the segment pipeline: three
+    `edge_disjoint_paths` over the coding network of a diversity-coding
+    `net`, labeled A, B and XOR in path order, as a verified plan."""
+    cn = derive_coding_capacities(net)
+    feas = classify_feasibility(cn)
+    if feas.kind is not FeasibilityKind.DIVERSITY_CODING:
+        raise ValueError(f"{feas.kind.value} network, not diversity coding")
+    index = cn.graph._edge_index
+    sets = [sorted(2 * index[e] for e in p)
+            for p in edge_disjoint_paths(cn.graph, cn.source, cn.target, 3)]
+    plan = assign_roles(cn, sets, None, replace(feas, probe=None))
+    return plan.with_verification(verify_plan(cn, plan))
 
 
 class ReferenceOutcome(NamedTuple):

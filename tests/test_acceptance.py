@@ -199,7 +199,7 @@ def test_c4_decomposition_property_gate(nc_batch):
         cn = derive_coding_capacities(net)
         cond = condition_network(cn)
         aux = build_auxiliary(cond.network)
-        for seg in extract_segments(cond, aux):
+        for seg in extract_segments(cond.chain, aux):
             seen_types.add(seg.seg_type)
         plan = decompose(net)
         report = plan.verification

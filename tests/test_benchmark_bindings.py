@@ -6,7 +6,7 @@ from pathlib import Path
 
 from triflow import decompose
 
-from netfixtures import ladder15
+from netfixtures import ladder15, quadpath
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,16 +20,21 @@ def test_every_traced_and_imported_name_exists(monkeypatch):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
-def test_traced_spans_see_the_protect_path(monkeypatch):
-    # a traced name that the pipeline stopped calling would read 0 calls
+def traced_counts(monkeypatch, net):
+    """The tracer's counts over one `decompose(net)`."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracing").Tracer()
     tracer.install()
     try:
-        decompose(ladder15())
+        decompose(net)
     finally:
         tracer.uninstall()
-    _, counts = tracer.take()
+    return tracer.take()[1]
+
+
+def test_traced_spans_see_the_protect_path(monkeypatch):
+    # a traced name that the pipeline stopped calling would read 0 calls
+    counts = traced_counts(monkeypatch, ladder15())
     # ladder15's segments are of types IV, II, III and IV
     for span in ("graph.max_flow", "conditioning.classify_feasibility",
                  "graph.residual_scc_condensation",
@@ -39,3 +44,11 @@ def test_traced_spans_see_the_protect_path(monkeypatch):
                  "decompose.glue_segments", "decompose.assign_roles",
                  "verify.verify_plan"):
         assert counts[f"{span}.calls"] > 0, span
+
+
+def test_diversity_coding_runs_the_segment_pipeline(monkeypatch):
+    # quadpath has four disjoint unit paths: one type-I segment, no cuts
+    counts = traced_counts(monkeypatch, quadpath())
+    assert counts["decompose.solve_segment.I.calls"] == 1
+    assert counts["cutchain.build_cut_chain.calls"] == 0
+    assert counts["graph.edge_disjoint_paths.calls"] == 0

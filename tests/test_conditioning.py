@@ -13,7 +13,7 @@ from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
                          quadpath, tripath, unit_chain, widefan)
 from oracles import (brute_force_feasible, is_conserved, part_of,
                      reference_condition_network, support_is_acyclic)
-from test_decompose import random_network_coding_digraphs
+from test_decompose import random_digraphs
 from test_verify import general_digraph_networks
 
 
@@ -157,7 +157,7 @@ def test_condition_matches_the_fixed_point_reference():
     # flow gives (for this class the probe ran to completion, so handing it
     # over changes nothing); conditioning the result again keeps its flow
     checked = demoted = 0
-    for net in [*general_digraph_networks(), *random_network_coding_digraphs(400, 20143),
+    for net in [*general_digraph_networks(), *random_digraphs(400, 20143),
                 *_seeded_networks()]:
         cn = coding(net)
         feas = classify_feasibility(cn)

@@ -11,7 +11,7 @@ from triflow.graph import FlowResult
 from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
 from oracles import (chain_cuts, chain_parts, classify_cut, condensation, cut_value,
                      enumerate_min_cuts, longest_min_cut_chain)
-from test_decompose import random_network_coding_digraphs
+from test_decompose import random_digraphs
 from test_golden import CORPUS
 
 
@@ -133,6 +133,17 @@ def test_build_chain_requires_maximum_flow():
         build_cut_chain(cn.graph, cn.coding_cap, zero, "s", "t")
 
 
+def test_build_chain_names_a_cut_of_neither_kind():
+    # two unit paths: a maximum reduced flow of 2, whose first cut crosses
+    # two capacity-1 edges
+    g = Digraph(["s", "a", "b", "t"],
+                [(0, "s", "a"), (1, "a", "t"), (2, "s", "b"), (3, "b", "t")])
+    caps = dict.fromkeys(range(4), 1)
+    flow = FlowResult(value=4, per_edge=dict.fromkeys(range(4), 2))
+    with pytest.raises(MalformedCut, match="^cut 1 crosses 0 capacity-2 and 2 capacity-1 edges$"):
+        build_cut_chain(g, caps, flow, "s", "t")
+
+
 def test_build_chain_rejects_unpruned_zero_flow_edges():
     # maximum flow, but a dangling zero-flow edge breaks the chain structure
     g = Digraph(["s", "a", "b", "t"],
@@ -180,7 +191,7 @@ def test_crossing_lists_each_cuts_edges():
             continue
     nets = [net for net in nets
             if classify_feasibility(coding(net)).kind is FeasibilityKind.NETWORK_CODING]
-    nets += random_network_coding_digraphs(400, 20143)
+    nets += random_digraphs(400, 20143)
     spanning = 0
     for net in nets:
         cond = conditioned(net)

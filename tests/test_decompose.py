@@ -8,17 +8,18 @@ import pytest
 from triflow import (Arc, CodingNetwork, CutKind, Digraph, FeasibilityKind, GenParams,
                      Network, NodeRole, Role, SegmentType, Structure, assign_roles,
                      build_auxiliary, classify_feasibility, condition_network,
-                     decompose, generate)
+                     decompose, files, generate)
 from triflow.decompose import extract_segments, glue_segments, solve_segment
 from triflow.errors import GenerationFailed, GlueMismatch, Unprotectable
 from triflow.graph import order_key
 
 import netfixtures
-from netfixtures import (chain2, coding, demotable5, diamond2, ladder15, numeric_ids,
-                         parallel_capacity2, quadpath, tripath, unit_chain,
-                         widefan)
-from oracles import (aux_arc, chain_parts, reference_roles, reference_segments,
-                     reference_solve_segment, segment_arcs, virtual_arc)
+from netfixtures import (antiparallel_detour, chain2, coding, demotable5, diamond2,
+                         ladder15, numeric_ids, parallel_capacity2, quadpath, tripath,
+                         unit_chain, widefan)
+from oracles import (aux_arc, chain_parts, reference_diversity_plan, reference_roles,
+                     reference_segments, reference_solve_segment, segment_arcs,
+                     virtual_arc)
 from test_golden import CORPUS, MIXED_CORPUS, mixed_ids
 
 # `triflow.decompose` is the function, so the module goes by full name
@@ -31,7 +32,7 @@ SNK = "segment sink side"
 def pipeline(net):
     cond = condition_network(coding(net))
     aux = build_auxiliary(cond.network)
-    segments = extract_segments(cond, aux)
+    segments = extract_segments(cond.chain, aux)
     return cond, aux, segments
 
 
@@ -484,7 +485,7 @@ def named(seg, arcs):
 
 def assert_solver_matches_reference(net):
     cond = condition_network(coding(net))
-    segments = extract_segments(cond, build_auxiliary(cond.network))
+    segments = extract_segments(cond.chain, build_auxiliary(cond.network))
     refs = reference_segments(cond)
     assert [(s.index, s.seg_type) for s in segments] == [(r.index, r.seg_type) for r in refs]
     for seg, ref in zip(segments, refs):
@@ -547,7 +548,7 @@ def test_segment_solver_matches_reference_with_ids_sorting_after_virtual_names()
             free_cap={rename[e]: k for e, k in net.free_cap.items()},
             source=net.source, target=net.target)
         cond = condition_network(coding(relabeled))
-        segments = extract_segments(cond, build_auxiliary(cond.network))
+        segments = extract_segments(cond.chain, build_auxiliary(cond.network))
         for seg, ref in zip(segments, reference_segments(cond)):
             arcs = named(seg, segment_arcs(seg))
             assert set(arcs) == set(ref.arcs)
@@ -556,9 +557,9 @@ def test_segment_solver_matches_reference_with_ids_sorting_after_virtual_names()
     assert reordered == 7  # every segment with a virtual boundary
 
 
-def random_network_coding_digraphs(count, seed):
-    """`count` seeded random digraphs in the network-coding class, with
-    parallel, antiparallel and dead-end edges and cycles."""
+def random_digraphs(count, seed, kind=FeasibilityKind.NETWORK_CODING):
+    """`count` seeded random digraphs of class `kind`, with parallel,
+    antiparallel and dead-end edges and cycles."""
     rng = random.Random(seed)
     nets = []
     while len(nets) < count:
@@ -568,24 +569,41 @@ def random_network_coding_digraphs(count, seed):
         net = Network(graph=Digraph(nodes, edges),
                       free_cap={i: rng.randint(1, 2) for i, _, _ in edges},
                       source=0, target=n - 1)
-        if classify_feasibility(coding(net)).kind is FeasibilityKind.NETWORK_CODING:
+        if classify_feasibility(coding(net)).kind is kind:
             nets.append(net)
     return nets
 
 
 def test_segment_solver_matches_reference_on_general_digraphs():
     seen = {t: 0 for t in SegmentType}
-    for net in random_network_coding_digraphs(400, 20143):
+    for net in random_digraphs(400, 20143):
         for seg in assert_solver_matches_reference(net):
             seen[seg.seg_type] += 1
     assert all(seen.values()), seen
+
+
+def test_diversity_plans_match_the_edge_disjoint_paths_reference():
+    # A diversity-coding network is one type-I segment over unit arcs; its
+    # plan is the one three `edge_disjoint_paths` give, byte for byte.
+    # `antiparallel_detour` pins a flow cycle that the peel must drop.
+    nets = [quadpath(), antiparallel_detour(),
+            *random_digraphs(500, 20145, FeasibilityKind.DIVERSITY_CODING)]
+    shapes = Counter()
+    for net in nets:
+        assert (files.dumps(files.plan_to_json(decompose(net)))
+                == files.dumps(files.plan_to_json(reference_diversity_plan(net))))
+        ends = list(map(net.graph.ends, net.graph.edge_ids))
+        shapes["parallel"] += len(set(ends)) < len(ends)
+        shapes["antiparallel"] += not set(ends).isdisjoint((h, t) for t, h in ends)
+        shapes["target out-edge"] += any(t == net.target for t, _ in ends)
+    assert len(shapes) == 3 and min(shapes.values()) >= 50, shapes
 
 
 def test_type1_run_paths_cross_every_inner_cut_once():
     # a type-I segment spans a run of pieces; its three paths are
     # arc-disjoint and share out each inner 3-arc cut's arcs, one per path
     runs = inner = 0
-    for net in golden_ladders() + random_network_coding_digraphs(200, 20144):
+    for net in golden_ladders() + random_digraphs(200, 20144):
         cond, aux, segments = pipeline(net)
         for seg in segments:
             if seg.seg_type is not SegmentType.I:
@@ -614,7 +632,7 @@ def test_parallel_paths_network_is_one_segment():
 
 def test_no_two_consecutive_segments_are_type1():
     pairs = 0
-    for net in golden_ladders() + random_network_coding_digraphs(200, 20144):
+    for net in golden_ladders() + random_digraphs(200, 20144):
         _, _, segments = pipeline(net)
         for seg, nxt in zip(segments, segments[1:]):
             assert not seg.seg_type is nxt.seg_type is SegmentType.I

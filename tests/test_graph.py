@@ -3,10 +3,10 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from triflow import Digraph, cancel_cycles, edge_disjoint_paths, max_flow
+from triflow import Digraph, cancel_cycles, max_flow
 from triflow.errors import InsufficientPaths, NotMaximum, UnknownNode
 from triflow.cutchain import reduced_capacities
-from triflow.graph import FlowResult, decompose_flow_to_paths, reach
+from triflow.graph import FlowResult, decompose_flow_to_paths, edge_disjoint_paths, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
 from oracles import (condensation, is_conserved, min_cut_value, reference_max_flow,

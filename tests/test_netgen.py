@@ -50,7 +50,7 @@ def test_ladders_cover_all_segment_types():
         net = generate(GenParams(node_count=26, seed=seed))
         cond = condition_network(coding(net))
         aux = build_auxiliary(cond.network)
-        for seg in extract_segments(cond, aux):
+        for seg in extract_segments(cond.chain, aux):
             seen.add(seg.seg_type)
     assert seen == set(SegmentType)
 
