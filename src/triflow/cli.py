@@ -121,7 +121,7 @@ def _cmd_decompose(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(files.plan_to_dot(net, plan))
-    used = sum(len(plan.subflows[label]) for label in LABELS)
+    used = sum(len(plan.subflows.ints[label]) for label in LABELS)
     print(f"{plan.feasibility.kind.value}: plan written to {args.out} "
           f"({used} arcs, {len(plan.roles)} relay roles)")
     return EXIT_OK

@@ -491,9 +491,10 @@ def decompose(net: Network) -> RecoveryPlan:
     segments = extract_segments(chain, aux)
     # each solution is glued, then dropped, as `map` makes it
     sets, dominant = glue_segments(segments, map(solve_segment, segments))
-    # map the pruned copy's edge indices back; `Digraph.subgraph` keeps their order
-    back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
-    sets = [[2 * back[a >> 1] | a & 1 for a in s] for s in sets]
+    if aux.graph is not cn.graph:
+        # map the pruned copy's edge indices back; `Digraph.subgraph` keeps their order
+        back = list(map(cn.graph._edge_index.__getitem__, aux.graph.edge_ids))
+        sets = [[2 * back[a >> 1] | a & 1 for a in s] for s in sets]
     plan = assign_roles(cn, sets, dominant, kept)
 
     report = verify_plan(cn, plan)

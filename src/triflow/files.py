@@ -14,7 +14,8 @@ Plan file::
      "verification": {...}}
 
 Node ids are strings.  Edge ids may be strings or integers; copy indices are
-explicit so parallel-arc identity survives serialization.
+explicit so parallel-arc identity survives serialization.  A copy is 0 or 1:
+`plan_from_json` refuses any other, naming the smallest such arc.
 
 `plan_to_json` writes the plan's verification report for human readers;
 `plan_from_json` ignores it, so a loaded plan carries no report and only
@@ -143,20 +144,14 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def plan_to_json(plan: RecoveryPlan) -> dict:
-    """The plan file's object.  Each label's arcs are listed in `sorted_ids`
-    order, which is their int order; only plans built from `Arc`s sort."""
-    subflows = plan.subflows
-    if subflows.graph is not None:
-        ids = subflows.graph.edge_ids
-        arcs = {label: [{"edge": ids[a >> 1], "copy": a & 1} for a in ints]
-                for label, ints in subflows.ints.items()}
-    else:
-        arcs = {label: [{"edge": arc.edge, "copy": arc.copy}
-                        for arc in sorted_ids(subflows[label])] for label in LABELS}
+    """The plan file's object.  Each label's arcs are listed in int order,
+    which is their `sorted_ids` order."""
+    ids, ints = plan.subflows.graph.edge_ids, plan.subflows.ints
     data = {
         "class": plan.feasibility.kind.value,
         "reduced_max_flow": plan.feasibility.reduced_value / 2,
-        "subflows": {label: arcs[label] for label in LABELS},
+        "subflows": {label: [{"edge": ids[a >> 1], "copy": a & 1} for a in ints[label]]
+                     for label in LABELS},
         "roles": [{"node": r.node, "role": r.role.value, "label": r.label}
                   for r in plan.roles],
     }
@@ -179,7 +174,7 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
     _require(isinstance(data["subflows"], dict), "subflows must be an object")
     index = net.graph._edge_index
     ints = {}
-    wild = 0  # nonzero once a copy is neither 0 nor 1, which only an `Arc` holds
+    bad = []  # arcs whose copy is neither 0 nor 1
     for label in LABELS:
         _require(label in data["subflows"], f"subflows missing label {label}")
         entries = data["subflows"][label]
@@ -195,12 +190,13 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
             if e is None:
                 raise PlanReferenceError(
                     f"subflow {label} references unknown edge {a['edge']!r}")
-            wild |= a["copy"] >> 1
+            if a["copy"] >> 1:
+                bad.append(Arc(a["edge"], a["copy"]))
             arcs.append(2 * e + a["copy"])
         ints[label] = sorted(set(arcs))
-    subflows = Subflows(ints, net.graph) if not wild else {  # `verify_plan` reports it
-        label: {Arc(a["edge"], a["copy"]) for a in data["subflows"][label]}
-        for label in LABELS}
+    if bad:  # name the smallest, as `Subflows.from_arcs` does
+        arc = sorted_ids(bad)[0]
+        raise PlanReferenceError(f"copy {arc.copy} out of range for edge {arc.edge!r}")
     _require(isinstance(data.get("roles", []), list), "roles must be a list")
     roles = []
     for i, r in enumerate(data.get("roles", ())):
@@ -215,7 +211,7 @@ def plan_from_json(data, net: Network) -> RecoveryPlan:
     reduced = data.get("reduced_max_flow", 3)
     _require(type(reduced) is int or type(reduced) is float and math.isfinite(2 * reduced),
              "reduced_max_flow must be a number whose double is finite")
-    return RecoveryPlan(subflows=subflows, roles=tuple(roles),
+    return RecoveryPlan(subflows=Subflows(ints, net.graph), roles=tuple(roles),
                         feasibility=Feasibility(kind, int(round(2 * reduced))))
 
 

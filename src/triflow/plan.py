@@ -8,6 +8,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
+from .errors import PlanReferenceError
+from .graph import sorted_ids
+
 
 LABELS = ("A", "B", "XOR")
 
@@ -20,28 +23,74 @@ class Arc(NamedTuple):
 
 
 class Subflows(Mapping):
-    """Read-only label -> frozenset of `Arc`s: either the sets it was given
-    (`graph` is None), or views built on first read from `ints`, each
-    label's sorted tuple of arc ints 2·e + copy over `graph`'s edges."""
+    """Read-only label -> frozenset of `Arc`s, held as `ints`: each label's
+    sorted tuple of arc ints 2·e + copy over `graph`'s edges.  Since they
+    never change, what is derived from them is built on first use and kept
+    here: each label's `Arc` set, the route index (`routes`) and, filled by
+    `verify.survivors`, the survivors per (source, target)."""
 
-    __slots__ = ("graph", "ints", "_arcs")
+    __slots__ = ("graph", "ints", "survivors", "_arcs", "_routes")
 
-    def __init__(self, arcs: Mapping, graph=None):
+    def __init__(self, ints: Mapping, graph):
         self.graph = graph
-        self.ints = None if graph is None else {k: tuple(v) for k, v in arcs.items()}
-        self._arcs = {k: frozenset(v) for k, v in arcs.items()} if graph is None else {}
+        self.ints = {k: tuple(v) for k, v in ints.items()}
+        self.survivors = {}
+        self._arcs = {}
+        self._routes = None
+
+    @classmethod
+    def from_arcs(cls, arcs: Mapping, graph) -> "Subflows":
+        """label -> a collection of `Arc`s, interned over `graph`.  Raises
+        `PlanReferenceError` for the smallest arc (in `sorted_ids` order)
+        that has no int there: for its edge if `graph` lacks it, else for
+        its copy, which is neither 0 nor 1."""
+        index = graph._edge_index
+        bad = [arc for given in arcs.values() for arc in given
+               if arc.edge not in index or arc.copy >> 1]
+        if bad:
+            arc = sorted_ids(bad)[0]
+            if arc.edge not in index:
+                raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
+            raise PlanReferenceError(f"copy {arc.copy} out of range for edge {arc.edge!r}")
+        return cls({label: sorted({2 * index[arc.edge] + arc.copy for arc in given})
+                    for label, given in arcs.items()}, graph)
+
+    def over(self, graph) -> "Subflows":
+        """These subflows over `graph`: themselves on their own graph object,
+        else interned anew by `from_arcs` on each call, with nothing cached."""
+        return self if graph is self.graph else Subflows.from_arcs(self, graph)
+
+    @property
+    def routes(self) -> dict:
+        """label -> a list indexed by the graph's node indices, whose entry is
+        the tuple of `(edge index, head index)` for the label's distinct
+        out-edges of that node.  Both copies of an edge are one entry, since
+        a failure drops both; in sorted arc ints they are neighbours, so one
+        comparison drops the second."""
+        if self._routes is None:
+            g = self.graph
+            tails, heads = g._tail, g._head
+            self._routes = {}
+            for label in LABELS:
+                moves = self._routes[label] = [()] * len(g._nodes_sorted)
+                last = -1
+                for a in self.ints.get(label, ()):
+                    if a >> 1 != last:
+                        last = a >> 1
+                        moves[tails[last]] += ((last, heads[last]),)
+        return self._routes
 
     def __getitem__(self, label):
-        if label not in self._arcs and self.graph is not None:
+        if label not in self._arcs:
             ids = self.graph.edge_ids
             self._arcs[label] = frozenset(Arc(ids[a >> 1], a & 1) for a in self.ints[label])
         return self._arcs[label]
 
     def __iter__(self):
-        return iter(self._arcs if self.ints is None else self.ints)
+        return iter(self.ints)
 
     def __len__(self):
-        return len(self._arcs if self.ints is None else self.ints)
+        return len(self.ints)
 
     def __repr__(self):
         return repr(dict(self))
@@ -93,25 +142,26 @@ class RecoveryPlan:
     only non-routing behaviour is duplication (splitter) and selection
     (merger), annotated per node and label in `roles`.
 
-    `subflows` is given as label -> `Arc` set, or as a `Subflows` (which
-    `decompose` and `files.plan_from_json` build over arc ints), and read as
-    a `Subflows`.  It is read-only, so what `verify._index` derives from it
-    for a graph (its arc ints there, the route index and the survivors) is
-    cached here.  `dataclasses.replace` starts a fresh, empty cache;
-    `with_verification`, which keeps the subflows, keeps it.
+    `subflows` is read as a `Subflows`, which `decompose` and
+    `files.plan_from_json` build over arc ints.  Given as label -> `Arc`
+    set instead, as `dataclasses.replace(plan, subflows=...)` may give it,
+    it is interned over `graph` by `Subflows.from_arcs`; otherwise `graph`
+    is read from the `Subflows`.  `replace` and `with_verification` share
+    the `Subflows`, and with it what it caches.
     """
 
-    subflows: Mapping[str, frozenset]
+    subflows: Subflows
     roles: tuple
     feasibility: object
     verification: VerificationReport | None = None
-    _route_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    graph: object = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.subflows, Subflows):
-            object.__setattr__(self, "subflows", Subflows(self.subflows))
+            if self.graph is None:
+                raise TypeError("subflows given as `Arc` sets need the graph they are over")
+            object.__setattr__(self, "subflows", Subflows.from_arcs(self.subflows, self.graph))
+        object.__setattr__(self, "graph", self.subflows.graph)
 
     def with_verification(self, report: VerificationReport) -> "RecoveryPlan":
-        plan = replace(self, verification=report)
-        object.__setattr__(plan, "_route_cache", self._route_cache)
-        return plan
+        return replace(self, verification=report)

@@ -2,15 +2,15 @@
 labeled subflow with splitter/merger semantics, optionally fail one edge, and
 decode at the destination from whichever labels arrived.
 
-One failure floods each label over the plan's route index (`verify._routes`:
-per node, the label's distinct out-edges with their heads' indices), which
-the plan caches per graph, so repeated simulations and the verifier build it
-once.  Every label floods, whether or not it routes over the failed edge, so
-a simulation's cost does not depend on which edge fails.  The failure sweep
-floods nothing: it reads every edge's surviving labels from the verifier's
-s-t bridge sweep (`verify.survivors`, also cached).  Any plan over the
-network's edges is simulated as it is: whether it is sound is
-`verify_plan`'s call, not the plan's own report's."""
+One failure floods each label over the plan's route index
+(`Subflows.routes`: per node, the label's distinct out-edges with their
+heads' indices), which the plan's `Subflows` keeps, so repeated simulations
+and the verifier build it once.  Every label floods, whether or not it
+routes over the failed edge, so a simulation's cost does not depend on which
+edge fails.  The failure sweep floods nothing: it reads every edge's
+surviving labels from the verifier's s-t bridge sweep (`verify.survivors`,
+also kept there).  Any plan over the network's edges is simulated as it is:
+whether it is sound is `verify_plan`'s call, not the plan's own report's."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from functools import cached_property
 from .conditioning import CodingNetwork
 from .errors import InsufficientLabels, LengthMismatch
 from .plan import LABELS, Arc, RecoveryPlan
-from .verify import _index, _routes, survivors
+from .verify import survivors
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -57,18 +57,18 @@ class DeliveryOutcome:
     received_labels: frozenset
     decoded: tuple | None
     recovered_via: tuple | None
-    # (graph, {label: sorted arc ints}, {label: per-node send counts}), or
-    # None from a sweep
+    # (the `Subflows` simulated, {label: per-node send counts}), or None
+    # from a sweep
     _forwarded: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def arc_sends(self) -> dict:
         if self._forwarded is None:
             return {}
-        graph, arcs, forwarded = self._forwarded
-        ids, tails = graph._edge_ids, graph._tail
+        subflows, forwarded = self._forwarded
+        ids, tails = subflows.graph._edge_ids, subflows.graph._tail
         return {(label, Arc(ids[a >> 1], a & 1)): sent
-                for label in LABELS for a in arcs.get(label, ())
+                for label in LABELS for a in subflows.ints.get(label, ())
                 if (sent := forwarded[label][tails[a >> 1]])}
 
 
@@ -105,7 +105,7 @@ def _recovery_rule(labels) -> tuple:
 def _forward_counts(out: list, source: int, failed: int) -> bytearray:
     """Whether each node (by interned index) forwarded the packet, as 0 or 1:
     the first copy a node gets goes onto each of its out-edges in `out` (one
-    label's `_routes` list) but the one of edge index `failed`."""
+    label's `Subflows.routes` list) but the one of edge index `failed`."""
     forwarded = bytearray(len(out))
     forwarded[source] = 1
     queue = [source]
@@ -142,14 +142,15 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     raises `PlanReferenceError`.
     """
     g = cn.graph
-    routes = _routes(g, plan)
+    subflows = plan.subflows.over(g)
+    routes = subflows.routes
     source = g._index[cn.source]
     failed = g._edge_index.get(failed_edge, -1)
     forwarded = {label: _forward_counts(routes[label], source, failed)
                  for label in LABELS}
     arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
     return _outcome(arrived, encode(gen.payload_a, gen.payload_b),
-                    (g, _index(g, plan).arcs, forwarded))
+                    (subflows, forwarded))
 
 
 def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dict:
@@ -162,7 +163,7 @@ def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dic
     arc on an edge that is not in `cn.graph` raises `PlanReferenceError`.
     """
     payloads = encode(gen.payload_a, gen.payload_b)
-    connected, cut = survivors(cn.graph, plan, cn.source, cn.target)
+    connected, cut = survivors(plan.subflows.over(cn.graph), cn.source, cn.target)
     outcomes = {labels: _outcome(labels, payloads)  # at most eight distinct
                 for labels in {connected, *cut.values()}}
     sweep = dict.fromkeys(cn.graph.edge_ids, outcomes[connected])

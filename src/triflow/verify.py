@@ -3,11 +3,11 @@ single-failure survivability from each label's s-t bridges (which the
 failure sweep reads too), with the per-edge removal search kept as its
 reference.
 
-A plan's subflows are read over a graph as sorted arc ints (`_Index`), and
-`_routes` indexes them once: for each label, the label's distinct out-edges
-of every node with their heads' node indices.  The verifier, the failure
-sweep and every single-failure simulation walk that index; the plan caches
-it per graph, with the survivors."""
+A plan's subflows are read over a graph as sorted arc ints (`Subflows`),
+whose route index (for each label, the label's distinct out-edges of every
+node with their heads' node indices) the verifier, the failure sweep and
+every single-failure simulation walk.  The `Subflows` builds it once and
+keeps it, with the survivors."""
 
 from __future__ import annotations
 
@@ -16,84 +16,14 @@ from itertools import combinations, compress
 
 from .conditioning import CodingNetwork
 from .errors import PlanReferenceError
-from .graph import Digraph, reach, sorted_ids
-from .plan import LABELS, Arc, RecoveryPlan, Role, VerificationReport, Violation
-
-
-class _Index:
-    """A plan's subflows over one graph, cached on the plan by `_index`.
-
-    `arcs` holds each label's sorted arc ints 2·e + copy over the graph's
-    edges, and `bad` the plan's `Arc`s that have none (an edge the graph
-    lacks, or a copy other than 0 and 1).  Filled on first use: `routes`
-    and `survivors` per (source, target)."""
-
-    __slots__ = ("arcs", "bad", "routes", "survivors")
-
-    def __init__(self, g: Digraph, subflows):
-        self.bad, self.routes, self.survivors = [], None, {}
-        self.arcs = subflows.ints if subflows.graph is g else {}
-        if subflows.graph is not g:  # `Arc`s given, or ints over another graph
-            for label, arcs in subflows.items():
-                ints = []
-                for arc in arcs:
-                    e = g._edge_index.get(arc.edge)
-                    if e is None or arc.copy >> 1:
-                        self.bad.append(arc)
-                    else:
-                        ints.append(2 * e + arc.copy)
-                self.arcs[label] = sorted(ints)
-
-
-def _index(g: Digraph, plan: RecoveryPlan) -> _Index:
-    index = plan._route_cache.get(g)
-    if index is None:
-        index = plan._route_cache[g] = _Index(g, plan.subflows)
-    return index
-
-
-def _refuse(bad, known) -> None:
-    """Raise `PlanReferenceError` for the smallest of the `Arc`s `bad` (in
-    `sorted_ids` order): for its edge unless that is in `known`, else for
-    its copy."""
-    arc = sorted_ids(bad)[0]
-    if arc.edge not in known:
-        raise PlanReferenceError(f"plan references unknown edge {arc.edge!r}")
-    raise PlanReferenceError(f"copy {arc.copy} out of range for edge {arc.edge!r}")
-
-
-def _routes(g: Digraph, plan: RecoveryPlan) -> dict:
-    """label -> a list indexed by `g`'s node indices, whose entry is the tuple
-    of `(edge index, head index)` for the label's distinct out-edges of that
-    node.  Both copies of an edge are one entry, since a failure drops both.
-    A plan arc with no int over `g` raises `PlanReferenceError`."""
-    index = _index(g, plan)
-    if index.routes is None:
-        if index.bad:
-            _refuse(index.bad, g._edge_index)
-        index.routes = _build_routes(g, index.arcs)
-    return index.routes
-
-
-def _build_routes(g: Digraph, arcs: dict) -> dict:
-    """`_routes` on a cache miss.  In sorted arc ints the copies of an edge
-    are neighbours, so one comparison drops the second."""
-    tails, heads = g._tail, g._head
-    routes = {}
-    for label in LABELS:
-        moves = routes[label] = [()] * len(g._nodes_sorted)
-        last = -1
-        for a in arcs.get(label, ()):
-            if a >> 1 != last:
-                last = a >> 1
-                moves[tails[last]] += ((last, heads[last]),)
-    return routes
+from .graph import reach
+from .plan import LABELS, Arc, RecoveryPlan, Role, Subflows, VerificationReport, Violation
 
 
 def _bridges(out: list, si: int, ti: int) -> set | None:
     """The edges (by index) that every path from node `si` to node `ti`
-    along `out` (one label's `_routes` list) uses, or None when there is no
-    such path.
+    along `out` (one label's `Subflows.routes` list) uses, or None when there is
+    no such path.
 
     Exact and linear on any digraph.  Take one s-t path P = e_0..e_{k-1}
     through v_0 = s .. v_k = t.  Without e_i, s reaches exactly what
@@ -144,21 +74,21 @@ def _bridges(out: list, si: int, ti: int) -> set | None:
     return bridges
 
 
-def survivors(g: Digraph, plan: RecoveryPlan, s, t) -> tuple:
-    """(connected, {edge: survivors}) for the plan's labels over `g`: the
+def survivors(subflows: Subflows, s, t) -> tuple:
+    """(connected, {edge: survivors}) for `subflows` over their graph: the
     labels whose edges connect `s` to `t`, and the labels still connected
-    when an edge fails, for each edge of `g` whose failure cuts one off.
-    Every other edge's failure leaves `connected`.  Cached on the plan per
-    graph and endpoints.
+    when an edge fails, for each edge of the graph whose failure cuts one
+    off.  Every other edge's failure leaves `connected`.  Cached on
+    `subflows` per endpoints.
 
     A label survives an edge's failure iff it is connected and the edge is
     not one of its s-t bridges; failing an edge removes all its copies, so
     bridges over the label's distinct edges are exact.  Each distinct
     survivor set is one shared frozenset."""
-    routes = _routes(g, plan)
-    cache = _index(g, plan).survivors
+    cache = subflows.survivors
     if (s, t) in cache:
         return cache[s, t]
+    g, routes = subflows.graph, subflows.routes
     index = g._index
     if s in index and t in index:
         bridges = {label: _bridges(out, index[s], index[t]) for label, out in routes.items()}
@@ -176,6 +106,25 @@ def survivors(g: Digraph, plan: RecoveryPlan, s, t) -> tuple:
     ids = g._edge_ids
     cache[s, t] = connected, {ids[e]: shared[mask] for e, mask in lost.items()}
     return cache[s, t]
+
+
+def _cyclic(out: list, ints, tails: list) -> bool:
+    """Whether one label's distinct edges hold a directed cycle: Kahn's pass
+    over `out` (the label's `Subflows.routes` list) from the tails of
+    `ints`, its sorted arc ints, so it visits only nodes the label touches.
+    An edge that the pass never takes lies on, or after, a cycle."""
+    starts = {tails[a >> 1] for a in ints}
+    indegree = [0] * len(out)
+    for v in starts:
+        for _, w in out[v]:
+            indegree[w] += 1
+    queue = [v for v in starts if not indegree[v]]
+    for v in queue:
+        for _, w in out[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                queue.append(w)
+    return any(indegree)
 
 
 def _role_violations(g: Digraph, arcs: dict, roles: tuple) -> list:
@@ -209,30 +158,31 @@ def _role_violations(g: Digraph, arcs: dict, roles: tuple) -> list:
 
 
 def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
-    """Check disjointness, capacity usage, per-label connectivity, for every
-    edge which labels survive its failure (`survivors`), and the roles
+    """Check disjointness, capacity usage, per-label connectivity and
+    acyclicity, for every edge which labels survive its failure
+    (`survivors`), and the roles
     (`_role_violations`; a plan may list none).  Failures, a missing label
     among them, become report entries; only dangling references raise.
 
-    Runs on the plan's sorted arc ints over `cn.graph` (`_index`)."""
+    Runs on the plan's sorted arc ints over `cn.graph` (`Subflows.over`)."""
     g = cn.graph
     cap = cn.coding_cap
-    index = _index(g, plan)
-    arcs = {label: index.arcs.get(label, ()) for label in LABELS}
+    subflows = plan.subflows.over(g)
+    arcs = {label: subflows.ints.get(label, ()) for label in LABELS}
     ids = g._edge_ids
 
-    def view(ints):
-        return [Arc(ids[a >> 1], a & 1) for a in ints]
-
-    bad = index.bad + view(a for ints in arcs.values() for a in ints
-                           if a & 1 >= cap.get(ids[a >> 1], 0))
-    if bad:  # name the smallest, whatever order they were found in
-        _refuse(bad, cap.keys() & g._edge_index.keys())
+    # name the smallest copy at or above its edge's capacity: the least int
+    bad = min((a for ints in arcs.values() for a in ints
+               if a & 1 >= cap.get(ids[a >> 1], 0)), default=None)
+    if bad is not None:
+        if ids[bad >> 1] not in cap:
+            raise PlanReferenceError(f"plan references unknown edge {ids[bad >> 1]!r}")
+        raise PlanReferenceError(f"copy {bad & 1} out of range for edge {ids[bad >> 1]!r}")
 
     # Every copy is below its edge's capacity and a label holds an arc once,
     # so only arcs in two labels can put an edge over capacity.
-    violations = [Violation("disjointness",
-                            f"{x} and {y} share arcs {view(sorted(shared))}")
+    violations = [Violation("disjointness", f"{x} and {y} share arcs "
+                            f"{[Arc(ids[a >> 1], a & 1) for a in sorted(shared)]}")
                   for x, y in combinations(LABELS, 2)
                   if (shared := set(arcs[x]).intersection(arcs[y]))]
     disjoint = not violations
@@ -242,7 +192,7 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
     violations += [Violation("capacity", f"edge {ids[e]!r} uses {usage[e]} arcs, "
                                          f"capacity {cap[ids[e]]}") for e in over]
 
-    connected, cut = survivors(g, plan, cn.source, cn.target)
+    connected, cut = survivors(subflows, cn.source, cn.target)
     survivability = dict.fromkeys(ids, connected)
     survivability.update(cut)
     connectivity = {label: label in connected for label in LABELS}
@@ -250,6 +200,8 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
         if not connectivity[label]:
             violations.append(Violation(
                 "connectivity", f"subflow {label} does not connect source to target"))
+    violations += [Violation("acyclicity", f"subflow {label} holds a directed cycle")
+                   for label in LABELS if _cyclic(subflows.routes[label], arcs[label], g._tail)]
 
     for edge, labels in survivability.items():
         if len(labels) < 2:

@@ -1,16 +1,18 @@
 """`files.dumps` writes exactly what `json.dumps(indent=2, sort_keys=True)`
-writes, on every shape the program emits and on arbitrary JSON values."""
+writes, on every shape the program emits and on arbitrary JSON values, and
+`files.plan_from_json` refuses a copy other than 0 and 1."""
 
 import enum
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from triflow import (Digraph, GenParams, Network, Structure, decompose, files,
                      generate, verify_plan)
 from triflow.cli import main
-from triflow.errors import Unprotectable
+from triflow.errors import PlanReferenceError, Unprotectable
 
 from netfixtures import coding, diamond2, ladder15, quadpath, tripath
 from test_golden import mixed_ids
@@ -144,3 +146,14 @@ json_values = st.recursive(
 @given(json_values)
 def test_dumps_matches_json_on_arbitrary_values(data):
     assert files.dumps(data) == reference(data)
+
+
+@pytest.mark.parametrize("copy", [2, -1])
+def test_plan_loader_refuses_copies_other_than_0_and_1(copy):
+    data = files.plan_to_json(decompose(ladder15()))
+    late, early = data["subflows"]["A"][-1], data["subflows"]["B"][0]
+    assert early["edge"] < late["edge"]  # read second, named first
+    late["copy"], early["copy"] = 3, copy
+    with pytest.raises(PlanReferenceError) as err:
+        files.plan_from_json(data, ladder15())
+    assert str(err.value) == f"copy {copy} out of range for edge {early['edge']!r}"

@@ -7,6 +7,7 @@ then the digests of the reports that `verify_plan` makes on the reloaded
 plans, which must not depend on PYTHONHASHSEED either.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -20,6 +21,7 @@ import triflow
 from triflow import (LABELS, Digraph, GenParams, Network, RecoveryPlan, Structure,
                      decompose, derive_coding_capacities, files, generate, verify_plan)
 from triflow.errors import GenerationFailed, Unprotectable
+from triflow.plan import Subflows
 
 # sha256 over the newline-joined per-input sha256 hex digests of CORPUS.
 GOLDEN_DIGEST = "a675d9e2b86e616ba3747a73046ad5580a06c9f7716bbd2d8a2d9c5bd49b23c8"
@@ -122,9 +124,10 @@ def test_golden_plans_independent_of_hash_seed(hash_seed):
 
 
 def test_reloaded_plans_verify_as_decomposed():
-    """On both corpora, a plan reloaded from its file and a copy built from
-    its `Arc` view verify to the report that `decompose` made, and the view
-    holds exactly the plan's arc ints."""
+    """On both corpora, a plan reloaded from its file, a copy interned from
+    its `Arc` view by `Subflows.from_arcs`, and the plan verified against
+    an equal graph object (interned anew) verify to the report that
+    `decompose` made, and the view holds exactly the plan's arc ints."""
     plans = 0
     for corpus, relabel in ((CORPUS, None), (MIXED_CORPUS, mixed_ids)):
         for net, plan in _answers(corpus, relabel):
@@ -133,12 +136,15 @@ def test_reloaded_plans_verify_as_decomposed():
             cn = derive_coding_capacities(net)
             assert _reverified(net, plan) == files.dumps(
                 files.report_to_json(plan.verification))
-            arc_built = RecoveryPlan(subflows=dict(plan.subflows), roles=plan.roles,
-                                     feasibility=plan.feasibility)
-            assert arc_built.subflows.ints is None
+            arc_built = RecoveryPlan(subflows=Subflows.from_arcs(plan.subflows, cn.graph),
+                                     roles=plan.roles, feasibility=plan.feasibility)
+            assert arc_built.subflows.ints == plan.subflows.ints
             assert verify_plan(cn, arc_built) == plan.verification
             assert files.plan_to_json(arc_built.with_verification(plan.verification)) == \
                 files.plan_to_json(plan)
+            twin = dataclasses.replace(cn, graph=Digraph(cn.graph.nodes_sorted,
+                                                         cn.graph.edges()))
+            assert verify_plan(twin, plan) == plan.verification
             index = plan.subflows.graph._edge_index
             for label in LABELS:
                 ints = plan.subflows.ints[label]

@@ -11,6 +11,7 @@ from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
 from triflow.errors import (GenerationFailed, InsufficientLabels, LengthMismatch,
                             PlanReferenceError, Unprotectable)
 from triflow.netgen import GenParams, Structure
+from triflow.plan import Subflows
 
 from netfixtures import coding, diamond2, ladder15, tripath
 from oracles import reference_failure_sweep, reference_simulate_transmission
@@ -80,12 +81,17 @@ def test_simulation_rejects_unknown_plan_edge():
     net = ladder15()
     plan = decompose(net)
     ghost = {**plan.subflows, "B": plan.subflows["B"] | {Arc("ghost", 0)}}
+    with pytest.raises(PlanReferenceError, match="ghost"):
+        dataclasses.replace(plan, subflows=ghost)
+    # the plan simulated on a graph without one of its edges
+    gone = min(arc.edge for arc in plan.subflows["B"])
+    cn = dataclasses.replace(coding(net), graph=net.graph.subgraph(
+        [e for e in net.graph.edge_ids if e != gone], extra_nodes=net.graph.nodes))
     gen = Generation(seq=0, payload_a=b"\x00", payload_b=b"\x00")
-    ghost_plan = dataclasses.replace(plan, subflows=ghost)
-    with pytest.raises(PlanReferenceError, match="ghost"):
-        simulate_transmission(coding(net), ghost_plan, gen)
-    with pytest.raises(PlanReferenceError, match="ghost"):
-        failure_sweep(coding(net), ghost_plan, gen)
+    with pytest.raises(PlanReferenceError, match=repr(gone)):
+        simulate_transmission(cn, plan, gen)
+    with pytest.raises(PlanReferenceError, match=repr(gone)):
+        failure_sweep(cn, plan, gen)
 
 
 def test_failing_a_non_edge_is_no_failure():
@@ -136,9 +142,9 @@ def _twin_arc_plan():
                   source="s", target="t")
     cn = coding(net)
     plan = RecoveryPlan(
-        subflows={"A": frozenset({Arc(0, 0), Arc(0, 1), Arc(1, 0)}),
-                  "B": frozenset({Arc(2, 0), Arc(3, 0)}),
-                  "XOR": frozenset({Arc(4, 0), Arc(5, 0)})},
+        subflows=Subflows.from_arcs({"A": {Arc(0, 0), Arc(0, 1), Arc(1, 0)},
+                                     "B": {Arc(2, 0), Arc(3, 0)},
+                                     "XOR": {Arc(4, 0), Arc(5, 0)}}, cn.graph),
         roles=(), feasibility=None)
     return cn, plan.with_verification(verify_plan(cn, plan))
 
@@ -175,8 +181,8 @@ def test_sweep_matches_single_failure_simulation():
 
 
 def test_cached_route_index_matches_a_fresh_one():
-    # every outcome on a plan whose index is cached equals the outcome on a
-    # fresh copy that builds its own, send counts included
+    # every outcome on a plan whose index is kept equals the outcome on a
+    # copy with fresh subflows that builds its own, send counts included
     gen = Generation(seq=8, payload_a=b"\x66\x01", payload_b=b"\x99\x02")
 
     def seen(o):  # arc_sends in its order too
@@ -187,11 +193,12 @@ def test_cached_route_index_matches_a_fresh_one():
         assert verify_plan(cn, plan) == plan.verification  # caches the index
         for edge in (None, *cn.graph.edge_ids):
             cached = simulate_transmission(cn, plan, gen, failed_edge=edge)
-            fresh = simulate_transmission(cn, dataclasses.replace(plan), gen,
-                                          failed_edge=edge)
+            copy = dataclasses.replace(plan, subflows=Subflows(plan.subflows.ints, cn.graph))
+            fresh = simulate_transmission(cn, copy, gen, failed_edge=edge)
             assert seen(cached) == seen(fresh), edge
+            assert cached._forwarded[0] is plan.subflows
+            assert fresh._forwarded[0] is copy.subflows
             compared += 1
-        assert list(plan._route_cache) == [cn.graph]
     assert compared > 1000
 
 
@@ -222,29 +229,33 @@ def test_simulation_matches_reference():
     assert mixed
 
 
-def _handmade_plan(edges, subflows):
-    """A verified plan on unit-capacity `edges` [(id, tail, head)] from s to t,
-    with subflows given as label -> edge ids (copy 0 of each)."""
+def _handmade_plan(edges, subflows, violations=()):
+    """A plan on unit-capacity `edges` [(id, tail, head)] from s to t, with
+    subflows given as label -> edge ids (copy 0 of each), and its report,
+    whose violations are exactly of the kinds `violations`, in order."""
     nodes = {v for _, tail, head in edges for v in (tail, head)}
     net = Network(graph=Digraph(nodes, edges), free_cap={e: 1 for e, _, _ in edges},
                   source="s", target="t")
     cn = coding(net)
     plan = RecoveryPlan(
-        subflows={label: frozenset(Arc(e, 0) for e in ids) for label, ids in subflows.items()},
+        subflows=Subflows.from_arcs({label: [Arc(e, 0) for e in ids]
+                                     for label, ids in subflows.items()}, cn.graph),
         roles=(), feasibility=None)
     plan = plan.with_verification(verify_plan(cn, plan))
-    assert plan.verification.overall
+    assert [v.kind for v in plan.verification.violations] == list(violations)
     return cn, plan
 
 
 def _cyclic_label_plan():
-    """A's edges hold the directed cycle a -> b -> c -> a, and A reaches t
-    from b and from c, so only sa and ab cut A off."""
+    """A's edges hold the directed cycle a -> b -> c -> a, which the verifier
+    refuses, and A reaches t from b and from c, so only sa and ab cut A
+    off."""
     edges = [("sa", "s", "a"), ("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"),
              ("bt", "b", "t"), ("ct", "c", "t"),
              ("sd", "s", "d"), ("dt", "d", "t"), ("se", "s", "e"), ("et", "e", "t")]
     return _handmade_plan(edges, {"A": ["sa", "ab", "bc", "ca", "bt", "ct"],
-                                  "B": ["sd", "dt"], "XOR": ["se", "et"]})
+                                  "B": ["sd", "dt"], "XOR": ["se", "et"]},
+                          violations=["acyclicity"])
 
 
 def _parallel_edge_plan():

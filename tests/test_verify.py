@@ -8,6 +8,7 @@ from triflow import (Arc, CodingNetwork, Digraph, Feasibility, FeasibilityKind,
                      decompose, derive_coding_capacities, files,
                      survivability_by_removal, verify_plan)
 from triflow import verify
+from triflow.plan import Subflows, Violation
 from triflow.netgen import GenParams, generate
 from triflow.simulate import Generation, failure_sweep, simulate_transmission
 from triflow.errors import PlanReferenceError, Unprotectable
@@ -41,8 +42,7 @@ def handmade_ladder15_plan():
                 Arc(e("a3", "b3"), 0), Arc(e("c3", "b3"), 0),
                 Arc(e("b3", "b4"), 0), Arc(e("b4", "t"), 1)}
     plan = RecoveryPlan(
-        subflows={"A": frozenset(a_arcs), "B": frozenset(b_arcs),
-                  "XOR": frozenset(xor_arcs)},
+        subflows=Subflows.from_arcs({"A": a_arcs, "B": b_arcs, "XOR": xor_arcs}, net.graph),
         roles=(),
         feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6),
     )
@@ -72,9 +72,9 @@ def test_verify_detects_shared_arc():
     net, plan = handmade_ladder15_plan()
     arc = next(iter(plan.subflows["A"]))
     tampered = RecoveryPlan(
-        subflows={"A": plan.subflows["A"],
-                  "B": plan.subflows["B"] | {arc},
-                  "XOR": plan.subflows["XOR"]},
+        subflows=Subflows.from_arcs({"A": plan.subflows["A"],
+                                     "B": plan.subflows["B"] | {arc},
+                                     "XOR": plan.subflows["XOR"]}, net.graph),
         roles=(), feasibility=plan.feasibility)
     report = verify_plan(coding(net), tampered)
     assert not report.disjointness_ok
@@ -87,9 +87,9 @@ def test_verify_detects_missing_label():
     net = tripath()
     e = lambda tl, hd: _edge(net, tl, hd)
     plan = RecoveryPlan(
-        subflows={"A": frozenset({Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)}),
-                  "B": frozenset(),
-                  "XOR": frozenset({Arc(e("s", "m2"), 0), Arc(e("m2", "t"), 0)})},
+        subflows=Subflows.from_arcs(
+            {"A": {Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)}, "B": set(),
+             "XOR": {Arc(e("s", "m2"), 0), Arc(e("m2", "t"), 0)}}, net.graph),
         roles=(), feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
     report = verify_plan(coding(net), plan)
     assert not report.connectivity["B"]
@@ -100,8 +100,9 @@ def test_verify_reports_an_absent_label():
     net = tripath()
     e = lambda tl, hd: _edge(net, tl, hd)
     plan = RecoveryPlan(
-        subflows={"A": frozenset({Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)}),
-                  "B": frozenset({Arc(e("s", "m2"), 0), Arc(e("m2", "t"), 0)})},
+        subflows=Subflows.from_arcs(
+            {"A": {Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)},
+             "B": {Arc(e("s", "m2"), 0), Arc(e("m2", "t"), 0)}}, net.graph),
         roles=(), feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
     report = verify_plan(coding(net), plan)
     assert report.connectivity == {"A": True, "B": True, "XOR": False}
@@ -114,9 +115,10 @@ def test_verify_detects_capacity_overuse():
     net = tripath()
     e = lambda tl, hd: _edge(net, tl, hd)
     plan = RecoveryPlan(
-        subflows={"A": frozenset({Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)}),
-                  "B": frozenset({Arc(e("s", "m1"), 1), Arc(e("m1", "t"), 1)}),
-                  "XOR": frozenset({Arc(e("s", "m3"), 0), Arc(e("m3", "t"), 0)})},
+        subflows=Subflows.from_arcs(
+            {"A": {Arc(e("s", "m1"), 0), Arc(e("m1", "t"), 0)},
+             "B": {Arc(e("s", "m1"), 1), Arc(e("m1", "t"), 1)},
+             "XOR": {Arc(e("s", "m3"), 0), Arc(e("m3", "t"), 0)}}, net.graph),
         roles=(), feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
     with pytest.raises(PlanReferenceError):
         verify_plan(coding(net), plan)
@@ -124,12 +126,21 @@ def test_verify_detects_capacity_overuse():
 
 def test_verify_rejects_unknown_edge():
     net, plan = handmade_ladder15_plan()
-    bad = RecoveryPlan(
-        subflows={"A": plan.subflows["A"] | {Arc("ghost", 0)},
-                  "B": plan.subflows["B"], "XOR": plan.subflows["XOR"]},
-        roles=(), feasibility=plan.feasibility)
-    with pytest.raises(PlanReferenceError):
-        verify_plan(coding(net), bad)
+    # a plan cannot hold an edge its graph lacks: the smallest such arc is named
+    ghosts = {"A": plan.subflows["A"] | {Arc("ghost", 0)},
+              "B": plan.subflows["B"] | {Arc("boo", 1), Arc("ghost", 2)}}
+    with pytest.raises(PlanReferenceError, match="^plan references unknown edge 'boo'$"):
+        Subflows.from_arcs(ghosts, net.graph)
+    with pytest.raises(PlanReferenceError, match="'boo'"):
+        dataclasses.replace(plan, subflows=ghosts)
+    # nor be verified against a graph without one of its edges
+    cn = coding(net)
+    gone = sorted(arc.edge for arc in plan.subflows["B"])[:2]
+    smaller = dataclasses.replace(cn, graph=net.graph.subgraph(
+        [e for e in net.graph.edge_ids if e not in gone], extra_nodes=net.graph.nodes))
+    with pytest.raises(PlanReferenceError,
+                       match=f"^plan references unknown edge {gone[0]!r}$"):
+        verify_plan(smaller, plan)
 
 
 def test_verify_checks_roles():
@@ -163,7 +174,7 @@ def test_roles_count_both_copies_of_an_edge():
     cn = CodingNetwork(graph=Digraph(["s", "a", "t"], edges),
                        coding_cap={"sa": 2, "at": 1}, source="s", target="t")
     plan = dataclasses.replace(
-        _one_label_plan([Arc("sa", 0), Arc("sa", 1), Arc("at", 0)]),
+        _one_label_plan(cn.graph, [Arc("sa", 0), Arc("sa", 1), Arc("at", 0)]),
         roles=(NodeRole("s", Role.SPLITTER, "A"), NodeRole("a", Role.MERGER, "A"),
                NodeRole("a", Role.SPLITTER, "A")))
     roles = [v.detail for v in verify_plan(cn, plan).violations if v.kind == "roles"]
@@ -190,49 +201,64 @@ def test_a_role_outside_role_is_checked_apart():
                            "has 0 arcs of its label"]
 
 
-def test_route_index_follows_the_plan_and_the_graph():
+def count_route_builds(monkeypatch) -> list:
+    """A list that gets the `Subflows` of each route index built from now on."""
+    builds = []
+    routes = Subflows.routes.fget
+    monkeypatch.setattr(Subflows, "routes", property(
+        lambda self: (self._routes is None and builds.append(self)) or routes(self)))
+    return builds
+
+
+def test_route_index_follows_the_plan_and_the_graph(monkeypatch):
     net, plan = handmade_ladder15_plan()
     cn = coding(net)
+    builds = count_route_builds(monkeypatch)
     report = verify_plan(cn, plan)
-    assert report.overall and list(plan._route_cache) == [cn.graph]
+    assert report.overall and builds == [plan.subflows]
+    assert list(plan.subflows.survivors) == [(cn.source, cn.target)]
     with pytest.raises(TypeError):
         plan.subflows["XOR"] = frozenset()
-    # a replaced plan starts without the index, so a verified plan's index
-    # cannot answer for other subflows
+    # a verified plan shares the subflows and what they keep; a plan given
+    # other subflows starts without them, so the verified plan's index
+    # cannot answer for them
     gen = Generation(seq=1, payload_a=b"\x01", payload_b=b"\x02")
     verified = plan.with_verification(report)
+    assert verified.subflows is plan.subflows
     swept = failure_sweep(cn, verified, gen)
     xor = sorted(verified.subflows["XOR"])
     dropped = dataclasses.replace(verified, subflows={**verified.subflows,
                                                       "XOR": frozenset(xor[1:])})
-    assert dropped._route_cache == {}
+    assert dropped.subflows.graph is cn.graph and dropped.subflows.survivors == {}
     assert not verify_plan(cn, dropped).overall
     assert failure_sweep(cn, dropped, gen) != swept
-    # a second graph object with the same ids gets its own index: here its
-    # edge from a0 to a1 runs the other way, which cuts A off
+    assert builds == [plan.subflows, dropped.subflows]
+    # a second graph object with the same ids is interned anew on each call,
+    # and the plan keeps nothing for it: here its edge from a0 to a1 runs
+    # the other way, which cuts A off
     flipped = CodingNetwork(
         graph=Digraph(net.graph.nodes,
                       [(e, *((hd, tl) if (tl, hd) == ("a0", "a1") else (tl, hd)))
                        for e, tl, hd in net.graph.edges()]),
         coding_cap=cn.coding_cap, source=cn.source, target=cn.target)
     assert not verify_plan(flipped, plan).connectivity["A"]
+    assert not verify_plan(flipped, plan).connectivity["A"]
+    assert len(builds) == 4 and all(b.graph is flipped.graph for b in builds[2:])
     assert verify_plan(cn, plan) == report
-    assert list(plan._route_cache) == [cn.graph, flipped.graph]
+    assert len(builds) == 4 and list(plan.subflows.survivors) == [(cn.source, cn.target)]
 
 
 def test_route_index_is_built_once_per_plan(monkeypatch):
     net = generate(GenParams(node_count=40, seed=1))
     cn = coding(net)
-    builds = []
-    build = verify._build_routes
-    monkeypatch.setattr(verify, "_build_routes", lambda *a: builds.append(a) or build(*a))
+    builds = count_route_builds(monkeypatch)
     plan = decompose(net)  # its own verification builds the index
     assert verify_plan(cn, plan) == plan.verification
     gen = Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02")
     edges = random.Random(13).sample(net.graph.edge_ids, 24)
     outcomes = [simulate_transmission(cn, plan, gen, failed_edge=e) for e in edges]
     failure_sweep(cn, plan, gen)
-    assert len(builds) == 1
+    assert builds == [plan.subflows]
     assert all(o.decoded == (gen.payload_a, gen.payload_b) for o in outcomes)
 
 
@@ -335,29 +361,38 @@ def _random_plan_case(rng):
         subflows[label] = frozenset(a for a in arcs if rng.random() < p)
     cn = CodingNetwork(graph=Digraph(nodes, edges), coding_cap=cap,
                        source=s, target=t)
-    plan = RecoveryPlan(subflows=subflows, roles=(),
+    plan = RecoveryPlan(subflows=Subflows.from_arcs(subflows, cn.graph), roles=(),
                         feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
     return cn, plan
 
 
 def test_survivability_matches_removal_on_general_digraphs():
     rng = random.Random(20141)
-    connected = cut = 0
+    connected = cut = cyclic = 0
     for _ in range(3000):
         cn, plan = _random_plan_case(rng)
         report = verify_plan(cn, plan)
         assert report.survivability == survivability_by_removal(cn, plan)
+        flagged = {v.detail.split()[1] for v in report.violations if v.kind == "acyclicity"}
         for label in ("A", "B", "XOR"):
             ok = _label_reaches(cn.graph, plan.subflows[label], cn.source, cn.target)
             assert report.connectivity[label] == ok
             connected += ok
             cut += ok and any(label not in v for v in report.survivability.values())
-    assert connected >= 2000 and cut >= 1000
+            # a cycle runs through an arc iff its head reaches its tail
+            ends = list(map(cn.graph.ends, (arc.edge for arc in plan.subflows[label])))
+            out = {}
+            for tail, head in ends:
+                out.setdefault(tail, []).append((None, head))
+            loop = any(tail in reach(out, head) for tail, head in ends)
+            assert (label in flagged) == loop
+            cyclic += loop
+    assert connected >= 2000 and cut >= 1000 and 1000 <= cyclic <= 8000
 
 
-def _one_label_plan(arcs):
-    return RecoveryPlan(subflows={"A": frozenset(arcs), "B": frozenset(),
-                                  "XOR": frozenset()},
+def _one_label_plan(graph, arcs):
+    return RecoveryPlan(subflows=Subflows.from_arcs({"A": set(arcs), "B": (), "XOR": ()},
+                                                    graph),
                         roles=(), feasibility=Feasibility(FeasibilityKind.NETWORK_CODING, 6))
 
 
@@ -366,16 +401,20 @@ def test_bridges_through_a_two_cycle():
     edges = [("sa", "s", "a"), ("ab", "a", "b"), ("ba", "b", "a"), ("bt", "b", "t")]
     cn = CodingNetwork(graph=Digraph(["s", "a", "b", "t"], edges),
                        coding_cap={e: 1 for e, _, _ in edges}, source="s", target="t")
-    report = verify_plan(cn, _one_label_plan(Arc(e, 0) for e, _, _ in edges))
+    report = verify_plan(cn, _one_label_plan(cn.graph, (Arc(e, 0) for e, _, _ in edges)))
     assert report.connectivity["A"]
     assert {e for e, v in report.survivability.items() if "A" not in v} == {"sa", "ab", "bt"}
+    # the 2-cycle itself is a violation, and the only one of its kind
+    assert [v for v in report.violations if v.kind == "acyclicity"] == [
+        Violation("acyclicity", "subflow A holds a directed cycle")]
+    assert not report.overall
 
 
 def test_both_copies_of_one_edge_fail_together():
     edges = [("sa", "s", "a"), ("at", "a", "t"), ("st", "s", "t")]
     cn = CodingNetwork(graph=Digraph(["s", "a", "t"], edges),
                        coding_cap={"sa": 2, "at": 2, "st": 1}, source="s", target="t")
-    plan = _one_label_plan([Arc("sa", 0), Arc("sa", 1), Arc("at", 0)])
+    plan = _one_label_plan(cn.graph, [Arc("sa", 0), Arc("sa", 1), Arc("at", 0)])
     report = verify_plan(cn, plan)
     assert report.connectivity["A"]
     assert "A" not in report.survivability["sa"]
@@ -431,8 +470,9 @@ def test_plan_loader_messages(corrupt, error, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("copy", [2, -1, 1])
+@pytest.mark.parametrize("copy", [1])
 def test_copy_out_of_range_is_reported_by_the_verifier(copy):
+    # copies other than 0 and 1 are refused at load (tests/test_files.py)
     net, data = _ladder15_plan_data()
     cap = coding(net).coding_cap
     arcs = data["subflows"]["A"]
@@ -461,23 +501,26 @@ def test_decomposed_plan_arrives_with_its_index(monkeypatch):
     net = generate(GenParams(node_count=40, seed=2))
     cn = coding(net)
     plan = decompose(net)
-    assert list(plan._route_cache) == [cn.graph]
+    assert plan.subflows.graph is cn.graph
+    assert list(plan.subflows.survivors) == [(cn.source, cn.target)]
+    builds = count_route_builds(monkeypatch)
     calls = []
-    for name in ("_build_routes", "_bridges"):
-        original = getattr(verify, name)
-        monkeypatch.setattr(verify, name,
-                            lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    bridges = verify._bridges
+    monkeypatch.setattr(verify, "_bridges", lambda *a: calls.append(a) or bridges(*a))
     gen = Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02")
     assert verify_plan(cn, plan) == plan.verification
     failure_sweep(cn, plan, gen)
     simulate_transmission(cn, plan, gen, failed_edge=net.graph.edge_ids[0])
-    assert calls == []
+    assert builds == calls == []
 
 
 def test_bridges_are_swept_once_per_plan_and_endpoints(monkeypatch):
     net = generate(GenParams(node_count=40, seed=2))
     cn = coding(net)
-    plan = dataclasses.replace(decompose(net))  # a fresh, empty cache
+    decomposed = decompose(net)
+    # fresh subflows, which keep nothing yet
+    plan = dataclasses.replace(decomposed, subflows=Subflows(decomposed.subflows.ints,
+                                                             cn.graph))
     calls = []
     bridges = verify._bridges
     monkeypatch.setattr(verify, "_bridges", lambda *a: calls.append(a) or bridges(*a))
