@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Time the stages that make a ladder's cut chain, on large ladders.
+
+For each size, a fresh interpreter (PYTHONHASHSEED=0) generates the seed-1
+LADDER network of that many nodes and times, best of N calls each:
+`classify_feasibility`, `_settle` from its probe, `build_cut_chain` on the
+settled network, `condition_network` from the probe and a whole
+`decompose`.  Prints one JSON line, {size: {stage: ms, ...}, ...}.
+
+Usage:
+  python3 scripts/stage_times.py [--best N] [SIZE ...]   (default: 5, 8000 32000)
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_ONE_SIZE = """
+import json, sys
+from time import perf_counter
+from triflow import (GenParams, Structure, build_cut_chain, classify_feasibility,
+                     condition_network, decompose, derive_coding_capacities, generate)
+from triflow.conditioning import _settle
+
+net = generate(GenParams(int(sys.argv[1]), 1, Structure.LADDER))
+best = int(sys.argv[2])
+cn = derive_coding_capacities(net)
+s, t = cn.source, cn.target
+probe = classify_feasibility(cn).probe
+graph, cap, flow = _settle(cn.graph, dict(cn.coding_cap), s, t, probe)
+stages = {
+    "classify_feasibility": lambda: classify_feasibility(cn),
+    "_settle": lambda: _settle(cn.graph, dict(cn.coding_cap), s, t, probe),
+    "build_cut_chain": lambda: build_cut_chain(graph, cap, flow, s, t),
+    "condition_network": lambda: condition_network(cn, probe),
+    "decompose": lambda: decompose(net),
+}
+times = {}
+for name, call in stages.items():
+    spans = []
+    for _ in range(best):
+        started = perf_counter()
+        call()
+        spans.append(perf_counter() - started)
+    times[name] = round(min(spans) * 1e3, 2)
+print(json.dumps(times))
+"""
+
+
+def main(argv):
+    best = 5
+    if argv[:1] == ["--best"]:
+        best, argv = int(argv[1]), argv[2:]
+    sizes = [int(a) for a in argv] or [8000, 32000]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = {}
+    for n in sizes:
+        proc = subprocess.run([sys.executable, "-c", _ONE_SIZE, str(n), str(best)], env=env,
+                              stdout=subprocess.PIPE, text=True, check=True)
+        out[n] = json.loads(proc.stdout)
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -114,7 +114,7 @@ def classify_feasibility(cn: CodingNetwork) -> Feasibility:
         kind = FeasibilityKind.DIVERSITY_CODING
     elif probe.value == FLOW_TARGET_DOUBLED:
         kind = FeasibilityKind.NETWORK_CODING
-    elif max_flow(cn.graph, dict(cn.coding_cap), cn.source, cn.target, limit=2).value >= 2:
+    elif max_flow(cn.graph, cn.coding_cap, cn.source, cn.target, limit=2).value >= 2:
         kind = FeasibilityKind.UNPROTECTED_2FLOW
     else:
         kind = FeasibilityKind.INFEASIBLE

@@ -4,8 +4,9 @@ A minimum cut is exactly a node set containing the source, avoiding the
 target, and closed under outgoing residual arcs.  Those sets form a lattice
 whose maximal chains all add one residual SCC per step, so the chain is built
 by consuming the SCC condensation in reverse topological order (successors
-before predecessors), starting from the source's own component.  One pass
-over the edges then lists the edges crossing each cut, which fixes its kind.
+before predecessors), starting from the source's own component, by Kahn's
+heap over counts of the residual arcs between components.  One pass over
+the edges then lists the edges crossing each cut, which fixes its kind.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
+from operator import sub
 from typing import Mapping
 
 from .errors import BrokenChain, MalformedCut
@@ -71,35 +74,50 @@ def build_cut_chain(g: Digraph, coding_cap: Mapping, flow: FlowResult, s, t) -> 
     caps = [coding_cap[e] for e in ids]
     reduced = [REDUCED_DOUBLED[c] for c in caps]
     per_edge = [flow.per_edge[e] for e in ids]
-    comps, comp_of, succs = residual_scc_condensation(g, reduced, per_edge, s, t)
+    room = [0] * (2 * len(ids))  # see `Digraph`
+    room[::2] = map(sub, reduced, per_edge)
+    room[1::2] = per_edge
+    comps, comp_of, succ = residual_scc_condensation(g, room, s, t)
     n = len(comps)
     s_comp = comp_of[g._index[s]]
     t_comp = comp_of[g._index[t]]
     if s_comp == t_comp:
         raise BrokenChain("source and target share a residual component")
 
-    preds = [set() for _ in range(n)]
-    for a, bs in enumerate(succs):
-        for b in bs:
-            preds[b].add(a)
-
-    if preds[t_comp]:
+    # pending[a] counts the residual arcs from component a into others,
+    # repeats and all; sorted, their keys b·n + a list the components whose
+    # arcs enter b as preds[start[b]:start[b + 1]].  A component's smallest
+    # node index is its heap key, which `comp_of` maps back.
+    pending = [0] * n
+    start = [0] * (n + 1)
+    keys = []
+    for u, nxt in enumerate(succ):
+        a = comp_of[u]
+        for v in nxt:
+            b = comp_of[v]
+            if a != b:
+                pending[a] += 1
+                start[b + 1] += 1
+                keys.append(b * n + a)
+    if start[t_comp + 1]:
         raise BrokenChain("residual arcs enter the target component; support "
                           "is cyclic or zero-flow edges remain")
+    keys.sort()
+    preds = [key % n for key in keys]
+    start = list(accumulate(start))
 
     min_key = list(map(min, comps))
-    pending = [len(succs[i]) for i in range(n)]
-    ready = [(min_key[i], i) for i in range(n) if pending[i] == 0 and i != t_comp]
+    ready = [min_key[i] for i in range(n) if not pending[i] and i != t_comp]
     heapq.heapify(ready)
 
     order = []
     while ready:
-        _, i = heapq.heappop(ready)
+        i = comp_of[heapq.heappop(ready)]
         order.append(i)
-        for p in preds[i]:
+        for p in preds[start[i]:start[i + 1]]:
             pending[p] -= 1
-            if pending[p] == 0 and p != t_comp:
-                heapq.heappush(ready, (min_key[p], p))
+            if not pending[p] and p != t_comp:
+                heapq.heappush(ready, min_key[p])
     if len(order) != n - 1:
         raise BrokenChain("condensation did not linearize into a chain")
     if order and s_comp != order[0]:

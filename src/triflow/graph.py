@@ -44,11 +44,15 @@ class Digraph:
     `_tail[e]` and `_head[e]` are node indices, and `_moves[i]` lists the
     residual moves out of node i as 2*e (forward along e) and 2*e + 1
     (backward along e).  Ascending ints are ascending edge ids, forward
-    before backward.  Everything below runs on these lists and translates an
-    edge id once, through `_edge_index`."""
+    before backward.  Move m leads to node `_end[m]` (`_head[e]` at 2*e,
+    `_tail[e]` at 2*e + 1) and leaves from `_end[m ^ 1]`.  A residual walk
+    keeps a per-move `room` list: capacity minus flow at 2*e, the flow at
+    2*e + 1, so m is usable iff `room[m] > 0` and a push along m moves room
+    to m ^ 1.  Everything below runs on these lists and translates an edge
+    id once, through `_edge_index`."""
 
     __slots__ = ("_nodes_sorted", "_index", "_edge_ids", "_edge_index",
-                 "_tail", "_head", "_moves")
+                 "_tail", "_head", "_end", "_moves")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]):
         nodes_sorted = tuple(sorted_ids(set(nodes)))
@@ -79,6 +83,9 @@ class Digraph:
         self._edge_index = edge_index
         self._tail = tails
         self._head = heads
+        self._end = end = [0] * (2 * len(tails))
+        end[::2] = heads
+        end[1::2] = tails
         self._moves = moves
 
     @property
@@ -175,10 +182,10 @@ def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowRe
     if s == t:
         raise ValueError("source equals target")
 
-    ids, tails, heads, moves = g._edge_ids, g._tail, g._head, g._moves
+    ids, end, moves = g._edge_ids, g._end, g._moves
     si, ti = g._index[s], g._index[t]
-    capacity = [cap[e] for e in ids]
-    flow = [0] * len(ids)
+    room = [0] * len(end)
+    room[::2] = [cap[e] for e in ids]
     value = 0
     augmentations = 0
     while limit is None or value < limit:
@@ -188,19 +195,12 @@ def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowRe
         queue = [si]
         for u in queue:
             for m in moves[u]:
-                e = m >> 1
-                if m & 1:
-                    v = tails[e]
-                    if parent[v] is not None or flow[e] <= 0:
-                        continue
-                else:
-                    v = heads[e]
-                    if parent[v] is not None or flow[e] >= capacity[e]:
-                        continue
-                parent[v] = m
-                if v == ti:
-                    break
-                queue.append(v)
+                v = end[m]
+                if parent[v] is None and room[m] > 0:
+                    parent[v] = m
+                    if v == ti:
+                        break
+                    queue.append(v)
             if parent[ti] is not None:
                 break
         if parent[ti] is None:
@@ -210,14 +210,14 @@ def max_flow(g: Digraph, cap: Mapping, s, t, limit: int | None = None) -> FlowRe
         while v != si:
             m = parent[v]
             path.append(m)
-            v = heads[m >> 1] if m & 1 else tails[m >> 1]
-        bottleneck = min(flow[m >> 1] if m & 1 else capacity[m >> 1] - flow[m >> 1]
-                         for m in path)
+            v = end[m ^ 1]
+        bottleneck = min(map(room.__getitem__, path))
         for m in path:
-            flow[m >> 1] += -bottleneck if m & 1 else bottleneck
+            room[m] -= bottleneck
+            room[m ^ 1] += bottleneck
         value += bottleneck
         augmentations += 1
-    return FlowResult(value=value, per_edge=dict(zip(ids, flow)),
+    return FlowResult(value=value, per_edge=dict(zip(ids, room[1::2])),
                       augmentations=augmentations)
 
 
@@ -235,33 +235,20 @@ def reach(out: Mapping, start) -> dict:
     return parent
 
 
-def residual_scc_condensation(g: Digraph, cap: list, flow: list, s, t) -> tuple:
+def residual_scc_condensation(g: Digraph, room: list, s, t) -> tuple:
     """Condense the residual graph of a maximum flow into its SCC DAG.
 
-    `cap` and `flow` are indexed by edge.  Raises NotMaximum if the residual
-    graph still has an s-t path.  Returns (components as lists of node
-    indices, the component of each node index, the set of other components
-    that residual arcs out of each component enter).  Components come out in
-    a topological order (residual arcs go earlier -> later), so the
+    `room` is indexed by move (see `Digraph`).  Raises NotMaximum if the
+    residual graph still has an s-t path.  Returns (components as lists of
+    node indices, the component of each node index, the residual successors
+    of each node index in move order, repeats kept).  Components come out
+    in a topological order (residual arcs go earlier -> later), so the
     target-side component is first and the source-side component last.
     """
     if s not in g or t not in g:
         raise UnknownNode(s if s not in g else t)
-    tails, heads = g._tail, g._head
-    room = [c - f for c, f in zip(cap, flow)]
-    # Residual successors of each node in move order, repeats kept: the
-    # components do not depend on the order the DFS takes them in.
-    succ = []
-    for ms in g._moves:
-        nxt = []
-        for m in ms:
-            e = m >> 1
-            if m & 1:
-                if flow[e] > 0:
-                    nxt.append(tails[e])
-            elif room[e] > 0:
-                nxt.append(heads[e])
-        succ.append(nxt)
+    end = g._end
+    succ = [[end[m] for m in ms if room[m] > 0] for ms in g._moves]
     si, ti = g._index[s], g._index[t]
     seen = [False] * len(succ)
     seen[si] = True
@@ -274,60 +261,57 @@ def residual_scc_condensation(g: Digraph, cap: list, flow: list, s, t) -> tuple:
     if seen[ti]:
         raise NotMaximum("flow admits a residual source-target path")
 
-    # Iterative Tarjan; emission order is reverse topological.
+    # Iterative Tarjan.  at[u] is the position of u's next successor to try;
+    # comp_of[v] is -1 until v's component is emitted, so a visited node is
+    # on the stack iff it has none.  Emission order is reverse topological.
     n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    at = [0] * n
+    comp_of = [-1] * n
     stack = []
-    emitted = []
+    comps = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
             continue
-        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        work = [root]
         while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
+            u = work[-1]
+            nxt = succ[u]
+            i = at[u]
+            while i < len(nxt):
+                v = nxt[i]
+                i += 1
                 if index[v] < 0:
+                    at[u] = i
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
-                    on_stack[v] = True
-                    work.append((v, iter(succ[v])))
-                    advanced = True
+                    work.append(v)
                     break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pu = work[-1][0]
-                low[pu] = min(low[pu], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == u:
-                        break
-                emitted.append(comp)
+                if comp_of[v] < 0 and index[v] < low[u]:
+                    low[u] = index[v]
+            else:
+                work.pop()
+                if low[u] == index[u]:
+                    k = len(comps)
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = k
+                        comp.append(w)
+                        if w == u:
+                            break
+                    comps.append(comp)
+                elif low[u] < low[work[-1]]:
+                    low[work[-1]] = low[u]
 
-    emitted.reverse()
-    comp_of = [0] * n
-    for i, comp in enumerate(emitted):
-        for v in comp:
-            comp_of[v] = i
-    successors = [{comp_of[v] for u in comp for v in succ[u]} - {i}
-                  for i, comp in enumerate(emitted)]
-    return emitted, comp_of, successors
+    last = len(comps) - 1
+    return comps[::-1], [last - k for k in comp_of], succ
 
 
 def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
@@ -336,69 +320,63 @@ def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
     Any flow on directed cycles is cancelled first, so the returned path
     support is acyclic and the amounts sum to the flow value.
     """
-    ids, heads, moves = g._edge_ids, g._head, g._moves
+    ids, end, moves = g._edge_ids, g._end, g._moves
     per_edge = flow.per_edge
-    remaining = [per_edge.get(e, 0) for e in ids]
+    # The flow left on each forward move (0 on backward ones), and the moves
+    # carrying it out of each node, lowest edge id last.  Flow only ever
+    # decreases, so a move popped once it runs dry never returns.
+    left = [0] * len(end)
+    left[::2] = [per_edge.get(e, 0) for e in ids]
+    out = [[m for m in reversed(ms) if left[m] > 0] for ms in moves]
     si, ti = g._index[s], g._index[t]
-    # Positive-flow out-arcs of each node, lowest edge id last.  Flow only
-    # ever decreases, so an arc popped once it runs dry never returns.
-    out = [[m >> 1 for m in reversed(ms) if not m & 1 and remaining[m >> 1] > 0]
-           for ms in moves]
-
-    def next_arc(u):
-        arcs = out[u]
-        while arcs and remaining[arcs[-1]] <= 0:
-            arcs.pop()
-        return arcs[-1] if arcs else None
-
     paths = []
 
     def walk_from(start, emit_paths):
-        # Follows positive-flow arcs; cancels any cycle it closes.
-        seq = []  # arcs walked
+        # Follows positive-flow moves; cancels any cycle it closes.  False
+        # once no flow leaves `start`.
+        seq = []  # moves walked
         at = {start: 0}  # node -> position in seq
         node = start
         while True:
             if emit_paths and node == ti and seq:
-                amount = min(map(remaining.__getitem__, seq))
-                for e in seq:
-                    remaining[e] -= amount
-                paths.append((list(map(ids.__getitem__, seq)), amount))
+                amount = min(map(left.__getitem__, seq))
+                for m in seq:
+                    left[m] -= amount
+                paths.append(([ids[m >> 1] for m in seq], amount))
                 return True
-            arcs = out[node]  # next_arc(node), inlined: this runs once per arc walked
-            while arcs and remaining[arcs[-1]] <= 0:
-                arcs.pop()
-            if not arcs:
+            moves_out = out[node]
+            while moves_out and left[moves_out[-1]] <= 0:
+                moves_out.pop()
+            if not moves_out:
                 if seq:
                     raise AssertionError("flow conservation violated during peel")
                 return False
-            e = arcs[-1]
-            head = heads[e]
+            m = moves_out[-1]
+            head = end[m]
             if head in at:
-                cyc = seq[at[head]:] + [e]
-                amount = min(map(remaining.__getitem__, cyc))
+                cyc = seq[at[head]:] + [m]
+                amount = min(map(left.__getitem__, cyc))
                 for c in cyc:
-                    remaining[c] -= amount
-                for c in seq[at[head]:]:  # the cut arcs' heads leave the walk
-                    del at[heads[c]]
+                    left[c] -= amount
+                for c in seq[at[head]:]:  # the cut moves' heads leave the walk
+                    del at[end[c]]
                 del seq[at[head]:]
                 node = head
                 if not emit_paths and not seq:
                     return True  # circulation removed
                 continue
-            seq.append(e)
+            seq.append(m)
             at[head] = len(seq)
             node = head
 
-    while next_arc(si) is not None:
-        if not walk_from(si, True):
-            break
-    if max(remaining, default=0) > 0:
+    while walk_from(si, True):
+        pass
+    if max(left, default=0) > 0:
         # leftover circulations not reachable from s
         for u in range(len(moves)):
-            while next_arc(u) is not None:
-                walk_from(u, False)
-        if max(remaining) > 0:
+            while walk_from(u, False):
+                pass
+        if max(left) > 0:
             raise AssertionError("unpeeled flow remained")
     if not per_edge.keys() <= g._edge_index.keys() and any(
             per_edge[e] > 0 for e in per_edge.keys() - g._edge_index.keys()):
@@ -417,7 +395,7 @@ def _is_path_sum(g: Digraph, per_edge: Mapping, s, t) -> bool:
     flow = [per_edge[e] for e in g._edge_ids]
     if min(flow, default=0) < 0:
         return False
-    tails, heads = g._tail, g._head
+    tails, heads, end = g._tail, g._head, g._end
     si, ti = g._index[s], g._index[t]
     balance = [0] * len(g._moves)
     indegree = [0] * len(g._moves)
@@ -432,11 +410,13 @@ def _is_path_sum(g: Digraph, per_edge: Mapping, s, t) -> bool:
     balance[si] = balance[ti] = 0
     if any(balance):
         return False
+    carried = [0] * len(end)  # per move: the flow forward, 0 backward
+    carried[::2] = flow
     queue = [v for v, d in enumerate(indegree) if not d]
     for u in queue:
         for m in g._moves[u]:
-            if not m & 1 and flow[m >> 1]:
-                v = heads[m >> 1]
+            if carried[m]:
+                v = end[m]
                 indegree[v] -= 1
                 if not indegree[v]:
                     queue.append(v)

@@ -29,14 +29,14 @@ class Subflows(Mapping):
     here: each label's `Arc` set, the route index (`routes`) and, filled by
     `verify.survivors`, the survivors per (source, target)."""
 
-    __slots__ = ("graph", "ints", "survivors", "_arcs", "_routes")
+    __slots__ = ("graph", "ints", "survivors", "_arcs", "_routes", "_indegrees")
 
     def __init__(self, ints: Mapping, graph):
         self.graph = graph
         self.ints = {k: tuple(v) for k, v in ints.items()}
         self.survivors = {}
         self._arcs = {}
-        self._routes = None
+        self._routes = self._indegrees = None
 
     @classmethod
     def from_arcs(cls, arcs: Mapping, graph) -> "Subflows":
@@ -66,18 +66,21 @@ class Subflows(Mapping):
         the tuple of `(edge index, head index)` for the label's distinct
         out-edges of that node.  Both copies of an edge are one entry, since
         a failure drops both; in sorted arc ints they are neighbours, so one
-        comparison drops the second."""
+        comparison drops the second.  The same pass fills `_indegrees`: for
+        each label, how many of its distinct edges enter each node."""
         if self._routes is None:
             g = self.graph
             tails, heads = g._tail, g._head
-            self._routes = {}
+            self._routes, self._indegrees = {}, {}
             for label in LABELS:
                 moves = self._routes[label] = [()] * len(g._nodes_sorted)
+                indegree = self._indegrees[label] = [0] * len(g._nodes_sorted)
                 last = -1
                 for a in self.ints.get(label, ()):
                     if a >> 1 != last:
                         last = a >> 1
                         moves[tails[last]] += ((last, heads[last]),)
+                        indegree[heads[last]] += 1
         return self._routes
 
     def __getitem__(self, label):

@@ -108,16 +108,14 @@ def survivors(subflows: Subflows, s, t) -> tuple:
     return cache[s, t]
 
 
-def _cyclic(out: list, ints, tails: list) -> bool:
+def _cyclic(out: list, indegree: list, ints, tails: list) -> bool:
     """Whether one label's distinct edges hold a directed cycle: Kahn's pass
-    over `out` (the label's `Subflows.routes` list) from the tails of
-    `ints`, its sorted arc ints, so it visits only nodes the label touches.
-    An edge that the pass never takes lies on, or after, a cycle."""
+    over `out` (the label's `Subflows.routes` list) from a copy of
+    `indegree` (its `Subflows._indegrees` list) and the tails of `ints`, its
+    sorted arc ints, so it visits only nodes the label touches.  An edge
+    that the pass never takes lies on, or after, a cycle."""
     starts = {tails[a >> 1] for a in ints}
-    indegree = [0] * len(out)
-    for v in starts:
-        for _, w in out[v]:
-            indegree[w] += 1
+    indegree = indegree[:]
     queue = [v for v in starts if not indegree[v]]
     for v in queue:
         for _, w in out[v]:
@@ -200,8 +198,9 @@ def verify_plan(cn: CodingNetwork, plan: RecoveryPlan) -> VerificationReport:
         if not connectivity[label]:
             violations.append(Violation(
                 "connectivity", f"subflow {label} does not connect source to target"))
-    violations += [Violation("acyclicity", f"subflow {label} holds a directed cycle")
-                   for label in LABELS if _cyclic(subflows.routes[label], arcs[label], g._tail)]
+    routes, indegrees = subflows.routes, subflows._indegrees  # built together
+    violations += [Violation("acyclicity", f"subflow {label} holds a directed cycle") for label
+                   in LABELS if _cyclic(routes[label], indegrees[label], arcs[label], g._tail)]
 
     for edge, labels in survivability.items():
         if len(labels) < 2:

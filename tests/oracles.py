@@ -1,5 +1,6 @@
 """Brute-force and reference computations for small instances."""
 
+import heapq
 from collections import deque
 from dataclasses import replace
 from itertools import combinations, product
@@ -9,9 +10,9 @@ from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, 
                      FeasibilityKind, Network, RecoveryPlan, SegmentType, assign_roles,
                      build_cut_chain, cancel_cycles, classify_feasibility, decode,
                      derive_coding_capacities, encode, max_flow, verify_plan)
-from triflow.cutchain import FLOW_TARGET_DOUBLED, reduced_capacities
-from triflow.errors import (InsufficientPaths, MalformedCut, NotNetworkCodingClass,
-                            SegmentInfeasible, UnknownNode)
+from triflow.cutchain import _KINDS, FLOW_TARGET_DOUBLED, REDUCED_DOUBLED, reduced_capacities
+from triflow.errors import (BrokenChain, InsufficientPaths, MalformedCut, NotMaximum,
+                            NotNetworkCodingClass, SegmentInfeasible, UnknownNode)
 from triflow.graph import (FlowResult, decompose_flow_to_paths, edge_disjoint_paths,
                            order_key, reach, residual_scc_condensation, sorted_ids)
 from triflow.plan import LABELS, NodeRole, Role
@@ -30,15 +31,204 @@ class Condensation(NamedTuple):
     successors: tuple
 
 
+def residual_room(g: Digraph, cap, per_edge) -> list:
+    """The per-move room of a flow, from id-keyed capacities and flow:
+    capacity minus flow at 2·e, the flow at 2·e + 1."""
+    room = [0] * (2 * len(g.edge_ids))
+    room[::2] = [cap[e] - per_edge[e] for e in g.edge_ids]
+    room[1::2] = [per_edge[e] for e in g.edge_ids]
+    return room
+
+
 def condensation(g: Digraph, cap, flow: FlowResult, s, t) -> Condensation:
     """`residual_scc_condensation` called with id-keyed capacities and a
-    `FlowResult`, its node indices translated back to ids."""
-    comps, comp_of, successors = residual_scc_condensation(
-        g, [cap[e] for e in g.edge_ids], [flow.per_edge[e] for e in g.edge_ids], s, t)
+    `FlowResult`, its node indices translated back to ids and its nodes'
+    residual successors gathered into each component's successor set."""
+    comps, comp_of, succ = residual_scc_condensation(
+        g, residual_room(g, cap, flow.per_edge), s, t)
+    successors = [{comp_of[v] for u in comp for v in succ[u]} - {i}
+                  for i, comp in enumerate(comps)]
     nodes = g.nodes_sorted
     return Condensation(tuple(frozenset(nodes[v] for v in comp) for comp in comps),
                         {v: comp_of[i] for i, v in enumerate(nodes)},
                         tuple(map(frozenset, successors)))
+
+
+def reference_condensation(g: Digraph, cap: list, flow: list, s, t) -> tuple:
+    """The list-of-lists `residual_scc_condensation` that the per-move walk
+    replaced: residual arcs decoded edge by edge, a Tarjan pass over
+    `(node, iterator)` work tuples and each component's successor set.
+
+    `cap` and `flow` are indexed by edge.  Raises NotMaximum if the residual
+    graph still has an s-t path.  Returns (components as lists of node
+    indices, the component of each node index, the set of other components
+    that residual arcs out of each component enter).  Components come out in
+    a topological order (residual arcs go earlier -> later), so the
+    target-side component is first and the source-side component last.
+    """
+    if s not in g or t not in g:
+        raise UnknownNode(s if s not in g else t)
+    tails, heads = g._tail, g._head
+    room = [c - f for c, f in zip(cap, flow)]
+    # Residual successors of each node in move order, repeats kept: the
+    # components do not depend on the order the DFS takes them in.
+    succ = []
+    for ms in g._moves:
+        nxt = []
+        for m in ms:
+            e = m >> 1
+            if m & 1:
+                if flow[e] > 0:
+                    nxt.append(tails[e])
+            elif room[e] > 0:
+                nxt.append(heads[e])
+        succ.append(nxt)
+    si, ti = g._index[s], g._index[t]
+    seen = [False] * len(succ)
+    seen[si] = True
+    queue = [si]
+    for u in queue:
+        for v in succ[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    if seen[ti]:
+        raise NotMaximum("flow admits a residual source-target path")
+
+    # Iterative Tarjan; emission order is reverse topological.
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    emitted = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            u, it = work[-1]
+            advanced = False
+            for v in it:
+                if index[v] < 0:
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                    work.append((v, iter(succ[v])))
+                    advanced = True
+                    break
+                if on_stack[v]:
+                    low[u] = min(low[u], index[v])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pu = work[-1][0]
+                low[pu] = min(low[pu], low[u])
+            if low[u] == index[u]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == u:
+                        break
+                emitted.append(comp)
+
+    emitted.reverse()
+    comp_of = [0] * n
+    for i, comp in enumerate(emitted):
+        for v in comp:
+            comp_of[v] = i
+    successors = [{comp_of[v] for u in comp for v in succ[u]} - {i}
+                  for i, comp in enumerate(emitted)]
+    return emitted, comp_of, successors
+
+
+def reference_cut_chain(g: Digraph, coding_cap, flow: FlowResult, s, t) -> CutChain:
+    """`build_cut_chain` before its Kahn's heap counted condensation arcs:
+    it reads `reference_condensation`'s successor sets and keeps a
+    predecessor set per component.
+
+    Expects zero-flow edges already removed and an acyclic flow support.  Each
+    step of the chain adds exactly one residual SCC, successors first; ties are
+    broken by the smallest node id inside the component, which is its
+    smallest node index.  Raises BrokenChain for an edge that crosses a cut
+    backward or unsaturated, and MalformedCut for a cut that is neither kind.
+    """
+    ids = g._edge_ids
+    caps = [coding_cap[e] for e in ids]
+    reduced = [REDUCED_DOUBLED[c] for c in caps]
+    per_edge = [flow.per_edge[e] for e in ids]
+    comps, comp_of, succs = reference_condensation(g, reduced, per_edge, s, t)
+    n = len(comps)
+    s_comp = comp_of[g._index[s]]
+    t_comp = comp_of[g._index[t]]
+    if s_comp == t_comp:
+        raise BrokenChain("source and target share a residual component")
+
+    preds = [set() for _ in range(n)]
+    for a, bs in enumerate(succs):
+        for b in bs:
+            preds[b].add(a)
+
+    if preds[t_comp]:
+        raise BrokenChain("residual arcs enter the target component; support "
+                          "is cyclic or zero-flow edges remain")
+
+    min_key = list(map(min, comps))
+    pending = [len(succs[i]) for i in range(n)]
+    ready = [(min_key[i], i) for i in range(n) if pending[i] == 0 and i != t_comp]
+    heapq.heapify(ready)
+
+    order = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(i)
+        for p in preds[i]:
+            pending[p] -= 1
+            if pending[p] == 0 and p != t_comp:
+                heapq.heappush(ready, (min_key[p], p))
+    if len(order) != n - 1:
+        raise BrokenChain("condensation did not linearize into a chain")
+    if order and s_comp != order[0]:
+        raise BrokenChain("first chain component does not contain the source")
+
+    order.append(t_comp)
+    part_of_comp = [0] * n
+    for i, c in enumerate(order):
+        part_of_comp[c] = i
+    node_part = [part_of_comp[c] for c in comp_of]
+
+    # Edge e from part a to part b > a crosses cuts a+1..b, each a minimum
+    # cut, so it must be saturated; one from a later part to an earlier one
+    # is flow crossing a minimum cut backward, since every edge carries flow.
+    crossing = [[] for _ in range(n - 1)]  # crossing[i] crosses cut i + 1
+    for e, (a, b) in enumerate(zip(map(node_part.__getitem__, g._tail),
+                                   map(node_part.__getitem__, g._head))):
+        if a < b:
+            if reduced[e] != per_edge[e]:
+                raise BrokenChain(f"cut {a + 1} is not saturated: edge {ids[e]!r} "
+                                  f"carries {per_edge[e]} of {reduced[e]}")
+            crossing[a].append(e)
+            if b - a > 1:
+                for i in range(a + 1, b):
+                    crossing[i].append(e)
+        elif a > b:
+            raise BrokenChain(f"edge {ids[e]!r} crosses the cut chain backward")
+    kinds = [_KINDS.get((len(edges), sum(map(caps.__getitem__, edges)))) for edges in crossing]
+    if None in kinds:  # the first cut of neither kind raises, with its counts
+        i = kinds.index(None)
+        twos = sum(map(caps.__getitem__, crossing[i])) - len(crossing[i])
+        raise MalformedCut(f"cut {i + 1} crosses {twos} capacity-2 and "
+                           f"{len(crossing[i]) - twos} capacity-1 edges")
+    return CutChain(kinds=tuple(kinds), node_part=node_part, crossing=crossing)
 
 
 def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:

@@ -1,18 +1,22 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from triflow import (CutKind, Digraph, FeasibilityKind, classify_feasibility,
-                     condition_network, generate)
+from triflow import (CutChain, CutKind, Digraph, FeasibilityKind, GenParams, Structure,
+                     cancel_cycles, classify_feasibility, condition_network, generate,
+                     max_flow)
 from triflow.cutchain import build_cut_chain, reduced_capacities
 from triflow.errors import BrokenChain, GenerationFailed, MalformedCut, NotMaximum
 from triflow.graph import FlowResult
 
 from netfixtures import coding, diamond2, ladder15, numeric_ids, tripath, widefan
-from oracles import (chain_cuts, chain_parts, classify_cut, condensation, cut_value,
-                     enumerate_min_cuts, longest_min_cut_chain)
+from oracles import (_reference_settle, chain_cuts, chain_parts, classify_cut, condensation,
+                     cut_value, enumerate_min_cuts, longest_min_cut_chain,
+                     reference_condensation, reference_cut_chain)
 from test_decompose import random_digraphs
 from test_golden import CORPUS
+from test_graph import NUMERIC_AND_MIXED_IDS, mixed_multigraphs
 
 
 def conditioned(net):
@@ -206,3 +210,70 @@ def test_crossing_lists_each_cuts_edges():
         assert sum(map(len, chain.crossing)) <= 3 * chain.k
         spanning += sum(n > 1 for n in Counter(e for c in chain.crossing for e in c).values())
     assert spanning > len(nets)
+
+
+def _outcome(call, *args):
+    """What `call(*args)` gives: its value, or its refusal's type and text."""
+    try:
+        return call(*args)
+    except (BrokenChain, MalformedCut, NotMaximum) as exc:
+        return type(exc), str(exc)
+
+
+def assert_chain_matches_reference(g, coding_cap, flow, s, t):
+    """`build_cut_chain` and `residual_scc_condensation` give what the
+    list-of-lists references give, refusals included; returns the chain."""
+    reduced = reduced_capacities(g, coding_cap)
+    scc = _outcome(condensation, g, reduced, flow, s, t)
+    ref = _outcome(reference_condensation, g, [reduced[e] for e in g.edge_ids],
+                   [flow.per_edge[e] for e in g.edge_ids], s, t)
+    if isinstance(ref[0], type):
+        assert scc == ref
+    else:
+        nodes = g.nodes_sorted
+        assert scc.components == tuple(frozenset(nodes[v] for v in comp) for comp in ref[0])
+        assert list(scc.component_of.values()) == ref[1]
+        assert list(scc.successors) == ref[2]
+    chain = _outcome(build_cut_chain, g, coding_cap, flow, s, t)
+    ref = _outcome(reference_cut_chain, g, coding_cap, flow, s, t)
+    if isinstance(ref, CutChain):
+        assert (chain.kinds, chain.node_part, chain.crossing) == \
+            (ref.kinds, ref.node_part, ref.crossing)
+    else:
+        assert chain == ref
+    return chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_multigraphs(NUMERIC_AND_MIXED_IDS), st.booleans())
+def test_chain_matches_the_reference_on_general_digraphs(instance, prune):
+    # coding capacities 1 or 2 and a (possibly limited) maximum reduced flow,
+    # its cycles cancelled and, if `prune`, its zero-flow edges dropped
+    g, caps, s, t, limit = instance
+    coding_cap = {e: 1 + c % 2 for e, c in caps.items()}
+    flow = max_flow(g, reduced_capacities(g, coding_cap), s, t, limit=limit)
+    flow = cancel_cycles(g, flow, s, t)
+    if prune:
+        g = g.subgraph(flow.support(), extra_nodes=(s, t))
+        coding_cap = {e: coding_cap[e] for e in g.edge_ids}
+        flow = FlowResult(flow.value, {e: flow.per_edge[e] for e in g.edge_ids})
+    assert_chain_matches_reference(g, coding_cap, flow, s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Structure.LADDER, Structure.RANDOM_DAG]),
+       st.integers(8, 300), st.integers(0, 10_000))
+def test_conditioned_chains_match_the_reference(structure, node_count, seed):
+    # the settled network's chain, then the conditioned one after demotion
+    try:
+        net = generate(GenParams(node_count, seed, structure, FeasibilityKind.NETWORK_CODING))
+    except GenerationFailed:
+        assume(False)
+    cn = coding(net)
+    s, t = cn.source, cn.target
+    g, cap, flow = _reference_settle(cn.graph, dict(cn.coding_cap), s, t)
+    assert isinstance(assert_chain_matches_reference(g, cap, flow, s, t), CutChain)
+    cond = condition_network(cn)
+    net = cond.network
+    chain = assert_chain_matches_reference(net.graph, net.coding_cap, cond.flow, s, t)
+    assert chain == cond.chain
