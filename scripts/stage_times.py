@@ -3,9 +3,9 @@
 
 For each size, a fresh interpreter (PYTHONHASHSEED=0) generates the seed-1
 LADDER network of that many nodes and times, best of N calls each:
-`classify_feasibility`, `_settle` from its probe, `build_cut_chain` on the
-settled network, `condition_network` from the probe and a whole
-`decompose`.  Prints one JSON line, {size: {stage: ms, ...}, ...}.
+`classify_feasibility`, `cancel_cycles` and `decompose_flow_to_paths` on
+its probe, `_settle` from the probe, `build_cut_chain` on the settled
+network, `condition_network` from the probe and a whole `decompose`.  Prints one JSON line, {size: {stage: ms, ...}, ...}.
 
 Usage:
   python3 scripts/stage_times.py [--best N] [SIZE ...]   (default: 5, 8000 32000)
@@ -25,6 +25,7 @@ from time import perf_counter
 from triflow import (GenParams, Structure, build_cut_chain, classify_feasibility,
                      condition_network, decompose, derive_coding_capacities, generate)
 from triflow.conditioning import _settle
+from triflow.graph import cancel_cycles, decompose_flow_to_paths
 
 net = generate(GenParams(int(sys.argv[1]), 1, Structure.LADDER))
 best = int(sys.argv[2])
@@ -34,6 +35,8 @@ probe = classify_feasibility(cn).probe
 graph, cap, flow = _settle(cn.graph, dict(cn.coding_cap), s, t, probe)
 stages = {
     "classify_feasibility": lambda: classify_feasibility(cn),
+    "cancel_cycles": lambda: cancel_cycles(cn.graph, probe, s, t),
+    "decompose_flow_to_paths": lambda: decompose_flow_to_paths(cn.graph, probe, s, t),
     "_settle": lambda: _settle(cn.graph, dict(cn.coding_cap), s, t, probe),
     "build_cut_chain": lambda: build_cut_chain(graph, cap, flow, s, t),
     "condition_network": lambda: condition_network(cn, probe),

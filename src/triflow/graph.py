@@ -314,107 +314,37 @@ def residual_scc_condensation(g: Digraph, room: list, s, t) -> tuple:
     return comps[::-1], [last - k for k in comp_of], succ
 
 
-def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
-    """Split a conserved flow into s-t paths with amounts.
-
-    Any flow on directed cycles is cancelled first, so the returned path
-    support is acyclic and the amounts sum to the flow value.
-    """
-    ids, end, moves = g._edge_ids, g._end, g._moves
-    per_edge = flow.per_edge
-    # The flow left on each forward move (0 on backward ones), and the moves
-    # carrying it out of each node, lowest edge id last.  Flow only ever
-    # decreases, so a move popped once it runs dry never returns.
-    left = [0] * len(end)
-    left[::2] = [per_edge.get(e, 0) for e in ids]
-    out = [[m for m in reversed(ms) if left[m] > 0] for ms in moves]
-    si, ti = g._index[s], g._index[t]
-    paths = []
-
-    def walk_from(start, emit_paths):
-        # Follows positive-flow moves; cancels any cycle it closes.  False
-        # once no flow leaves `start`.
-        seq = []  # moves walked
-        at = {start: 0}  # node -> position in seq
-        node = start
-        while True:
-            if emit_paths and node == ti and seq:
-                amount = min(map(left.__getitem__, seq))
-                for m in seq:
-                    left[m] -= amount
-                paths.append(([ids[m >> 1] for m in seq], amount))
-                return True
-            moves_out = out[node]
-            while moves_out and left[moves_out[-1]] <= 0:
-                moves_out.pop()
-            if not moves_out:
-                if seq:
-                    raise AssertionError("flow conservation violated during peel")
-                return False
-            m = moves_out[-1]
-            head = end[m]
-            if head in at:
-                cyc = seq[at[head]:] + [m]
-                amount = min(map(left.__getitem__, cyc))
-                for c in cyc:
-                    left[c] -= amount
-                for c in seq[at[head]:]:  # the cut moves' heads leave the walk
-                    del at[end[c]]
-                del seq[at[head]:]
-                node = head
-                if not emit_paths and not seq:
-                    return True  # circulation removed
-                continue
-            seq.append(m)
-            at[head] = len(seq)
-            node = head
-
-    while walk_from(si, True):
-        pass
-    if max(left, default=0) > 0:
-        # leftover circulations not reachable from s
-        for u in range(len(moves)):
-            while walk_from(u, False):
-                pass
-        if max(left) > 0:
-            raise AssertionError("unpeeled flow remained")
-    if not per_edge.keys() <= g._edge_index.keys() and any(
-            per_edge[e] > 0 for e in per_edge.keys() - g._edge_index.keys()):
-        raise AssertionError("unpeeled flow remained")
-    return paths
-
-
 def _is_path_sum(g: Digraph, per_edge: Mapping, s, t) -> bool:
-    """Whether `per_edge` is a sum of s-t paths in `g`: defined on exactly
-    g's edges, nonnegative, conserved at every node but s and t, entering no
-    s and leaving no t, with a support that Kahn's pass finds acyclic.  The
-    peel in `cancel_cycles` splits such a flow into paths that add back up
-    to it, never raising."""
-    if per_edge.keys() != g._edge_index.keys():
-        return False
-    flow = [per_edge[e] for e in g._edge_ids]
-    if min(flow, default=0) < 0:
-        return False
-    tails, heads, end = g._tail, g._head, g._end
-    si, ti = g._index[s], g._index[t]
-    balance = [0] * len(g._moves)
-    indegree = [0] * len(g._moves)
+    """Whether the flow `per_edge` (edge id -> amount; an edge without a key
+    carries 0) is a sum of s-t paths in `g`: no flow enters s or leaves t,
+    and Kahn's pass finds its support acyclic.  Raises AssertionError when it
+    is no flow in `g` at all: positive on an id that is not an edge of `g`,
+    negative anywhere, or unbalanced at a node other than s and t."""
+    if any(per_edge[e] > 0 for e in per_edge.keys() - g._edge_index.keys()):
+        raise AssertionError("positive flow on an id that is not an edge")
+    if min(per_edge.values(), default=0) < 0:
+        raise AssertionError("negative flow amount")
+    tails, heads, end, moves = g._tail, g._head, g._end, g._moves
+    flow = [per_edge.get(e, 0) for e in g._edge_ids]
+    balance = [0] * len(moves)
+    indegree = [0] * len(moves)
     for e, f in enumerate(flow):
         if f:
             u, v = tails[e], heads[e]
-            if v == si or u == ti:
-                return False
             balance[u] -= f
             balance[v] += f
             indegree[v] += 1
+    si, ti = g._index[s], g._index[t]
     balance[si] = balance[ti] = 0
     if any(balance):
-        return False
+        raise AssertionError("flow unbalanced at a node other than source and target")
     carried = [0] * len(end)  # per move: the flow forward, 0 backward
     carried[::2] = flow
+    if indegree[si] or any(map(carried.__getitem__, moves[ti])):
+        return False
     queue = [v for v, d in enumerate(indegree) if not d]
     for u in queue:
-        for m in g._moves[u]:
+        for m in moves[u]:
             if carried[m]:
                 v = end[m]
                 indegree[v] -= 1
@@ -423,9 +353,63 @@ def _is_path_sum(g: Digraph, per_edge: Mapping, s, t) -> bool:
     return len(queue) == len(indegree)
 
 
+def decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
+    """Split a flow into s-t paths with amounts, in the order one walk from
+    s finds them.  The walk follows each node's lowest edge id still
+    carrying flow, cancels every cycle it closes and takes out a path each
+    time it reaches t; the path support is acyclic and the amounts sum to
+    the flow value.  Conservation leaves the walk stuck only at s, with no
+    move walked.  Flow left over then is circulation and is dropped, unless
+    some still enters s: that runs from t back to s.  Raises AssertionError
+    for it and wherever `_is_path_sum` does."""
+    _is_path_sum(g, flow.per_edge, s, t)
+    ids, end, moves = g._edge_ids, g._end, g._moves
+    # The flow left on each forward move (0 on backward ones).  It only ever
+    # decreases, so a node's resume position passes a dry move for good.
+    left = [0] * len(end)
+    left[::2] = [flow.per_edge.get(e, 0) for e in ids]
+    at = [0] * len(moves)  # per node: the position of its next move to try
+    on = [-1] * len(moves)  # per node on the walk: how many moves led to it
+    si, ti = g._index[s], g._index[t]
+    on[si] = 0
+    seq = []  # the moves walked from s
+    node = si
+    paths = []
+    while True:
+        ms, i = moves[node], at[node]
+        while i < len(ms) and not left[ms[i]]:
+            i += 1
+        at[node] = i
+        if i == len(ms):
+            break
+        m = ms[i]
+        node = end[m]
+        if node == ti:  # a path: take it out and walk again from s
+            run, seq = seq + [m], []
+        elif on[node] >= 0:  # a closed cycle: cancel it and walk on from node
+            run = seq[on[node]:] + [m]
+            del seq[on[node]:]
+        else:
+            seq.append(m)
+            on[node] = len(seq)
+            continue
+        amount = min(map(left.__getitem__, run))
+        for c in run:
+            left[c] -= amount
+            on[end[c]] = -1
+        on[node] = len(seq)  # t's entry is never read: t ends a path first
+        if node == ti:
+            paths.append(([ids[c >> 1] for c in run], amount))
+            node = si
+    if any(left[m - 1] for m in moves[si] if m & 1):
+        raise AssertionError("flow left entering the source runs from the target back to it")
+    return paths
+
+
 def cancel_cycles(g: Digraph, flow: FlowResult, s, t) -> FlowResult:
-    """Equivalent flow with acyclic support (cycle components removed).  A
-    flow that is already a sum of s-t paths comes back as it is."""
+    """Equivalent flow with acyclic support: the sum of the paths that
+    `decompose_flow_to_paths` peels, keyed as `flow` is.  A flow that
+    `_is_path_sum` finds already a sum of s-t paths comes back as it is."""
     if _is_path_sum(g, flow.per_edge, s, t):
         return flow
     per_edge = {e: 0 for e in flow.per_edge}

@@ -107,6 +107,36 @@ def parallel_capacity2() -> Network:
     return _net(["s", "t"], [("s", "t", 2), ("s", "t", 2)])
 
 
+def cyclic_probes() -> list:
+    """Three network-coding digraphs whose classify probe is not a sum of s-t
+    paths, so conditioning peels it; about 1 in 400 of
+    `test_decompose.random_digraphs` is one.  They are `random_digraphs(64,
+    seed)[i]` for (seed, i) = (17, 63), (56, 28) and (96, 37), pinned as
+    (tail, head, free capacity) lists: edge i is the i-th entry, nodes are
+    0..n-1, the source 0 and the target n - 1."""
+    arcs = [
+        [(9, 5, 1), (1, 8, 1), (1, 9, 1), (7, 8, 1), (6, 0, 1), (0, 3, 2), (9, 4, 2),
+         (0, 6, 2), (9, 6, 2), (4, 1, 1), (3, 7, 1), (7, 6, 1), (8, 3, 2), (9, 1, 1),
+         (0, 8, 1), (5, 9, 1), (7, 3, 2), (5, 2, 2), (5, 3, 1), (4, 1, 1), (7, 4, 1),
+         (3, 5, 2), (6, 2, 2), (9, 5, 1), (5, 0, 2), (0, 4, 2), (8, 1, 1), (1, 7, 2),
+         (1, 4, 2), (6, 2, 1), (1, 0, 1), (3, 9, 1), (9, 6, 2)],
+        [(7, 3, 2), (6, 5, 2), (2, 0, 1), (8, 3, 2), (2, 1, 2), (0, 6, 2), (3, 5, 2),
+         (4, 5, 2), (4, 1, 1), (1, 3, 1), (3, 2, 1), (6, 5, 1), (3, 4, 2), (3, 4, 1),
+         (1, 6, 2), (5, 2, 2), (5, 1, 1), (5, 4, 2), (2, 3, 1), (1, 8, 1), (3, 8, 1),
+         (5, 0, 2), (6, 1, 1), (0, 4, 2), (6, 0, 2), (7, 8, 1), (6, 7, 1)],
+        [(7, 2, 2), (5, 3, 2), (0, 3, 1), (1, 8, 1), (3, 5, 2), (9, 2, 1), (3, 7, 2),
+         (7, 0, 1), (8, 1, 1), (5, 9, 2), (5, 1, 2), (2, 0, 2), (6, 5, 1), (9, 1, 1),
+         (2, 3, 2), (9, 2, 2), (2, 3, 1), (0, 4, 2), (3, 0, 1), (2, 8, 1), (6, 3, 2),
+         (4, 5, 1), (9, 5, 1), (7, 0, 2), (7, 1, 1), (5, 6, 1), (7, 9, 2), (1, 3, 1),
+         (2, 9, 1), (2, 5, 1), (0, 1, 2), (8, 0, 2)],
+    ]
+    nets = []
+    for edge_list in arcs:
+        n = 1 + max(max(tail, head) for tail, head, _ in edge_list)
+        nets.append(_net(range(n), edge_list, source=0, target=n - 1))
+    return nets
+
+
 def coding(net: Network):
     return derive_coding_capacities(net)
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from triflow import (Arc, CodingNetwork, ConditionedNetwork, CutChain, CutKind, Digraph,
                      FeasibilityKind, Network, RecoveryPlan, SegmentType, assign_roles,
-                     build_cut_chain, cancel_cycles, classify_feasibility, decode,
+                     build_cut_chain, classify_feasibility, decode,
                      derive_coding_capacities, encode, max_flow, verify_plan)
 from triflow.cutchain import _KINDS, FLOW_TARGET_DOUBLED, REDUCED_DOUBLED, reduced_capacities
 from triflow.errors import (BrokenChain, InsufficientPaths, MalformedCut, NotMaximum,
@@ -290,6 +290,132 @@ def reference_max_flow(g: Digraph, cap, s, t, limit=None) -> FlowResult:
     return FlowResult(value=value, per_edge=flow, augmentations=augmentations)
 
 
+# The flow peel as it was before it became one walk from the source: one
+# walk per path, then a sweep from every node that cancels the leftover
+# circulation and raises on any other leftover flow.
+
+def reference_decompose_flow_to_paths(g: Digraph, flow: FlowResult, s, t) -> list:
+    """Split a conserved flow into s-t paths with amounts.
+
+    Any flow on directed cycles is cancelled first, so the returned path
+    support is acyclic and the amounts sum to the flow value.
+    """
+    ids, end, moves = g._edge_ids, g._end, g._moves
+    per_edge = flow.per_edge
+    # The flow left on each forward move (0 on backward ones), and the moves
+    # carrying it out of each node, lowest edge id last.  Flow only ever
+    # decreases, so a move popped once it runs dry never returns.
+    left = [0] * len(end)
+    left[::2] = [per_edge.get(e, 0) for e in ids]
+    out = [[m for m in reversed(ms) if left[m] > 0] for ms in moves]
+    si, ti = g._index[s], g._index[t]
+    paths = []
+
+    def walk_from(start, emit_paths):
+        # Follows positive-flow moves; cancels any cycle it closes.  False
+        # once no flow leaves `start`.
+        seq = []  # moves walked
+        at = {start: 0}  # node -> position in seq
+        node = start
+        while True:
+            if emit_paths and node == ti and seq:
+                amount = min(map(left.__getitem__, seq))
+                for m in seq:
+                    left[m] -= amount
+                paths.append(([ids[m >> 1] for m in seq], amount))
+                return True
+            moves_out = out[node]
+            while moves_out and left[moves_out[-1]] <= 0:
+                moves_out.pop()
+            if not moves_out:
+                if seq:
+                    raise AssertionError("flow conservation violated during peel")
+                return False
+            m = moves_out[-1]
+            head = end[m]
+            if head in at:
+                cyc = seq[at[head]:] + [m]
+                amount = min(map(left.__getitem__, cyc))
+                for c in cyc:
+                    left[c] -= amount
+                for c in seq[at[head]:]:  # the cut moves' heads leave the walk
+                    del at[end[c]]
+                del seq[at[head]:]
+                node = head
+                if not emit_paths and not seq:
+                    return True  # circulation removed
+                continue
+            seq.append(m)
+            at[head] = len(seq)
+            node = head
+
+    while walk_from(si, True):
+        pass
+    if max(left, default=0) > 0:
+        # leftover circulations not reachable from s
+        for u in range(len(moves)):
+            while walk_from(u, False):
+                pass
+        if max(left) > 0:
+            raise AssertionError("unpeeled flow remained")
+    if not per_edge.keys() <= g._edge_index.keys() and any(
+            per_edge[e] > 0 for e in per_edge.keys() - g._edge_index.keys()):
+        raise AssertionError("unpeeled flow remained")
+    return paths
+
+
+def _reference_is_path_sum(g: Digraph, per_edge: dict, s, t) -> bool:
+    """Whether `per_edge` is a sum of s-t paths in `g`: defined on exactly
+    g's edges, nonnegative, conserved at every node but s and t, entering no
+    s and leaving no t, with a support that Kahn's pass finds acyclic.  The
+    peel in `reference_cancel_cycles` splits such a flow into paths that add
+    back up to it, never raising."""
+    if per_edge.keys() != g._edge_index.keys():
+        return False
+    flow = [per_edge[e] for e in g._edge_ids]
+    if min(flow, default=0) < 0:
+        return False
+    tails, heads, end = g._tail, g._head, g._end
+    si, ti = g._index[s], g._index[t]
+    balance = [0] * len(g._moves)
+    indegree = [0] * len(g._moves)
+    for e, f in enumerate(flow):
+        if f:
+            u, v = tails[e], heads[e]
+            if v == si or u == ti:
+                return False
+            balance[u] -= f
+            balance[v] += f
+            indegree[v] += 1
+    balance[si] = balance[ti] = 0
+    if any(balance):
+        return False
+    carried = [0] * len(end)  # per move: the flow forward, 0 backward
+    carried[::2] = flow
+    queue = [v for v, d in enumerate(indegree) if not d]
+    for u in queue:
+        for m in g._moves[u]:
+            if carried[m]:
+                v = end[m]
+                indegree[v] -= 1
+                if not indegree[v]:
+                    queue.append(v)
+    return len(queue) == len(indegree)
+
+
+def reference_cancel_cycles(g: Digraph, flow: FlowResult, s, t) -> FlowResult:
+    """Equivalent flow with acyclic support (cycle components removed).  A
+    flow that is already a sum of s-t paths comes back as it is."""
+    if _reference_is_path_sum(g, flow.per_edge, s, t):
+        return flow
+    per_edge = {e: 0 for e in flow.per_edge}
+    for path, amount in reference_decompose_flow_to_paths(g, flow, s, t):
+        for e in path:
+            per_edge[e] += amount
+    return FlowResult(value=flow.value, per_edge=per_edge,
+                      augmentations=flow.augmentations)
+
+
 def _reference_settle(graph: Digraph, coding_cap, s, t, flow=None):
     """Max flow, cycle cancellation and zero-flow pruning to a fixed point:
     every round after the first recomputes `max_flow` on the pruned graph."""
@@ -298,7 +424,7 @@ def _reference_settle(graph: Digraph, coding_cap, s, t, flow=None):
             flow = max_flow(graph, reduced_capacities(graph, coding_cap), s, t)
         if flow.value != FLOW_TARGET_DOUBLED:
             raise NotNetworkCodingClass(f"reduced max flow is {flow.value}/2, expected 3")
-        flow = cancel_cycles(graph, flow, s, t)
+        flow = reference_cancel_cycles(graph, flow, s, t)
         support = flow.support()
         if len(support) == len(graph.edge_ids):
             return graph, coding_cap, flow

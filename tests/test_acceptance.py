@@ -97,19 +97,23 @@ print(json.dumps(statistics.median(runs)))
 
 def test_c8_linear_time_proxy():
     # each size measured in a fresh interpreter so every run starts from the
-    # same heap state, independent of whatever the suite allocated before
+    # same heap state, independent of whatever the suite allocated before;
+    # three rounds over all four sizes, and each size's median over them, so
+    # a drift in the host's speed during the run is shared out among sizes
     import json
     import subprocess
     import sys
 
     sizes = (1000, 2000, 4000, 8000)
     start = time.perf_counter()
-    medians = {}
-    for n in sizes:
-        proc = subprocess.run([sys.executable, "-c", _BENCH_ONE_SIZE, str(n)],
-                              capture_output=True, text=True, check=True)
-        medians[n] = json.loads(proc.stdout)
+    rounds = {n: [] for n in sizes}
+    for _ in range(3):
+        for n in sizes:
+            proc = subprocess.run([sys.executable, "-c", _BENCH_ONE_SIZE, str(n)],
+                                  capture_output=True, text=True, check=True)
+            rounds[n].append(json.loads(proc.stdout))
     total = time.perf_counter() - start
+    medians = {n: statistics.median(rounds[n]) for n in sizes}
     ratios = [medians[b] / medians[a] for a, b in zip(sizes, sizes[1:])]
     assert all(r <= 2.5 for r in ratios), f"doubling ratios {ratios}"
     assert total < 120, f"benchmark took {total:.1f}s"

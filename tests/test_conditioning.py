@@ -9,7 +9,7 @@ from triflow import (Digraph, FeasibilityKind, GenParams, Network, Structure,
 from triflow.cutchain import reduced_capacities
 from triflow.errors import NotNetworkCodingClass, Unprotectable
 
-from netfixtures import (chain2, coding, demotable5, diamond2, ladder15,
+from netfixtures import (chain2, coding, cyclic_probes, demotable5, diamond2, ladder15,
                          quadpath, tripath, unit_chain, widefan)
 from oracles import (brute_force_feasible, is_conserved, part_of,
                      reference_condition_network, support_is_acyclic)
@@ -158,7 +158,7 @@ def test_condition_matches_the_fixed_point_reference():
     # over changes nothing); conditioning the result again keeps its flow
     checked = demoted = 0
     for net in [*general_digraph_networks(), *random_digraphs(400, 20143),
-                *_seeded_networks()]:
+                *_seeded_networks(), *cyclic_probes()]:
         cn = coding(net)
         feas = classify_feasibility(cn)
         if feas.kind is not FeasibilityKind.NETWORK_CODING:
@@ -173,7 +173,8 @@ def test_condition_matches_the_fixed_point_reference():
         assert condition_network(cond.network).flow.per_edge == cond.flow.per_edge
         checked += 1
         demoted += _demoted(cn, cond)
-    assert (checked, demoted) == (629 + 52, 366)  # 52 seeded networks
+    # 52 seeded networks and 3 cyclic probes, all three demoted
+    assert (checked, demoted) == (629 + 52 + 3, 366 + 3)
 
 
 @pytest.mark.parametrize("params,calls", [

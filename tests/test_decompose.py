@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import random
 from collections import Counter
@@ -11,12 +12,12 @@ from triflow import (Arc, CodingNetwork, CutKind, Digraph, FeasibilityKind, GenP
                      decompose, files, generate)
 from triflow.decompose import extract_segments, glue_segments, solve_segment
 from triflow.errors import GenerationFailed, GlueMismatch, Unprotectable
-from triflow.graph import order_key
+from triflow.graph import _is_path_sum, order_key
 
 import netfixtures
-from netfixtures import (antiparallel_detour, chain2, coding, demotable5, diamond2,
-                         ladder15, numeric_ids, parallel_capacity2, quadpath, tripath,
-                         unit_chain, widefan)
+from netfixtures import (antiparallel_detour, chain2, coding, cyclic_probes, demotable5,
+                         diamond2, ladder15, numeric_ids, parallel_capacity2, quadpath,
+                         tripath, unit_chain, widefan)
 from oracles import (aux_arc, chain_parts, reference_diversity_plan, reference_roles,
                      reference_segments, reference_solve_segment, segment_arcs,
                      virtual_arc)
@@ -576,10 +577,31 @@ def random_digraphs(count, seed, kind=FeasibilityKind.NETWORK_CODING):
 
 def test_segment_solver_matches_reference_on_general_digraphs():
     seen = {t: 0 for t in SegmentType}
-    for net in random_digraphs(400, 20143):
+    for net in [*random_digraphs(400, 20143), *cyclic_probes()]:
         for seg in assert_solver_matches_reference(net):
             seen[seg.seg_type] += 1
     assert all(seen.values()), seen
+
+
+# sha256 of each `cyclic_probes()` plan's JSON, as the peel with a walk per
+# path and a sweep from every node wrote it
+CYCLIC_PROBE_DIGESTS = [
+    "768fa8759970a83bc65879c616f38deabe318b34c23ed732cce02f273c5ffc03",
+    "958530c35ad3f88a548bf890cd4328a46877823c8f9297cf7b0279af49086287",
+    "bbe56bf529585d1df7394b4c4c26970ed9dcc0935d56e8c234db7c13bc576674",
+]
+
+
+def test_plans_from_a_probe_that_the_peel_splits():
+    # the probe holds flow on cycles, so conditioning runs the peel
+    for net, digest in zip(cyclic_probes(), CYCLIC_PROBE_DIGESTS, strict=True):
+        cn = coding(net)
+        probe = classify_feasibility(cn).probe
+        assert not _is_path_sum(cn.graph, probe.per_edge, cn.source, cn.target)
+        plan = decompose(net)
+        assert plan.verification.overall
+        text = files.dumps(files.plan_to_json(plan))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_diversity_plans_match_the_edge_disjoint_paths_reference():

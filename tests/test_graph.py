@@ -9,7 +9,8 @@ from triflow.cutchain import reduced_capacities
 from triflow.graph import FlowResult, decompose_flow_to_paths, edge_disjoint_paths, reach
 
 from netfixtures import coding, diamond2, ladder15, tripath
-from oracles import (condensation, is_conserved, min_cut_value, reference_max_flow,
+from oracles import (condensation, is_conserved, min_cut_value, reference_cancel_cycles,
+                     reference_decompose_flow_to_paths, reference_max_flow,
                      support_is_acyclic)
 
 
@@ -278,6 +279,77 @@ def test_cancel_cycles_still_rejects_flows_that_are_not_path_sums():
     back = Digraph(["s", "b", "t"], [(0, "s", "t"), (1, "t", "b"), (2, "b", "s")])
     with pytest.raises(AssertionError):
         cancel_cycles(back, FlowResult(value=0, per_edge={0: 0, 1: 1, 2: 1}), "s", "t")
+
+
+@st.composite
+def peel_instances(draw):
+    """A max flow of `flow_instances` plus unit circulations on added edges,
+    through s, through t or neither (never both), and at times one defect: one edge's
+    amount raised by 1, an added t -> s path, an amount set to -1 or an
+    off-graph key.  Edge ids are shuffled, so the walk meets the added edges
+    before, between and after the others.  Returns (g, flow, s, t, defect)."""
+    g, caps, s, t = draw(flow_instances())
+    flow = max_flow(g, caps, s, t)
+    nodes = list(g.nodes_sorted)
+    arcs = [(tail, head, flow.per_edge[e]) for e, tail, head in g.edges()]
+    inner = [v for v in nodes if v not in (s, t)]
+    for through in draw(st.lists(st.sampled_from([s, t, None]), max_size=3)):
+        pool = inner + [through] * (through is not None)
+        if len(pool) < 2:
+            continue
+        ring = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+        if through is not None and through not in ring:
+            ring[0] = through
+        arcs += [(u, v, 1) for u, v in zip(ring, ring[1:] + ring[:1])]
+    defect = draw(st.sampled_from([None, "raised", "t to s", "negative", "off-graph"]))
+    if defect == "t to s":
+        via = draw(st.sampled_from(nodes))
+        arcs += [(t, s, 1)] if via in (s, t) else [(t, via, 1), (via, s, 1)]
+    elif defect in ("raised", "negative"):
+        i = draw(st.integers(0, len(arcs) - 1))
+        tail, head, amount = arcs[i]
+        arcs[i] = (tail, head, amount + 1 if defect == "raised" else -1)
+    ids = draw(st.permutations(range(len(arcs))))
+    per_edge = {e: amount for e, (_, _, amount) in zip(ids, arcs)}
+    if defect == "off-graph":
+        per_edge["ghost"] = draw(st.integers(0, 2))
+    g = Digraph(nodes, [(e, tail, head) for e, (tail, head, _) in zip(ids, arcs)])
+    return g, FlowResult(value=flow.value, per_edge=per_edge), s, t, defect
+
+
+def _answer(call, *args):
+    """What `call(*args)` returns, or AssertionError if it raises that."""
+    try:
+        return call(*args)
+    except AssertionError:
+        return AssertionError
+
+
+@settings(max_examples=300, deadline=None)
+@given(peel_instances())
+def test_peel_matches_the_reference_peel(instance):
+    # the one walk from s gives the paths, amounts and cancelled flow of the
+    # reference's walk per path and sweep from every node, or both refuse;
+    # only a negative amount, which the reference may skip, is now refused
+    g, flow, s, t, defect = instance
+    paths = _answer(decompose_flow_to_paths, g, flow, s, t)
+    cancelled = _answer(cancel_cycles, g, flow, s, t)
+    if defect == "negative":
+        assert paths is cancelled is AssertionError
+        return
+    assert paths == _answer(reference_decompose_flow_to_paths, g, flow, s, t)
+    assert cancelled == _answer(reference_cancel_cycles, g, flow, s, t)
+
+
+def test_peel_drops_unit_cycles_through_the_source_and_the_target():
+    # flow entering s or leaving t only marks a flow as no path sum; it is
+    # refused only if some of it still enters s after the walk
+    g = Digraph(["s", "a", "b", "t"], [(0, "s", "t"), (1, "s", "a"), (2, "a", "s"),
+                                       (3, "t", "b"), (4, "b", "t")])
+    flow = FlowResult(value=1, per_edge=dict.fromkeys(range(5), 1))
+    assert decompose_flow_to_paths(g, flow, "s", "t") == [([0], 1)]
+    assert cancel_cycles(g, flow, "s", "t").per_edge == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
+    assert cancel_cycles(g, flow, "s", "t") == reference_cancel_cycles(g, flow, "s", "t")
 
 
 # Ids of three types that never compare with each other, so every sort of a
