@@ -5,7 +5,10 @@ For each size, a fresh interpreter (PYTHONHASHSEED=0) generates the seed-1
 LADDER network of that many nodes and times, best of N calls each:
 `classify_feasibility`, `cancel_cycles` and `decompose_flow_to_paths` on
 its probe, `_settle` from the probe, `build_cut_chain` on the settled
-network, `condition_network` from the probe and a whole `decompose`.  Prints one JSON line, {size: {stage: ms, ...}, ...}.
+network, `condition_network` from the probe and a whole `decompose`, then
+`generate` itself for the seed-1 LADDER (`generate_ladder`) and RANDOM_DAG
+(`generate_random_dag`) of that size.  Prints one JSON line, {size: {stage:
+ms, ...}, ...}.
 
 Usage:
   python3 scripts/stage_times.py [--best N] [SIZE ...]   (default: 5, 8000 32000)
@@ -27,8 +30,8 @@ from triflow import (GenParams, Structure, build_cut_chain, classify_feasibility
 from triflow.conditioning import _settle
 from triflow.graph import cancel_cycles, decompose_flow_to_paths
 
-net = generate(GenParams(int(sys.argv[1]), 1, Structure.LADDER))
-best = int(sys.argv[2])
+n, best = int(sys.argv[1]), int(sys.argv[2])
+net = generate(GenParams(n, 1, Structure.LADDER))
 cn = derive_coding_capacities(net)
 s, t = cn.source, cn.target
 probe = classify_feasibility(cn).probe
@@ -41,6 +44,8 @@ stages = {
     "build_cut_chain": lambda: build_cut_chain(graph, cap, flow, s, t),
     "condition_network": lambda: condition_network(cn, probe),
     "decompose": lambda: decompose(net),
+    "generate_ladder": lambda: generate(GenParams(n, 1, Structure.LADDER)),
+    "generate_random_dag": lambda: generate(GenParams(n, 1, Structure.RANDOM_DAG)),
 }
 times = {}
 for name, call in stages.items():

@@ -52,106 +52,58 @@ class _Builder:
         eid = len(self.edges)
         self.edges.append((eid, tail, head))
         self.caps[eid] = k
-        return eid
 
     def network(self) -> Network:
         graph = Digraph(self.nodes, self.edges)
         return Network(graph=graph, free_cap=self.caps, source="s", target="t")
 
 
-# Ladder blocks; each consumes the dangling frontier ((tail, cap) pairs whose
-# total reduced capacity is 3) and emits the next frontier.
-
-def _block_relay3(b, entries):
-    outs = []
-    for tail, k in entries:
-        n = b.node()
-        b.edge(tail, n, k)
-        outs.append((n, 1))
-    return outs
-
-
-def _block_mix33(b, entries):
-    a, c, d = (b.node() for _ in range(3))
-    for (tail, k), head in zip(entries, (a, c, d)):
-        b.edge(tail, head, k)
-    x, y = b.node(), b.node()
-    b.edge(a, x, 1)
-    b.edge(a, y, 1)
-    b.edge(c, x, 1)
-    b.edge(c, y, 1)
-    return [(x, 1), (y, 1), (d, 1)]
-
-
-def _block_narrow32(b, entries):
-    a, mid, c = (b.node() for _ in range(3))
-    for (tail, k), head in zip(entries, (a, mid, c)):
-        b.edge(tail, head, k)
-    b.edge(mid, a, 1)
-    b.edge(mid, c, 1)
-    return [(a, 2), (c, 2)]
-
-
-def _block_cross22(b, entries):
-    a, c = b.node(), b.node()
-    for (tail, k), head in zip(entries, (a, c)):
-        b.edge(tail, head, k)
-    x, y = b.node(), b.node()
-    b.edge(a, x, 1)
-    b.edge(a, y, 1)
-    b.edge(c, x, 1)
-    b.edge(c, y, 1)
-    return [(x, 2), (y, 2)]
-
-
-def _block_widen23(b, entries):
-    a, c = b.node(), b.node()
-    for (tail, k), head in zip(entries, (a, c)):
-        b.edge(tail, head, k)
-    m = b.node()
-    b.edge(a, m, 1)
-    b.edge(c, m, 1)
-    return [(a, 1), (m, 1), (c, 1)]
-
-
-# block -> interior node cost, keyed by current frontier width
+# LADDER blocks by the width of the frontier they take, in the block's own node
+# numbers: (new nodes, which is also the block's cost; inner unit edges;
+# exits as (node, cap)).  The frontier's (tail, cap) pairs feed new nodes
+# 0, 1, ... in order, and the exits, whose total reduced capacity is 3, are the
+# next frontier.  `rng.randrange` picks a row by position, so the order is fixed.
 _BLOCKS = {
-    3: ((_block_narrow32, 3), (_block_relay3, 3), (_block_mix33, 5)),
-    2: ((_block_cross22, 4), (_block_widen23, 3)),
+    3: ((3, ((1, 0), (1, 2)), ((0, 2), (2, 2))),                          # narrow
+        (3, (), ((0, 1), (1, 1), (2, 1))),                                # relay
+        (5, ((0, 3), (0, 4), (1, 3), (1, 4)), ((3, 1), (4, 1), (2, 1)))),  # mix
+    2: ((4, ((0, 2), (0, 3), (1, 2), (1, 3)), ((2, 2), (3, 2))),          # cross
+        (3, ((0, 2), (1, 2)), ((0, 1), (2, 1), (1, 1)))),                 # widen
 }
 
 
-def _ladder(rng: random.Random, node_count: int) -> Network:
+def _ladder(rng: random.Random, params: GenParams) -> Network:
     b = _Builder()
     width = rng.choice((2, 3))
-    if width == 3:
-        frontier = [("s", 1)] * 3
-    else:
-        frontier = [("s", 2)] * 2
-    budget = node_count - 2
+    frontier = [("s", 1)] * 3 if width == 3 else [("s", 2)] * 2
+    budget = params.node_count - 2
     while True:
-        options = [(fn, cost) for fn, cost in _BLOCKS[len(frontier)] if cost <= budget]
+        options = [row for row in _BLOCKS[len(frontier)] if row[0] <= budget]
         if not options:
             break
-        fn, cost = options[rng.randrange(len(options))]
-        frontier = fn(b, frontier)
-        budget -= cost
+        size, inner, exits = options[rng.randrange(len(options))]
+        new = [b.node() for _ in range(size)]
+        for (tail, k), head in zip(frontier, new):
+            b.edge(tail, head, k)
+        for tail, head in inner:
+            b.edge(new[tail], new[head], 1)
+        frontier = [(new[i], k) for i, k in exits]
+        budget -= size
     for tail, k in frontier:
         b.edge(tail, "t", k)
     return b.network()
 
 
-def _parallel_paths(rng: random.Random, node_count: int,
-                    target: FeasibilityKind | None) -> Network:
+def _parallel_paths(rng: random.Random, params: GenParams) -> Network:
     count = {
         FeasibilityKind.INFEASIBLE: 1,
         FeasibilityKind.UNPROTECTED_2FLOW: 2,
         FeasibilityKind.NETWORK_CODING: 3,
         FeasibilityKind.DIVERSITY_CODING: 4,
         None: 3,
-    }[target]
+    }[params.target_class]
     b = _Builder()
-    interior = max(node_count - 2, count)
+    interior = max(params.node_count - 2, count)
     lengths = [interior // count] * count
     for i in range(interior % count):
         lengths[i] += 1
@@ -165,36 +117,32 @@ def _parallel_paths(rng: random.Random, node_count: int,
     return b.network()
 
 
-def _random_dag(rng: random.Random, node_count: int) -> Network:
+def _random_dag(rng: random.Random, params: GenParams) -> Network:
     b = _Builder()
-    names = ["s"] + [b.node() for _ in range(node_count - 2)] + ["t"]
+    names = ["s"] + [b.node() for _ in range(params.node_count - 2)] + ["t"]
     for i, tail in enumerate(names[:-1]):
-        fanout = rng.randint(1, 3)
-        later = names[i + 1:]
-        for _ in range(fanout):
-            head = later[rng.randrange(len(later))]
+        for _ in range(rng.randint(1, 3)):
+            head = names[rng.randrange(i + 1, len(names))]
             k = rng.choices((1, 2, 3), weights=(6, 3, 1))[0]
             b.edge(tail, head, k)
     return b.network()
 
 
+_BUILDERS = {Structure.LADDER: _ladder, Structure.RANDOM_DAG: _random_dag,
+             Structure.PARALLEL_PATHS: _parallel_paths}
+
+
 def generate(params: GenParams) -> Network:
-    """Deterministic per (params); retries random structures until the target
-    class matches, within a bounded number of attempts."""
+    """Deterministic per (params); builds networks of the structure until the
+    target class matches, within a bounded number of attempts.  A
+    PARALLEL_PATHS network has its target's connectivity by construction."""
     seed_material = (f"{params.structure.value}:{params.node_count}:"
                      f"{params.target_class.value if params.target_class else '-'}:"
                      f"{params.seed}")
     rng = random.Random(seed_material)
-
-    if params.structure is Structure.PARALLEL_PATHS:
-        net = _parallel_paths(rng, params.node_count, params.target_class)
-        _check_target(net, params)
-        return net
-
-    builder = _ladder if params.structure is Structure.LADDER else _random_dag
     attempts = 300
     for _ in range(attempts):
-        net = builder(rng, params.node_count)
+        net = _BUILDERS[params.structure](rng, params)
         if params.target_class is None:
             return net
         if classify_feasibility(derive_coding_capacities(net)).kind is params.target_class:
@@ -202,13 +150,3 @@ def generate(params: GenParams) -> Network:
     raise GenerationFailed(
         f"no {params.target_class.name} instance in {attempts} attempts "
         f"({params.structure.value}, n={params.node_count}, seed={params.seed})")
-
-
-def _check_target(net: Network, params: GenParams):
-    if params.target_class is None:
-        return
-    got = classify_feasibility(derive_coding_capacities(net)).kind
-    if got is not params.target_class:
-        raise GenerationFailed(
-            f"parallel-path instance classified {got.name}, "
-            f"wanted {params.target_class.name}")

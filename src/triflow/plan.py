@@ -62,10 +62,12 @@ class Subflows(Mapping):
 
     @property
     def routes(self) -> dict:
-        """label -> a list indexed by the graph's node indices, whose entry is
-        the tuple of `(edge index, head index)` for the label's distinct
-        out-edges of that node.  Both copies of an edge are one entry, since
-        a failure drops both; in sorted arc ints they are neighbours, so one
+        """label -> a list indexed by the graph's node indices, whose entry
+        holds `(edge index, head index)` for each of the label's distinct
+        out-edges of that node, in edge order: `()` for none, a 1-tuple for
+        one, and a list from the second on, so that a node with d out-edges
+        costs O(d) to fill.  Both copies of an edge are one entry, since a
+        failure drops both; in sorted arc ints they are neighbours, so one
         comparison drops the second.  The same pass fills `_indegrees`: for
         each label, how many of its distinct edges enter each node."""
         if self._routes is None:
@@ -79,8 +81,15 @@ class Subflows(Mapping):
                 for a in self.ints.get(label, ()):
                     if a >> 1 != last:
                         last = a >> 1
-                        moves[tails[last]] += ((last, heads[last]),)
-                        indegree[heads[last]] += 1
+                        tail, head = tails[last], heads[last]
+                        row = moves[tail]
+                        if not row:
+                            moves[tail] = ((last, head),)
+                        elif row.__class__ is tuple:
+                            moves[tail] = [row[0], (last, head)]
+                        else:
+                            row.append((last, head))
+                        indegree[head] += 1
         return self._routes
 
     def __getitem__(self, label):

@@ -81,25 +81,22 @@ def encode(a: bytes, b: bytes) -> dict:
 
 def decode(received: dict) -> tuple:
     """Recover (a, b) from any two of the three labeled packets."""
+    return _decode(received)[1]
+
+
+def _decode(received: dict) -> tuple:
+    """(the two labels read, (a, b)).  The two read are the first two of
+    `LABELS` that arrived: A+B, else A+XOR, else B+XOR."""
     labels = [k for k in LABELS if k in received]
     if len(labels) < 2:
         raise InsufficientLabels(f"need two labels, got {labels}")
     lens = {len(received[k]) for k in labels}
     if len(lens) > 1:
         raise LengthMismatch("received packets differ in length")
-    if "A" in received and "B" in received:
-        return received["A"], received["B"]
-    if "A" in received:
-        return received["A"], _xor(received["A"], received["XOR"])
-    return _xor(received["B"], received["XOR"]), received["B"]
-
-
-def _recovery_rule(labels) -> tuple:
-    if "A" in labels and "B" in labels:
-        return ("A", "B")
-    if "A" in labels:
-        return ("A", "XOR")
-    return ("B", "XOR")
+    via = tuple(labels[:2])
+    a = received["A"] if "A" in via else _xor(received["B"], received["XOR"])
+    b = received["B"] if "B" in via else _xor(received["A"], received["XOR"])
+    return via, (a, b)
 
 
 def _forward_counts(out: list, source: int, failed: int) -> bytearray:
@@ -121,11 +118,9 @@ def _outcome(labels, payloads: dict, forwarded=None) -> DeliveryOutcome:
     """Decode from the labels that reached the destination."""
     received = {label: payloads[label] for label in LABELS if label in labels}
     if len(received) >= 2:
-        decoded = decode(received)
-        via = _recovery_rule(received)
+        via, decoded = _decode(received)
     else:
-        decoded = None
-        via = None
+        decoded = via = None
     return DeliveryOutcome(received_labels=frozenset(received),
                            decoded=decoded, recovered_via=via,
                            _forwarded=forwarded)

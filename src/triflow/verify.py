@@ -16,7 +16,7 @@ from itertools import combinations, compress
 
 from .conditioning import CodingNetwork
 from .errors import PlanReferenceError
-from .graph import reach
+from .graph import Digraph, reach
 from .plan import LABELS, Arc, RecoveryPlan, Role, Subflows, VerificationReport, Violation
 
 

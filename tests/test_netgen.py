@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from triflow import (FeasibilityKind, GenParams, SegmentType, Structure,
@@ -5,6 +7,8 @@ from triflow import (FeasibilityKind, GenParams, SegmentType, Structure,
                      decompose, derive_coding_capacities, generate)
 from triflow.decompose import extract_segments
 from triflow.errors import GenerationFailed
+from triflow.files import dumps, network_to_json
+from triflow.netgen import _BLOCKS
 
 from netfixtures import coding
 
@@ -21,6 +25,40 @@ def test_generation_is_deterministic():
         assert sorted(a.graph.edges()) == sorted(b.graph.edges())
         assert a.free_cap == b.free_cap
         assert a.graph.nodes == b.graph.nodes
+
+
+# sha256 over the network files of the `generate` grid below, each failed
+# generation hashed as b"GenerationFailed".  A change to the generators that
+# should not alter what they make must leave it alone.
+GRID_DIGEST = "05d7de0dfe21239f28d1620478bc9738784e23cd125080647f8934cc4ec09e57"
+
+
+def test_generated_networks_match_the_pinned_grid():
+    digest = hashlib.sha256()
+    failed = 0
+    for structure in Structure:
+        for target in (None, *FeasibilityKind):
+            for n in (2, 3, 5, 9, 17, 40):
+                for seed in range(3):
+                    try:
+                        net = generate(GenParams(n, seed, structure, target))
+                    except GenerationFailed:
+                        failed += 1
+                        digest.update(b"GenerationFailed")
+                    else:
+                        digest.update(dumps(network_to_json(net)).encode())
+    assert (digest.hexdigest(), failed) == (GRID_DIGEST, 54)
+
+
+def test_every_ladder_block_passes_on_a_total_reduced_capacity_of_3():
+    doubled = {1: 2, 2: 3}  # reduced capacity, doubled, of a capacity-1 or -2 edge
+    assert set(_BLOCKS) == {2, 3}
+    for width, rows in _BLOCKS.items():
+        for size, inner, exits in rows:
+            assert len(exits) in (2, 3) and sum(doubled[k] for _, k in exits) == 6
+            assert width <= size
+            assert all(0 <= v < size for edge in inner for v in edge)
+            assert all(0 <= v < size for v, _ in exits)
 
 
 def test_different_seeds_differ():

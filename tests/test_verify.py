@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -260,6 +261,25 @@ def test_route_index_is_built_once_per_plan(monkeypatch):
     failure_sweep(cn, plan, gen)
     assert builds == [plan.subflows]
     assert all(o.decoded == (gen.payload_a, gen.payload_b) for o in outcomes)
+
+
+def test_route_index_of_a_wide_fan_builds_in_linear_time():
+    # label A holds copy 0 of 40k parallel s->t edges, so one node has 40k
+    # out-edges in one label; an index quadratic in that takes seconds
+    k = 40000
+    net = Network(graph=Digraph(["s", "t"], [(e, "s", "t") for e in range(k)]),
+                  free_cap=dict.fromkeys(range(k), 1), source="s", target="t")
+    plan = files.plan_from_json(
+        {"class": "network_coding",
+         "subflows": {"A": [{"edge": e, "copy": 0} for e in range(k)], "B": [], "XOR": []}},
+        net)
+    started = time.perf_counter()
+    routes = plan.subflows.routes
+    assert time.perf_counter() - started < 1.0
+    s, t = net.graph._index["s"], net.graph._index["t"]
+    assert list(routes["A"][s]) == [(e, t) for e in range(k)]
+    assert not routes["A"][t] and not any(routes["B"]) and not any(routes["XOR"])
+    assert plan.subflows._indegrees["A"][t] == k
 
 
 def test_survivability_matches_removal_oracle():
