@@ -33,6 +33,7 @@ unit arcs represent it and are stripped after gluing.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
@@ -57,12 +58,12 @@ class AuxiliaryGraph:
     pseudo-source (node n) into s, then three from t into a pseudo-sink
     (node n + 1).
 
-    `arcs` lists the real arcs in ascending order, `tail[a]` and `head[a]`
-    are node indices and `arcs_at[v]` lists the arcs touching node v in
-    ascending order.  `extract_segments` sets `part[v]`, the index of v's
-    segment or chain part (-1 and k + 1 for the pseudo nodes); segment
-    boundaries come from the chain's crossing lists.  `seen`, `via` and
-    `flow` are scratch arrays that segment solves share: an entry counts
+    `arcs` lists the real arcs in ascending order, `tail[a]` and `head[a]` are
+    node indices and `arcs_at[v]`, read off `g._moves[v]`, lists the arcs
+    touching node v in ascending order.  `extract_segments` sets `part[v]`, the
+    index of v's segment or chain part (-1 and k + 1 for the pseudo nodes);
+    segment boundaries come from the chain's crossing lists.  `seen`, `via`
+    and `flow` are scratch arrays that segment solves share: an entry counts
     only while it holds the current stamp, so no solve clears them.
     """
 
@@ -80,16 +81,15 @@ class AuxiliaryGraph:
         tail[:2 * m:2] = tail[1:2 * m:2] = g._tail
         head = self.head = [0] * (2 * m) + [s] * 6 + [n + 1] * 6
         head[:2 * m:2] = head[1:2 * m:2] = g._head
-        arcs = []
-        arcs_at = self.arcs_at = [[] for _ in range(n + 2)]
-        for e, cap in enumerate(map(cn.coding_cap.__getitem__, g.edge_ids)):
-            for a in range(2 * e, 2 * e + cap):
-                arcs.append(a)
-                arcs_at[tail[a]].append(a)
-                arcs_at[head[a]].append(a)
+        # copy 0 of edge e is both of its moves with the low bit cleared
+        arcs_at = self.arcs_at = [[mv & -2 for mv in ms] for ms in g._moves] + [[], []]
+        ones = [2 * e + 1 for e, eid in enumerate(g.edge_ids) if cn.coding_cap[eid] == 2]
+        for a in ones:  # copy 1 sorts right after copy 0
+            insort(arcs_at[tail[a]], a)
+            insort(arcs_at[head[a]], a)
         arcs_at[s] += self.source_arcs
         arcs_at[t] += self.sink_arcs
-        self.arcs = tuple(arcs)
+        self.arcs = tuple(sorted([*range(0, 2 * m, 2), *ones]))
         self.part = None
         self.seen = [0] * (n + 2)
         self.via = [0] * (n + 2)

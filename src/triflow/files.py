@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .conditioning import Feasibility, FeasibilityKind, Network
-from .errors import PlanReferenceError, TriflowError, UnknownNode
+from .errors import PlanReferenceError, TriflowError
 from .graph import Digraph, sorted_ids
 from .plan import (LABELS, Arc, NodeRole, RecoveryPlan, Role, Subflows,
                    VerificationReport)
@@ -50,21 +50,22 @@ def network_from_json(data) -> Network:
     for key in ("nodes", "edges", "source", "target"):
         _require(key in data, f"missing key {key!r}")
     nodes, edges = data["nodes"], data["edges"]
-    _require(isinstance(nodes, list) and all(isinstance(n, str) for n in nodes),
+    _require(isinstance(nodes, list) and all(map(isinstance, nodes, repeat(str))),
              "nodes must be a list of strings")
     node_set = set(nodes)
     _require(len(node_set) == len(nodes), "duplicate node ids")
     _require(isinstance(edges, list), "edges must be a list")
-    graph = None
-    try:  # Digraph rejects duplicate ids, unknown ends and self-loops itself
-        caps = dict(map(itemgetter("id", "capacity"), edges))
-        if ({dict} >= set(map(type, edges)) and {str, int} >= set(map(type, caps))
-                and {int} >= set(map(type, caps.values()))
-                and min(caps.values(), default=1) > 0):
-            graph = Digraph(nodes, map(itemgetter("id", "tail", "head"), edges))
-    except (KeyError, TypeError, ValueError, UnknownNode):
-        pass
-    if graph is None:  # name the first bad edge in file order; subclasses pass
+    graph = Digraph.__new__(Digraph)
+    try:  # by column; the graph rejects duplicate ids, unknown ends and self-loops
+        ids, tails, heads, ks = (tuple(map(itemgetter(key), edges))
+                                 for key in ("id", "tail", "head", "capacity"))
+        caps = dict(zip(ids, ks))
+        built = ({dict} >= set(map(type, edges)) and {str, int} >= set(map(type, ids))
+                 and {int} >= set(map(type, ks)) and min(ks, default=1) > 0
+                 and graph._build(nodes, ids, tails, heads))
+    except (KeyError, TypeError):
+        built = False
+    if not built:  # name the first bad edge in file order; subclasses pass
         edge_list, caps = _parse_edges(edges, node_set)
         graph = Digraph(nodes, edge_list)
     for key in ("source", "target"):
@@ -287,11 +288,11 @@ def _values(values, nl) -> list:
         if keys and set(map(len, values)) == {len(keys)} and \
                 set(chain.from_iterable(values)) == keys:
             return _records(values, sorted(keys, key=_str_key), nl)
-    if types == {list} and set(map(type, chain.from_iterable(values))) <= {str}:
-        # lists of labels repeat (survivors): lay out each distinct one once
-        lists = list(map(tuple, values))
-        texts = {v: _emit(list(v), nl) for v in set(lists)}
-        return list(map(texts.__getitem__, lists))
+    if types == {list}:
+        # one list object repeats over many records (survivors): lay it out once
+        ids = list(map(id, values))
+        texts = {i: _emit(v, nl) for i, v in dict(zip(ids, values)).items()}
+        return list(map(texts.__getitem__, ids))
     return [_emit(v, nl) for v in values]
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import eq
 from typing import Iterable, Mapping
 
 from .errors import InsufficientPaths, NotMaximum, UnknownNode
@@ -55,38 +57,52 @@ class Digraph:
                  "_tail", "_head", "_end", "_moves")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]):
-        nodes_sorted = tuple(sorted_ids(set(nodes)))
-        index = {v: i for i, v in enumerate(nodes_sorted)}
-        ends = {}
-        for eid, tail, head in edges:
-            if eid in ends:
-                raise ValueError(f"duplicate edge id {eid!r}")
-            if tail == head:
-                raise ValueError(f"self-loop rejected on edge {eid!r}")
-            if tail not in index or head not in index:
-                raise UnknownNode(tail if tail not in index else head)
-            ends[eid] = (tail, head)
-        edge_ids = tuple(sorted_ids(ends))
-        pairs = list(map(ends.__getitem__, edge_ids))
-        ends.update(zip(edge_ids, range(len(edge_ids))))  # now the edge index
-        self._intern(nodes_sorted, index, edge_ids, ends,
-                     [index[tail] for tail, _ in pairs], [index[head] for _, head in pairs])
+        nodes, rows = dict.fromkeys(nodes), list(edges)
+        try:  # the id, tail and head columns, unless a row is not three values
+            ids, tails, heads = zip(*rows, strict=True) if rows else ((), (), ())
+        except (TypeError, ValueError):
+            ids = None
+        if ids is None or not self._build(nodes, ids, tails, heads):
+            seen = set()  # name the first bad row
+            for eid, tail, head in rows:
+                if eid in seen:
+                    raise ValueError(f"duplicate edge id {eid!r}")
+                if tail == head:
+                    raise ValueError(f"self-loop rejected on edge {eid!r}")
+                if tail not in nodes or head not in nodes:
+                    raise UnknownNode(tail if tail not in nodes else head)
+                seen.add(eid)
+
+    def _build(self, nodes, ids: tuple, tails, heads) -> bool:
+        """Intern edge ids[i]: tails[i] -> heads[i] by whole columns (linear on sorted
+        input), or return False if an id repeats, an edge is a self-loop or an end is no node."""
+        nodes_sorted = tuple(sorted_ids(dict.fromkeys(nodes)))
+        index = dict(zip(nodes_sorted, range(len(nodes_sorted))))
+        try:
+            edge_index = dict(zip(ids, range(len(ids))))
+            tails = list(map(index.__getitem__, tails))
+            heads = list(map(index.__getitem__, heads))
+        except (KeyError, TypeError):
+            return False
+        if len(edge_index) != len(ids) or any(map(eq, tails, heads)):
+            return False
+        edge_ids = tuple(sorted_ids(edge_index))
+        if edge_ids != ids:
+            order = list(map(edge_index.__getitem__, edge_ids))
+            tails, heads = list(map(tails.__getitem__, order)), list(map(heads.__getitem__, order))
+            edge_index.update(zip(edge_ids, range(len(ids))))
+        self._intern(nodes_sorted, index, edge_ids, edge_index, tails, heads)
+        return True
 
     def _intern(self, nodes_sorted, index, edge_ids, edge_index, tails, heads):
-        moves = [[] for _ in nodes_sorted]
-        for e, (u, v) in enumerate(zip(tails, heads)):
-            moves[u].append(2 * e)
-            moves[v].append(2 * e + 1)
-        self._nodes_sorted = nodes_sorted
-        self._index = index
-        self._edge_ids = edge_ids
-        self._edge_index = edge_index
-        self._tail = tails
-        self._head = heads
+        self._nodes_sorted, self._index, self._edge_ids = nodes_sorted, index, edge_ids
+        self._edge_index, self._tail, self._head = edge_index, tails, heads
         self._end = end = [0] * (2 * len(tails))
         end[::2] = heads
         end[1::2] = tails
-        self._moves = moves
+        self._moves = moves = [[] for _ in nodes_sorted]
+        for m, v in enumerate(end):  # m ^ 1 leaves v, in ascending order
+            moves[v].append(m ^ 1)
 
     @property
     def nodes(self) -> frozenset:
@@ -142,14 +158,12 @@ class Digraph:
         for e in kept:
             used[tails[e]] = used[heads[e]] = True
         old = [v for v, u in enumerate(used) if u]
-        nodes_sorted = tuple(self._nodes_sorted[v] for v in old)
-        edge_ids = tuple(ids[e] for e in kept)
-        new = [0] * len(used)
-        for i, v in enumerate(old):
-            new[v] = i
+        nodes_sorted = tuple(map(self._nodes_sorted.__getitem__, old))
+        edge_ids = tuple(map(ids.__getitem__, kept))
+        new = list(accumulate(used, initial=0))  # a used node's index in `old`
         sub = Digraph.__new__(Digraph)
-        sub._intern(nodes_sorted, {v: i for i, v in enumerate(nodes_sorted)}, edge_ids,
-                    {eid: i for i, eid in enumerate(edge_ids)},
+        sub._intern(nodes_sorted, dict(zip(nodes_sorted, range(len(old)))), edge_ids,
+                    dict(zip(edge_ids, range(len(kept)))),
                     [new[tails[e]] for e in kept], [new[heads[e]] for e in kept])
         return sub
 

@@ -123,7 +123,7 @@ def _random_dag(rng: random.Random, params: GenParams) -> Network:
     for i, tail in enumerate(names[:-1]):
         for _ in range(rng.randint(1, 3)):
             head = names[rng.randrange(i + 1, len(names))]
-            k = rng.choices((1, 2, 3), weights=(6, 3, 1))[0]
+            k = rng.choices((1, 2, 3), cum_weights=(6, 9, 10))[0]
             b.edge(tail, head, k)
     return b.network()
 

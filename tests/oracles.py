@@ -1065,3 +1065,60 @@ def reference_solve_segment(seg: ReferenceSegment) -> tuple:
         return _solve_merge(seg.arcs, seg.tails, seg.heads)
     tails, heads = _reverse_maps(seg)
     return _solve_merge(seg.arcs, tails, heads)
+
+
+def reference_digraph(nodes, edges) -> Digraph:
+    """The per-edge `Digraph` constructor that the column build replaced:
+    nodes deduplicated through a set, each edge row checked and stored as
+    it is read, then the edges reordered through an id-keyed dict and each
+    move appended to its node's list."""
+    nodes_sorted = tuple(sorted_ids(set(nodes)))
+    index = {v: i for i, v in enumerate(nodes_sorted)}
+    ends = {}
+    for eid, tail, head in edges:
+        if eid in ends:
+            raise ValueError(f"duplicate edge id {eid!r}")
+        if tail == head:
+            raise ValueError(f"self-loop rejected on edge {eid!r}")
+        if tail not in index or head not in index:
+            raise UnknownNode(tail if tail not in index else head)
+        ends[eid] = (tail, head)
+    edge_ids = tuple(sorted_ids(ends))
+    pairs = list(map(ends.__getitem__, edge_ids))
+    ends.update(zip(edge_ids, range(len(edge_ids))))  # now the edge index
+    tails = [index[tail] for tail, _ in pairs]
+    heads = [index[head] for _, head in pairs]
+    moves = [[] for _ in nodes_sorted]
+    for e, (u, v) in enumerate(zip(tails, heads)):
+        moves[u].append(2 * e)
+        moves[v].append(2 * e + 1)
+    end = [0] * (2 * len(tails))
+    end[::2] = heads
+    end[1::2] = tails
+    g = Digraph.__new__(Digraph)
+    g._nodes_sorted, g._index, g._edge_ids, g._edge_index = nodes_sorted, index, edge_ids, ends
+    g._tail, g._head, g._end, g._moves = tails, heads, end, moves
+    return g
+
+
+def reference_auxiliary(cn: CodingNetwork) -> tuple:
+    """(arcs, arcs_at, tail, head) of `AuxiliaryGraph(cn)` as the per-edge
+    loop built them: each edge's copies appended, in edge order, to the arc
+    list and to both of its ends' lists."""
+    g = cn.graph
+    n, m = len(g.nodes_sorted), len(g.edge_ids)
+    s, t = g._index[cn.source], g._index[cn.target]
+    tail = [0] * (2 * m) + [n] * 6 + [t] * 6
+    tail[:2 * m:2] = tail[1:2 * m:2] = g._tail
+    head = [0] * (2 * m) + [s] * 6 + [n + 1] * 6
+    head[:2 * m:2] = head[1:2 * m:2] = g._head
+    arcs = []
+    arcs_at = [[] for _ in range(n + 2)]
+    for e, cap in enumerate(map(cn.coding_cap.__getitem__, g.edge_ids)):
+        for a in range(2 * e, 2 * e + cap):
+            arcs.append(a)
+            arcs_at[tail[a]].append(a)
+            arcs_at[head[a]].append(a)
+    arcs_at[s] += (2 * m, 2 * m + 2, 2 * m + 4)
+    arcs_at[t] += (2 * m + 6, 2 * m + 8, 2 * m + 10)
+    return tuple(arcs), arcs_at, tail, head

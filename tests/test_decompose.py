@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from triflow import (Arc, CodingNetwork, CutKind, Digraph, FeasibilityKind, GenParams,
                      Network, NodeRole, Role, SegmentType, Structure, assign_roles,
@@ -18,10 +19,11 @@ import netfixtures
 from netfixtures import (antiparallel_detour, chain2, coding, cyclic_probes, demotable5,
                          diamond2, ladder15, numeric_ids, parallel_capacity2, quadpath,
                          tripath, unit_chain, widefan)
-from oracles import (aux_arc, chain_parts, reference_diversity_plan, reference_roles,
-                     reference_segments, reference_solve_segment, segment_arcs,
-                     virtual_arc)
+from oracles import (aux_arc, chain_parts, reference_auxiliary, reference_diversity_plan,
+                     reference_roles, reference_segments, reference_solve_segment,
+                     segment_arcs, virtual_arc)
 from test_golden import CORPUS, MIXED_CORPUS, mixed_ids
+from test_graph import mixed_multigraphs
 
 # `triflow.decompose` is the function, so the module goes by full name
 segment_solver = importlib.import_module("triflow.decompose")
@@ -581,6 +583,30 @@ def test_segment_solver_matches_reference_on_general_digraphs():
         for seg in assert_solver_matches_reference(net):
             seen[seg.seg_type] += 1
     assert all(seen.values()), seen
+
+
+def assert_auxiliary_matches(cn):
+    aux = build_auxiliary(cn)
+    assert (aux.arcs, aux.arcs_at, aux.tail, aux.head) == reference_auxiliary(cn)
+
+
+def test_auxiliary_graph_matches_the_per_edge_build():
+    # conditioned LADDER and RANDOM_DAG networks, capacity-2 edges included,
+    # and diversity-coding networks on unit arcs, as `decompose` builds them
+    nets = [condition_network(coding(net)).network for net in network_coding_corpus()]
+    nets += [dataclasses.replace(coding(net), coding_cap=dict.fromkeys(net.graph.edge_ids, 1))
+             for net in random_digraphs(100, 20147, FeasibilityKind.DIVERSITY_CODING)]
+    for cn in nets:
+        assert_auxiliary_matches(cn)
+    assert sum(2 in cn.coding_cap.values() for cn in nets) >= 50
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_multigraphs())
+def test_auxiliary_graph_matches_the_per_edge_build_on_multigraphs(instance):
+    g, caps, s, t, _ = instance
+    assert_auxiliary_matches(CodingNetwork(g, {e: 2 if k > 1 else 1 for e, k in caps.items()},
+                                           s, t))
 
 
 # sha256 of each `cyclic_probes()` plan's JSON, as the peel with a walk per

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from triflow import (Digraph, GenParams, Network, Structure, decompose, files,
                      generate, verify_plan)
@@ -15,7 +15,9 @@ from triflow.cli import main
 from triflow.errors import PlanReferenceError, Unprotectable
 
 from netfixtures import coding, diamond2, ladder15, quadpath, tripath
+from oracles import reference_digraph
 from test_golden import mixed_ids
+from test_graph import built, digraph_rows
 
 ODD_TEXT = ["}", ",", '"', "\\", "\n", "\t", "\x00", "\x7f", "é", "日",
             "\U0001f600", "", " ", ": ", '\\"', "%s", "{", "]"]
@@ -112,6 +114,24 @@ def test_dumps_matches_json_on_empty_and_irregular_shapes():
     assert nan == reference([{"v": math.nan}, {"v": 0.1}])
 
 
+def test_dumps_lays_out_shared_and_equal_lists_by_identity():
+    # survivor lists are laid out once per list object: one object shared by
+    # many records, equal lists that are distinct objects, and a shared list
+    # holding non-str values next to str lists
+    shared, other, odd = ["A", "B"], ["A", "B"], [1, None, "A"]
+    cases = [
+        [{"edge": i, "survivors": shared} for i in range(12)],
+        [{"edge": i, "survivors": ["A", "XOR"]} for i in range(12)],
+        [{"edge": i, "survivors": [shared, other, odd, []][i % 4]} for i in range(12)],
+        [shared, other, shared, odd, odd, [], shared] * 3,
+        {"survivability": [{"edge": i, "survivors": odd if i % 3 else shared}
+                           for i in range(9)]},
+        [[shared, odd], [shared, odd], [odd]],
+    ]
+    for data in cases:
+        assert files.dumps(data) == reference(data), data
+
+
 class Level(enum.IntEnum):
     LOW = 0
     HIGH = 1
@@ -146,6 +166,34 @@ json_values = st.recursive(
 @given(json_values)
 def test_dumps_matches_json_on_arbitrary_values(data):
     assert files.dumps(data) == reference(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraph_rows(), st.data())
+def test_loader_matches_the_per_edge_parse(instance, data):
+    # the rows written as a file, nodes as strings: the loader's column build
+    # accepts what the per-edge parse accepts, builds the same graph and
+    # capacities, and otherwise fails with the same text
+    nodes, rows = instance
+    known = list(dict.fromkeys(map(str, nodes)))
+    assume(len(known) > 1)
+    capacities = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    text = json.dumps({
+        "nodes": known, "source": known[0], "target": known[-1],
+        "edges": [{"id": eid, "tail": str(tail), "head": str(head), "capacity": k}
+                  for (eid, tail, head), k in zip(rows, capacities)]})
+    parsed = json.loads(text)
+    try:
+        net = files.network_from_json(parsed)
+        got = built(lambda: net.graph) + [net.free_cap]
+    except files.FormatError as exc:
+        got = str(exc)
+    try:
+        edges, caps = files._parse_edges(parsed["edges"], set(parsed["nodes"]))
+        want = built(reference_digraph, parsed["nodes"], edges) + [caps]
+    except files.FormatError as exc:
+        want = str(exc)
+    assert got == want
 
 
 @pytest.mark.parametrize("copy", [2, -1])

@@ -6,12 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 from triflow import Digraph, cancel_cycles, max_flow
 from triflow.errors import InsufficientPaths, NotMaximum, UnknownNode
 from triflow.cutchain import reduced_capacities
-from triflow.graph import FlowResult, decompose_flow_to_paths, edge_disjoint_paths, reach
+from triflow.graph import (FlowResult, decompose_flow_to_paths, edge_disjoint_paths, order_key,
+                           reach)
 
 from netfixtures import coding, diamond2, ladder15, tripath
 from oracles import (condensation, is_conserved, min_cut_value, reference_cancel_cycles,
-                     reference_decompose_flow_to_paths, reference_max_flow,
-                     support_is_acyclic)
+                     reference_decompose_flow_to_paths, reference_digraph,
+                     reference_max_flow, support_is_acyclic)
 
 
 def reduced(net):
@@ -372,6 +373,63 @@ def mixed_multigraphs(draw, id_values=MIXED_IDS):
     limit = draw(st.one_of(st.none(), st.integers(1, 8)))
     graph = Digraph(nodes, [(e, tail, head) for e, (tail, head) in zip(ids, pairs)])
     return graph, caps, s, t, limit
+
+
+ID_KINDS = {"int": st.integers(-3, 30), "str": st.sampled_from("abcdefgh"),
+            "tuple": st.tuples(st.integers(0, 3), st.sampled_from("xy")), "mixed": MIXED_IDS}
+FAULTS = (None, "duplicate id", "self-loop", "unknown tail", "unknown head")
+
+
+@st.composite
+def digraph_rows(draw):
+    """(nodes, edge rows) as a caller may pass them: int, str, tuple or mixed
+    ids, nodes unsorted and repeated, maybe no edge at all, and at most one
+    bad row (a duplicate id, a self-loop or an unknown end) put anywhere."""
+    values = ID_KINDS[draw(st.sampled_from(sorted(ID_KINDS)))]
+    nodes = draw(st.lists(values, min_size=2, max_size=8))
+    known = list(dict.fromkeys(nodes))
+    if len(known) < 2:
+        return nodes, []
+    pair = st.tuples(st.sampled_from(known), st.sampled_from(known)).filter(
+        lambda p: p[0] != p[1])
+    ids = draw(st.lists(values, max_size=10, unique=True))
+    rows = [(e, *draw(pair)) for e in ids]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault is not None:
+        eid = draw(values)
+        tail, head = draw(pair)
+        unknown = draw(st.sampled_from(["zz", 99, ("z", 9)]))
+        at = draw(st.integers(0, len(rows)))
+        if fault == "duplicate id" and ids:
+            eid = draw(st.sampled_from(ids))
+        elif fault == "self-loop":
+            head = tail
+        elif fault == "unknown tail":
+            tail = unknown
+        elif fault == "unknown head":
+            head = unknown
+        rows.insert(at, (eid, tail, head))
+    return nodes, rows
+
+
+def built(make, *args):
+    """The interned lists `make(*args)` builds, or its exception's type and text."""
+    try:
+        g = make(*args)
+    except Exception as exc:  # the two builds must fail alike
+        return type(exc), str(exc)
+    return [getattr(g, attr) for attr in Digraph.__slots__]
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraph_rows())
+def test_column_build_matches_the_per_edge_constructor(instance):
+    nodes, rows = instance
+    assert built(Digraph, nodes, rows) == built(reference_digraph, nodes, rows)
+    # a sorted, deduplicated input goes the same way
+    g = reference_digraph(nodes, [])
+    assert built(Digraph, g.nodes_sorted, sorted(rows, key=order_key)) == \
+        built(reference_digraph, g.nodes_sorted, sorted(rows, key=order_key))
 
 
 # Ids mixing natively comparable types (int and float) with incomparable ones
