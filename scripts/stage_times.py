@@ -12,8 +12,13 @@ network, `condition_network` from the probe and a whole `decompose`, then
 the network's parsed file, `AuxiliaryGraph` on the network `decompose`
 builds it from and `plan_to_json` + `dumps` of the plan, on that LADDER and
 on the first network-coding or diversity-coding RANDOM_DAG of that size,
-seeds from 1 up (keys `dag_...`; `dag` names its seed and class).  Prints
-one JSON line, {size: {stage: ms, ...}, ...}.
+seeds from 1 up (keys `dag_...`; `dag` names its seed and class).  On the
+LADDER's plan it times `simulate_transmission` over 24 sampled edges, cold
+(`simulate_24_cold`: on a fresh `Subflows`, so building the route and
+junction indexes counts) and warm (`simulate_24_warm`: on the plan
+`decompose` returned, indexes built), and `failure_sweep` on a fresh
+`Subflows` (the route index and bridge sweep count).  Prints one JSON
+line, {size: {stage: ms, ...}, ...}.
 
 Usage:
   python3 scripts/stage_times.py [--best N] [SIZE ...]   (default: 5, 8000 32000)
@@ -28,13 +33,16 @@ import sys
 from pathlib import Path
 
 _ONE_SIZE = """
-import dataclasses, json, sys
+import dataclasses, json, random, sys
 from time import perf_counter
-from triflow import (FeasibilityKind, GenParams, Structure, build_cut_chain, classify_feasibility,
-                     condition_network, decompose, derive_coding_capacities, files, generate)
+from triflow import (FeasibilityKind, GenParams, Generation, Structure, build_cut_chain,
+                     classify_feasibility, condition_network, decompose,
+                     derive_coding_capacities, failure_sweep, files, generate,
+                     simulate_transmission)
 from triflow.conditioning import _settle
 from triflow.decompose import AuxiliaryGraph
 from triflow.graph import cancel_cycles, decompose_flow_to_paths
+from triflow.plan import Subflows
 
 n, best = int(sys.argv[1]), int(sys.argv[2])
 
@@ -57,6 +65,25 @@ def whole_graph_stages(net, prefix=""):
     }
 
 
+def replay_stages(net):
+    cn, plan = derive_coding_capacities(net), decompose(net)
+    gen = Generation(seq=1, payload_a=bytes(32), payload_b=bytes(range(32)))
+    failed = random.Random(1).sample(cn.graph.edge_ids, 24)
+
+    def fresh():  # the plan over subflows that have built nothing yet
+        return dataclasses.replace(plan, subflows=Subflows(plan.subflows.ints, cn.graph))
+
+    def simulate(p):
+        for e in failed:
+            simulate_transmission(cn, p, gen, failed_edge=e)
+
+    return {
+        "simulate_24_cold": lambda: simulate(fresh()),
+        "simulate_24_warm": lambda: simulate(plan),
+        "failure_sweep": lambda: failure_sweep(cn, fresh(), gen),
+    }
+
+
 net = generate(GenParams(n, 1, Structure.LADDER))
 cn = derive_coding_capacities(net)
 s, t = cn.source, cn.target
@@ -70,6 +97,7 @@ stages = {
     "build_cut_chain": lambda: build_cut_chain(graph, cap, flow, s, t),
     "condition_network": lambda: condition_network(cn, probe),
     **whole_graph_stages(net),
+    **replay_stages(net),
     "generate_ladder": lambda: generate(GenParams(n, 1, Structure.LADDER)),
     "generate_random_dag": lambda: generate(GenParams(n, 1, Structure.RANDOM_DAG)),
 }

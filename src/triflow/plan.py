@@ -26,15 +26,16 @@ class Subflows(Mapping):
     """Read-only label -> frozenset of `Arc`s, held as `ints`: each label's
     sorted tuple of arc ints 2·e + copy over `graph`'s edges.  Since they
     never change, what is derived from them is built on first use and kept
-    here: each label's `Arc` set, the route index (`routes`) and, filled by
-    `verify.survivors`, the survivors per (source, target)."""
+    here: each label's `Arc` set, the route index (`routes`), and per
+    (source, target) the survivors, filled by `verify.survivors`, and the
+    junction index, filled by the first `simulate.simulate_transmission`."""
 
-    __slots__ = ("graph", "ints", "survivors", "_arcs", "_routes", "_indegrees")
+    __slots__ = ("graph", "ints", "survivors", "junctions", "_arcs", "_routes", "_indegrees")
 
     def __init__(self, ints: Mapping, graph):
         self.graph = graph
         self.ints = {k: tuple(v) for k, v in ints.items()}
-        self.survivors = {}
+        self.survivors, self.junctions = {}, {}
         self._arcs = {}
         self._routes = self._indegrees = None
 

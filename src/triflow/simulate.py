@@ -2,12 +2,16 @@
 labeled subflow with splitter/merger semantics, optionally fail one edge, and
 decode at the destination from whichever labels arrived.
 
-One failure floods each label over the plan's route index
-(`Subflows.routes`: per node, the label's distinct out-edges with their
-heads' indices), which the plan's `Subflows` keeps, so repeated simulations
-and the verifier build it once.  Every label floods, whether or not it
-routes over the failed edge, so a simulation's cost does not depend on which
-edge fails.  The failure sweep floods nothing: it reads every edge's
+One failure floods each label over its junction graph (`_junctions`): the
+source, the target and every node whose in- or out-degree in the label is
+not 1 are junctions, joined by chains through the other nodes.  The flood
+searches junctions and skips the one chain holding the failed edge, so it
+costs O(junctions + chains) per label, not O(nodes); a bare s-t path is one
+hop.  Every label floods on every simulation; only how much of a label lies
+behind the failed chain depends on which edge fails.  The index is built
+from the route index (`Subflows.routes`) on the first simulation of a
+`Subflows` and endpoints and kept there; `verify_plan` and `failure_sweep`
+never build it.  The failure sweep floods nothing: it reads every edge's
 surviving labels from the verifier's s-t bridge sweep (`verify.survivors`,
 also kept there).  Any plan over the network's edges is simulated as it is:
 whether it is sound is `verify_plan`'s call, not the plan's own report's."""
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import takewhile
 
 from .conditioning import CodingNetwork
 from .errors import InsufficientLabels, LengthMismatch
@@ -24,7 +29,7 @@ from .verify import survivors
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 @dataclass(frozen=True)
@@ -47,29 +52,35 @@ class DeliveryOutcome:
 
     `arc_sends` maps each `(label, arc)` that carried the generation to how
     many times it did.  A single-failure `simulate_transmission` keeps only
-    how many times each node forwarded each label; `arc_sends` is built from
-    those counts and the label's sorted arc ints on its first read (labels
-    in order, then arcs in id order) and cached.  Outcomes from
-    `failure_sweep` carry `{}`, which keeps a sweep's memory linear in the
-    number of edges.
+    which junctions each label's flood reached.  On the first read of
+    `arc_sends`, each chain out of a reached junction marks the heads of its
+    edges up to the failed edge, and the map is built from the marks and
+    the label's sorted arc ints (labels in order, then arcs in id order) and
+    cached.  Outcomes from `failure_sweep` carry `{}`, which keeps a sweep's
+    memory linear in the number of edges.
     """
 
     received_labels: frozenset
     decoded: tuple | None
     recovered_via: tuple | None
-    # (the `Subflows` simulated, {label: per-node send counts}), or None
-    # from a sweep
+    # (the `Subflows` simulated, its junction index, {label: per-node marks,
+    # set on the junctions reached}, the failed edge index), or None
     _forwarded: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def arc_sends(self) -> dict:
         if self._forwarded is None:
             return {}
-        subflows, forwarded = self._forwarded
-        ids, tails = subflows.graph._edge_ids, subflows.graph._tail
-        return {(label, Arc(ids[a >> 1], a & 1)): sent
+        subflows, index, reached, failed = self._forwarded
+        g = subflows.graph
+        for label, (hops, _, chains) in index.items():
+            marks = reached[label]
+            for c in [c for v, row in enumerate(hops) if marks[v] for c, _ in row]:
+                for e in takewhile(failed.__ne__, chains[c]):
+                    marks[g._head[e]] = 1
+        return {(label, Arc(g._edge_ids[a >> 1], a & 1)): 1
                 for label in LABELS for a in subflows.ints.get(label, ())
-                if (sent := forwarded[label][tails[a >> 1]])}
+                if reached[label][g._tail[a >> 1]]}
 
 
 def encode(a: bytes, b: bytes) -> dict:
@@ -99,19 +110,47 @@ def _decode(received: dict) -> tuple:
     return via, (a, b)
 
 
-def _forward_counts(out: list, source: int, failed: int) -> bytearray:
-    """Whether each node (by interned index) forwarded the packet, as 0 or 1:
-    the first copy a node gets goes onto each of its out-edges in `out` (one
-    label's `Subflows.routes` list) but the one of edge index `failed`."""
-    forwarded = bytearray(len(out))
-    forwarded[source] = 1
-    queue = [source]
-    while queue:
-        for edge, w in out[queue.pop()]:
-            if not forwarded[w] and edge != failed:
-                forwarded[w] = 1
+def _junctions(subflows, si: int, ti: int) -> dict:
+    """label -> (hops, chain_of, chains) between node indices `si` and `ti`,
+    cached on `subflows`.  Chain c starts at junction out-edge c and runs on
+    through nodes of in- and out-degree 1 other than `si` and `ti`;
+    `chains[c]` lists its edges in walk order, `chain_of` maps each to c,
+    and `hops[v]` lists `(c, end junction)` per chain out of junction v.  A
+    cycle without a junction is on no chain: no walk can enter it."""
+    cache = subflows.junctions
+    if (si, ti) in cache:
+        return cache[si, ti]
+    index = {}
+    for label in LABELS:
+        out, indegree = subflows.routes[label], subflows._indegrees[label]
+        hops, chain_of, chains = [()] * len(out), {}, {}
+        for v, moves in enumerate(out):
+            if moves and (v == si or v == ti or indegree[v] != 1 or len(moves) != 1):
+                hops[v] = row = []
+                for c, w in moves:
+                    chain = chains[c] = [c]
+                    while w != si and w != ti and indegree[w] == 1 and len(out[w]) == 1:
+                        (e, w), = out[w]
+                        chain.append(e)
+                    row.append((c, w))
+                    chain_of.update(dict.fromkeys(chain, c))
+        index[label] = hops, chain_of, chains
+    cache[si, ti] = index
+    return index
+
+
+def _flood(hops: list, si: int, cut) -> bytearray:
+    """Which junctions a packet from `si` reaches over `hops` (one label's
+    from `_junctions`), marked 1 by node index, when chain `cut` drops it."""
+    reached = bytearray(len(hops))
+    reached[si] = 1
+    queue = [si]
+    for v in queue:
+        for c, w in hops[v]:
+            if not reached[w] and c != cut:
+                reached[w] = 1
                 queue.append(w)
-    return forwarded
+    return reached
 
 
 def _outcome(labels, payloads: dict, forwarded=None) -> DeliveryOutcome:
@@ -138,14 +177,14 @@ def simulate_transmission(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation
     """
     g = cn.graph
     subflows = plan.subflows.over(g)
-    routes = subflows.routes
-    source = g._index[cn.source]
+    si, ti = g._index[cn.source], g._index[cn.target]
     failed = g._edge_index.get(failed_edge, -1)
-    forwarded = {label: _forward_counts(routes[label], source, failed)
-                 for label in LABELS}
-    arrived = {label for label in LABELS if forwarded[label][g._index[cn.target]]}
+    index = _junctions(subflows, si, ti)
+    reached = {label: _flood(hops, si, chain_of.get(failed))
+               for label, (hops, chain_of, _) in index.items()}
+    arrived = {label for label in LABELS if reached[label][ti]}
     return _outcome(arrived, encode(gen.payload_a, gen.payload_b),
-                    (subflows, forwarded))
+                    (subflows, index, reached, failed))
 
 
 def failure_sweep(cn: CodingNetwork, plan: RecoveryPlan, gen: Generation) -> dict:

@@ -5,9 +5,9 @@ reference.
 
 A plan's subflows are read over a graph as sorted arc ints (`Subflows`),
 whose route index (for each label, the label's distinct out-edges of every
-node with their heads' node indices) the verifier, the failure sweep and
-every single-failure simulation walk.  The `Subflows` builds it once and
-keeps it, with the survivors."""
+node with their heads' node indices) the verifier and the failure sweep
+walk, and single-failure simulation reads its junction index off.  The
+`Subflows` builds it once and keeps it, with the survivors."""
 
 from __future__ import annotations
 

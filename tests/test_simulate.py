@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from triflow import (Arc, Digraph, FeasibilityKind, Generation, Network,
 from triflow.errors import (GenerationFailed, InsufficientLabels, LengthMismatch,
                             PlanReferenceError, Unprotectable)
 from triflow.netgen import GenParams, Structure
+from triflow import simulate
 from triflow.plan import Subflows
 
 from netfixtures import coding, diamond2, ladder15, tripath
@@ -215,16 +217,22 @@ def _simulation_corpus():
         yield coding(net), plan
 
 
+def _assert_matches_reference(cn, plan, gen):
+    """Every single failure of `plan`, no failure and a non-edge's give the
+    reference simulation's outcome and send counts."""
+    for failed in (None, *cn.graph.edge_ids, "no-such-edge"):
+        got = simulate_transmission(cn, plan, gen, failed_edge=failed)
+        want = reference_simulate_transmission(cn, plan, gen, failed_edge=failed)
+        assert (got.received_labels, got.decoded, got.recovered_via) == (
+            want.received_labels, want.decoded, want.recovered_via), failed
+        assert got.arc_sends == want.arc_sends, failed
+
+
 def test_simulation_matches_reference():
     gen = Generation(seq=7, payload_a=b"\x0f\xf0", payload_b=b"\x33\xcc")
     mixed = 0
     for cn, plan in _simulation_corpus():
-        for failed in (None, *cn.graph.edge_ids, "no-such-edge"):
-            got = simulate_transmission(cn, plan, gen, failed_edge=failed)
-            want = reference_simulate_transmission(cn, plan, gen, failed_edge=failed)
-            assert (got.received_labels, got.decoded, got.recovered_via) == (
-                want.received_labels, want.decoded, want.recovered_via), failed
-            assert got.arc_sends == want.arc_sends, failed
+        _assert_matches_reference(cn, plan, gen)
         mixed += len({type(e) for e in cn.graph.edge_ids}) > 1
     assert mixed
 
@@ -265,6 +273,108 @@ def _parallel_edge_plan():
              ("sd", "s", "d"), ("dt", "d", "t"), ("se", "s", "e"), ("et", "e", "t")]
     return _handmade_plan(edges, {"A": ["p", "q", "at"],
                                   "B": ["sd", "dt"], "XOR": ["se", "et"]})
+
+
+def _a_plan(edges, violations=()):
+    """A plan whose A subflow is all of `edges` and whose B and XOR are one
+    s-t path each, through d and e."""
+    side = [("sd", "s", "d"), ("dt", "d", "t"), ("se", "s", "e"), ("et", "e", "t")]
+    return _handmade_plan(edges + side, {"A": [e for e, _, _ in edges],
+                                         "B": ["sd", "dt"], "XOR": ["se", "et"]}, violations)
+
+
+def _chain_end_plans():
+    """Hand-made plans whose A subflow puts a chain end where a junction
+    walk can miss it."""
+    # s has one in-edge and one out-edge of A: a flood must still start there
+    yield _a_plan([("xs", "x", "s"), ("sa", "s", "a"), ("at", "a", "t")])
+    yield _a_plan([("sa", "s", "a"), ("ab", "a", "b"), ("bs", "b", "s"), ("at", "a", "t")],
+                  ["acyclicity"])
+    # t has out-edges of A: a walk must stop at t, not run through it
+    yield _a_plan([("sa", "s", "a"), ("at", "a", "t"), ("tc", "t", "c"), ("cf", "c", "f")])
+    yield _a_plan([("sa", "s", "a"), ("at", "a", "t"), ("tc", "t", "c"), ("ct", "c", "t")],
+                  ["acyclicity"])
+    # a chain from j runs back into j; another leaves j for t
+    yield _a_plan([("sj", "s", "j"), ("jx", "j", "x"), ("xy", "x", "y"), ("yj", "y", "j"),
+                   ("jt", "j", "t")], ["acyclicity"])
+    # a cycle of A that s cannot reach, with no junction on it
+    yield _a_plan([("sa", "s", "a"), ("at", "a", "t"),
+                   ("c1", "u", "v"), ("c2", "v", "w"), ("c3", "w", "u")], ["acyclicity"])
+    # A is one s-t path: every failure of it, first, middle and last edge
+    yield _a_plan([("p0", "s", "a1"), ("p1", "a1", "a2"), ("p2", "a2", "a3"),
+                   ("p3", "a3", "a4"), ("p4", "a4", "t")])
+
+
+def test_simulation_matches_reference_on_odd_label_shapes():
+    gen = Generation(seq=10, payload_a=b"\x5a\x01\x02", payload_b=b"\xa5\x03\x04")
+    plans = [_cyclic_label_plan(), _parallel_edge_plan(), _twin_arc_plan(),
+             *_chain_end_plans()]
+    for cn, plan in plans:
+        _assert_matches_reference(cn, plan, gen)
+    # the chain-end plans lose A exactly where their s-t walk breaks
+    lost = {}
+    for cn, plan in plans[3:]:
+        lost.update((e, "A" not in simulate_transmission(cn, plan, gen, failed_edge=e)
+                     .received_labels) for e in cn.graph.edge_ids if e.startswith(("p", "c")))
+    assert lost == {"p0": True, "p1": True, "p2": True, "p3": True, "p4": True,
+                    "c1": False, "c2": False, "c3": False, "cf": False, "ct": False}
+
+
+def test_simulation_matches_reference_on_general_digraphs():
+    gen = Generation(seq=11, payload_a=b"\x01", payload_b=b"\x02")
+    plans = 0
+    for net in islice(general_digraph_networks(), 1500):
+        try:
+            plan = decompose(net)
+        except Unprotectable:
+            continue
+        _assert_matches_reference(derive_coding_capacities(net), plan, gen)
+        plans += 1
+    assert plans >= 400
+
+
+def test_junction_index_is_built_once_per_plan_and_endpoints(monkeypatch):
+    net = generate(GenParams(node_count=40, seed=2))
+    cn = coding(net)
+    gen = Generation(seq=3, payload_a=b"\x01", payload_b=b"\x02")
+    built = []  # every index `_junctions` returns
+    junctions = simulate._junctions
+    monkeypatch.setattr(simulate, "_junctions",
+                        lambda *a: built.append(junctions(*a)) or built[-1])
+    plan = decompose(net)
+    # neither `verify_plan` nor `failure_sweep` builds or reads it
+    report = verify_plan(cn, plan)
+    sweep = failure_sweep(cn, plan, gen)
+    fresh = dataclasses.replace(plan, subflows=Subflows(plan.subflows.ints, cn.graph))
+    assert verify_plan(cn, fresh) == report
+    assert failure_sweep(cn, fresh, gen) == sweep
+    assert not built and not plan.subflows.junctions and not fresh.subflows.junctions
+    # 24 single failures and another sweep build it once
+    for edge in random.Random(3).sample(cn.graph.edge_ids, 24):
+        assert simulate_transmission(cn, plan, gen, failed_edge=edge) == sweep[edge]
+    assert failure_sweep(cn, plan, gen) == sweep
+    g = cn.graph
+    assert len(built) == 24 and all(index is built[0] for index in built)
+    assert plan.subflows.junctions == {(g._index[cn.source], g._index[cn.target]): built[0]}
+    # other subflows, or other endpoints, build their own
+    simulate_transmission(cn, fresh, gen)
+    assert built[-1] is not built[0]
+    middle = g._nodes_sorted[len(g.nodes) // 2]
+    assert middle not in (cn.source, cn.target)
+    simulate_transmission(dataclasses.replace(cn, target=middle), plan, gen)
+    simulate_transmission(dataclasses.replace(cn, target=middle), plan, gen)
+    assert built[-1] is built[-2] not in (built[0], built[24])
+    assert len(plan.subflows.junctions) == 2
+
+
+def test_xor_matches_the_bytewise_generator():
+    rng = random.Random(7)
+    odd = rng.randbytes(33)
+    cases = [(b"", b""), (odd, rng.randbytes(33)), (odd, odd), (b"\x00\x01", b"\x00\x00")]
+    for a, b in cases:
+        assert simulate._xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+    assert encode(b"", b"") == {"A": b"", "B": b"", "XOR": b""}
+    assert encode(odd, odd)["XOR"] == bytes(33)
 
 
 def test_sweep_matches_reference_sweep():
